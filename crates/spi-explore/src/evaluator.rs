@@ -18,7 +18,7 @@
 use spi_model::json::{JsonValue, ToJson};
 use spi_model::SpiGraph;
 use spi_store::span::{PhaseId, SpanSink};
-use spi_synth::partition::optimize_compiled;
+use spi_synth::partition::search_compiled;
 use spi_synth::{
     compiled_from_flat_graph, FeasibilityMode, SearchStrategy, SynthError, TaskParams,
 };
@@ -36,11 +36,19 @@ pub struct Evaluation {
     /// variants are counted but never compete for the optimum.
     pub feasible: bool,
     /// Human-readable summary of the winning implementation (e.g. the HW/SW
-    /// mapping); carried verbatim into reports.
+    /// mapping); carried verbatim into reports. Names are costly to render, so
+    /// an evaluator may leave this empty for a feasible result its caller said
+    /// it will not keep (see [`Evaluator::evaluate_spanned`]): the drain reads
+    /// `detail` only for the variants that enter its shard report's top-K.
     pub detail: String,
 }
 
 /// A pluggable variant evaluator; see the module docs.
+///
+/// The drain reads an evaluation's `detail` only for the variants that enter
+/// its shard report's top-K, and says so through
+/// [`evaluate_spanned`](Self::evaluate_spanned)'s `keep` test: the default
+/// [`PartitionEvaluator`] builds task names for those entrants alone.
 pub trait Evaluator: Send + Sync {
     /// An admissible lower bound on [`evaluate`](Self::evaluate)'s cost for
     /// this variant: it must never exceed the true cost. Workers skip the
@@ -76,11 +84,16 @@ pub trait Evaluator: Send + Sync {
         incumbent: u64,
     ) -> Result<Evaluation>;
 
-    /// As [`evaluate`](Self::evaluate), with a [`SpanSink`] the evaluator
-    /// may record its internal stages into (the default [`PartitionEvaluator`]
-    /// times its compile lowering and branch-and-bound search separately).
-    /// The default implementation ignores the sink and delegates, so plain
-    /// evaluators need not care that the profiling plane exists.
+    /// As [`evaluate`](Self::evaluate), as the drain calls it: with a
+    /// [`SpanSink`] the evaluator may record its internal stages into (the
+    /// default [`PartitionEvaluator`] times its compile lowering and partition
+    /// search separately), and with `keep`, which answers whether the caller
+    /// will keep a feasible result of a given cost. The drain keeps only the
+    /// variants that enter its shard report's top-K, so an evaluator whose
+    /// `detail` is costly may return an empty one whenever `keep(cost)` is
+    /// false — the partition evaluator renders task names only for the
+    /// entrants. The default implementation ignores both and delegates, so
+    /// evaluators that always return a ready `detail` need not care.
     fn evaluate_spanned(
         &self,
         index: usize,
@@ -88,8 +101,9 @@ pub trait Evaluator: Send + Sync {
         graph: &SpiGraph,
         incumbent: u64,
         spans: &SpanSink,
+        keep: &dyn Fn(u64) -> bool,
     ) -> Result<Evaluation> {
-        let _ = spans;
+        let _ = (spans, keep);
         self.evaluate(index, choice, graph, incumbent)
     }
 }
@@ -255,7 +269,14 @@ impl Evaluator for PartitionEvaluator {
         graph: &SpiGraph,
         incumbent: u64,
     ) -> Result<Evaluation> {
-        self.evaluate_spanned(index, choice, graph, incumbent, &SpanSink::disabled())
+        self.evaluate_spanned(
+            index,
+            choice,
+            graph,
+            incumbent,
+            &SpanSink::disabled(),
+            &|_| true,
+        )
     }
 
     fn evaluate_spanned(
@@ -265,33 +286,33 @@ impl Evaluator for PartitionEvaluator {
         graph: &SpiGraph,
         _incumbent: u64,
         spans: &SpanSink,
+        keep: &dyn Fn(u64) -> bool,
     ) -> Result<Evaluation> {
-        let spanning = spans.is_enabled();
+        // Both stages are timed from three stamps: the lowering's end is the
+        // search's start, so the pair costs one clock read less than two
+        // enter/exit pairs (stamps are free on a disabled sink).
+        let lower_start = spans.stamp();
         // The direct slab → CompiledProblem path: one pass over the flattened
         // graph's node slab, no string-keyed SynthesisProblem in between
         // (bit-identical to the two-step path, pinned in spi-synth's tests).
-        if spanning {
-            spans.enter(PhaseId::CompileLower);
-        }
         let compiled = compiled_from_flat_graph(graph, self.processor_cost, |name| {
             Some(self.params.params_for(name))
         });
-        if spanning {
-            spans.exit();
-        }
+        let lower_end = spans.stamp();
+        spans.record_complete(PhaseId::CompileLower, lower_start, lower_end);
         let compiled = compiled?;
-        if spanning {
-            spans.enter(PhaseId::PartitionSearch);
-        }
-        let searched = optimize_compiled(&compiled, self.mode, self.strategy);
-        if spanning {
-            spans.exit();
-        }
+        // The name-free search core: no mapping, breakdown or report is built.
+        let searched = search_compiled(&compiled, self.mode, self.strategy);
+        spans.record_complete(PhaseId::PartitionSearch, lower_end, spans.stamp());
         match searched {
-            Ok(result) => Ok(Evaluation {
-                cost: result.cost.total(),
+            Ok(outcome) => Ok(Evaluation {
+                cost: outcome.total,
                 feasible: true,
-                detail: Self::detail_of(&result.cost),
+                detail: if keep(outcome.total) {
+                    Self::detail_of(&compiled.cost_breakdown_of(&outcome.hardware))
+                } else {
+                    String::new()
+                },
             }),
             Err(SynthError::Infeasible(message)) => Ok(Evaluation {
                 cost: u64::MAX,

@@ -396,8 +396,11 @@ enum ShardSlot {
     Done,
 }
 
-/// What a job needs to hand out leases; recovered terminal jobs (and running
-/// jobs whose recipe could not be rebuilt) are archived without one.
+/// What a job needs to hand out leases. A job drops it the moment it turns
+/// terminal (completed, cancelled, or answered from the cache at submit), so a
+/// long-lived daemon holds no flattener or evaluator for finished work;
+/// recovered terminal jobs (and running jobs whose recipe could not be
+/// rebuilt) are archived without one.
 enum JobEngine {
     Live {
         flattener: Arc<Flattener>,
@@ -746,9 +749,13 @@ impl JobRegistry {
             shard_count,
             top_k: spec.top_k.max(1),
             combinations,
-            engine: JobEngine::Live {
-                flattener,
-                evaluator,
+            engine: if empty || cache_hit {
+                JobEngine::Archived
+            } else {
+                JobEngine::Live {
+                    flattener,
+                    evaluator,
+                }
             },
             incumbent: Arc::new(AtomicU64::new(u64::MAX)),
             cancelled: Arc::new(AtomicBool::new(false)),
@@ -1188,6 +1195,7 @@ impl JobRegistry {
         });
         if done == total {
             job.state = JobState::Completed;
+            job.engine = JobEngine::Archived;
             let cache_entry = job.digest.map(|digest| (digest, job.committed.to_json()));
             let status = job.status(job_id);
             job.emit(JobEvent::Finished { status });
@@ -1343,6 +1351,7 @@ impl JobRegistry {
         }
         let job = self.jobs.get_mut(&job_id).expect("job still present");
         job.state = JobState::Cancelled;
+        job.engine = JobEngine::Archived;
         job.cancelled.store(true, Ordering::Relaxed);
         job.staged.clear();
         let stale: Vec<(LeaseId, usize)> = self
@@ -2161,6 +2170,94 @@ mod tests {
             late.try_iter().next(),
             Some(JobEvent::Finished { .. })
         ));
+    }
+
+    #[test]
+    fn terminal_jobs_release_their_engine() {
+        use crate::evaluator::PartitionEvaluator;
+        use crate::worker::{drain_lease, FlushResponse};
+
+        let system = scaling_system(4, 2).unwrap(); // 16 combinations
+        let evaluator: Arc<dyn Evaluator> = Arc::new(PartitionEvaluator::default());
+        let mut registry = JobRegistry::new(Duration::from_secs(30));
+        let spec = JobSpec {
+            name: "release".into(),
+            shard_count: 3,
+            top_k: 4,
+            ..JobSpec::default()
+        };
+        let id = registry
+            .submit(&system, spec.clone(), Arc::clone(&evaluator))
+            .unwrap();
+        let events = registry.subscribe(id).unwrap();
+        assert!(Arc::strong_count(&evaluator) > 1, "a running job holds it");
+
+        let now = Instant::now();
+        while let Some(lease) = registry.lease(now) {
+            drain_lease(
+                &lease,
+                5,
+                || false,
+                |delta, last| {
+                    let flushed = if last {
+                        registry.complete_shard(lease.lease, delta, now).map(|_| ())
+                    } else {
+                        registry.report_batch(lease.lease, delta, now)
+                    };
+                    flushed.expect("the only lease of its shard");
+                    FlushResponse::Continue
+                },
+            );
+        }
+        assert_eq!(
+            Arc::strong_count(&evaluator),
+            1,
+            "a completed job keeps no clone of its evaluator"
+        );
+        let finished = events
+            .try_iter()
+            .find_map(|event| match event {
+                JobEvent::Finished { status } => Some(status),
+                _ => None,
+            })
+            .expect("the job finished");
+        let status = registry.poll(id).unwrap();
+        assert_eq!(status, finished, "poll answers what the job finished with");
+        assert_eq!(status.state, JobState::Completed);
+        assert_eq!(status.report.accounted(), 16);
+        let flattener = spi_variants::Flattener::new(&system).unwrap();
+        let optimum = (0..16)
+            .map(|index| {
+                let (choice, graph) = flattener.flatten_at(index).unwrap();
+                let evaluation = evaluator
+                    .evaluate(index, &choice, &graph, u64::MAX)
+                    .unwrap();
+                (evaluation.cost, index, evaluation.detail)
+            })
+            .min()
+            .unwrap();
+        let best = status.best().unwrap();
+        assert_eq!((best.cost, best.index, best.detail.clone()), optimum);
+        let snapshot = registry.durable_snapshot();
+        let summary = &snapshot.get("jobs").unwrap().as_array().unwrap()[0];
+        assert_eq!(summary.get("state").unwrap().as_str(), Some("completed"));
+        assert_eq!(summary.get("committed"), Some(&status.report.to_json()));
+
+        // A cancelled job lets go too; only the lease still in flight keeps
+        // its clone, until the worker drops it.
+        let cancelled = registry
+            .submit(&system, spec, Arc::clone(&evaluator))
+            .unwrap();
+        let in_flight = registry.lease(now).unwrap();
+        assert_eq!(Arc::strong_count(&evaluator), 3);
+        assert_eq!(
+            registry.cancel(cancelled).unwrap().state,
+            JobState::Cancelled
+        );
+        assert_eq!(Arc::strong_count(&evaluator), 2);
+        drop(in_flight);
+        assert_eq!(Arc::strong_count(&evaluator), 1);
+        assert!(registry.lease(now).is_none());
     }
 
     #[test]

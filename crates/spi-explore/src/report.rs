@@ -88,14 +88,25 @@ impl ShardReport {
         self.top.first()
     }
 
+    /// Where a variant with `key` would land in `top`.
+    fn slot(&self, key: (u64, usize)) -> usize {
+        self.top
+            .binary_search_by_key(&key, BestVariant::key)
+            .unwrap_or_else(|insert_at| insert_at)
+    }
+
+    /// Whether [`record`](Self::record) would keep a feasible variant with
+    /// this [`BestVariant::key`] — what the drain asks before it has the
+    /// variant's `detail` built.
+    pub(crate) fn admits(&self, key: (u64, usize), top_k: usize) -> bool {
+        self.slot(key) < top_k.max(1)
+    }
+
     /// Records one feasible evaluation, keeping `top` sorted and capped
     /// (a `top_k` of zero is treated as one — the best is always kept).
     pub fn record(&mut self, variant: BestVariant, top_k: usize) {
         let cap = top_k.max(1);
-        let position = self
-            .top
-            .binary_search_by_key(&variant.key(), BestVariant::key)
-            .unwrap_or_else(|insert_at| insert_at);
+        let position = self.slot(variant.key());
         if position >= cap {
             return;
         }

@@ -17,6 +17,20 @@ use crate::evaluator::Evaluation;
 use crate::registry::Lease;
 use crate::report::{BestVariant, ShardReport};
 
+/// One rank in this many of a drain, starting with its first, has its
+/// stages recorded as spans (its flatten here, the evaluator's lowering and
+/// search through [`Evaluator::evaluate_spanned`]); the others get a
+/// disabled sink. Timing a stage costs clock reads that add up to several
+/// percent of a variant that takes a few microseconds, while a sample keeps
+/// the profile's per-call figures and the trace's shape. The period is odd
+/// so the sample does not alias with the power-of-two structure of a Gray
+/// walk over strided shards: with a period of eight and sixteen shards, every
+/// timed variant would share its choices on three interfaces and patch the
+/// same, larger-than-usual number of them.
+///
+/// [`Evaluator::evaluate_spanned`]: crate::evaluator::Evaluator::evaluate_spanned
+const TIMED_RANK_EVERY: usize = 7;
+
 /// What the registry answered to a flushed batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushResponse {
@@ -112,12 +126,20 @@ pub fn drain_lease_instrumented(
 }
 
 /// [`drain_lease_instrumented`] plus the profiling plane: the whole drain
-/// becomes one [`PhaseId::DrainShard`] root span on `spans`, each variant's
-/// flatten is recorded as [`PhaseId::FlattenPatch`] or
-/// [`PhaseId::FlattenRebuild`] (classified by the delta flattener's own
-/// stats — a rebuild is exactly the one-shot `flatten_at` path), and the
-/// evaluator gets the sink via [`Evaluator::evaluate_spanned`] to time its
-/// internal stages. A disabled sink reduces every site to one branch.
+/// becomes one [`PhaseId::DrainShard`] root span on `spans`. For one rank in
+/// seven (the drain's first included), the variant's flatten is recorded as
+/// [`PhaseId::FlattenPatch`] or [`PhaseId::FlattenRebuild`] (classified by
+/// the delta flattener's own stats — a rebuild is exactly the one-shot
+/// `flatten_at` path), and the evaluator gets the sink via
+/// [`Evaluator::evaluate_spanned`] to time its internal stages; the other
+/// ranks run untimed, so their stage time counts as the drain's own. A
+/// disabled sink reduces every site to one branch.
+///
+/// Every drain entry point asks the evaluator for a variant's `detail` only
+/// when the batch's [`ShardReport`] would keep the variant in its top-K (the
+/// same test [`ShardReport::record`] applies, passed as `evaluate_spanned`'s
+/// `keep`), so an evaluator that renders names lazily builds them for
+/// entrants alone.
 ///
 /// [`Evaluator::evaluate_spanned`]: crate::evaluator::Evaluator::evaluate_spanned
 pub fn drain_lease_spanned(
@@ -138,7 +160,8 @@ pub fn drain_lease_spanned(
     let mut batch_started = Instant::now();
     let mut since_flush = 0usize;
     let mut patches_seen = 0u64;
-    let mut span_patches = 0u64;
+    let mut visited = 0usize;
+    let untimed = SpanSink::disabled();
     if spanning {
         spans.enter(PhaseId::DrainShard);
     }
@@ -153,17 +176,20 @@ pub fn drain_lease_spanned(
             return DrainOutcome::Stopped;
         }
 
-        let flatten_start = spanning.then(|| spans.stamp());
+        let timed = spanning && visited.is_multiple_of(TIMED_RANK_EVERY);
+        let stage_spans = if timed { spans } else { &untimed };
+        let patches_before = timed.then(|| flattener.stats().patches);
+        let flatten_start = stage_spans.stamp();
         let flatten_end;
         match flattener.flatten_gray_rank(rank) {
             // A failed flatten also reset the patcher, so the next rank
             // rebuilds from the skeleton instead of a poisoned graph.
             Err(_) => {
-                flatten_end = flatten_start.map(|_| spans.stamp());
+                flatten_end = stage_spans.stamp();
                 delta.errors += 1;
             }
             Ok((index, graph)) => {
-                flatten_end = flatten_start.map(|_| spans.stamp());
+                flatten_end = stage_spans.stamp();
                 let choice = space
                     .choice_at(index)
                     .expect("gray rank maps into the space by construction");
@@ -174,10 +200,17 @@ pub fn drain_lease_spanned(
                 if lease.evaluator.lower_bound(&choice, graph) > incumbent {
                     delta.pruned += 1;
                 } else {
-                    match lease
-                        .evaluator
-                        .evaluate_spanned(index, &choice, graph, incumbent, spans)
-                    {
+                    // Only a variant entering this delta's top-K needs its
+                    // `detail`; the evaluator may skip naming the rest.
+                    let keep = |cost: u64| delta.admits((cost, index), lease.top_k);
+                    match lease.evaluator.evaluate_spanned(
+                        index,
+                        &choice,
+                        graph,
+                        incumbent,
+                        stage_spans,
+                        &keep,
+                    ) {
                         Err(_) => delta.errors += 1,
                         Ok(Evaluation {
                             cost,
@@ -207,15 +240,13 @@ pub fn drain_lease_spanned(
         // The flattened graph's borrow is over, so the flattener's stats are
         // readable again: classify the flatten span patch-vs-rebuild the same
         // way the metrics plane classifies its counters.
-        if let (Some(start), Some(end)) = (flatten_start, flatten_end) {
-            let stats = flattener.stats();
-            let phase = if stats.patches > span_patches {
+        if let Some(before) = patches_before {
+            let phase = if flattener.stats().patches > before {
                 PhaseId::FlattenPatch
             } else {
                 PhaseId::FlattenRebuild
             };
-            span_patches = stats.patches;
-            spans.record_complete(phase, start, end);
+            spans.record_complete(phase, flatten_start, flatten_end);
         }
 
         if metrics.is_enabled() {
@@ -230,6 +261,7 @@ pub fn drain_lease_spanned(
         }
 
         since_flush += 1;
+        visited += 1;
         rank += lease.shard_count;
 
         let due = since_flush >= batch_size || batch_started.elapsed() >= lease.renew_interval;
@@ -286,6 +318,62 @@ mod tests {
             .unwrap();
         let lease = registry.lease(Instant::now()).unwrap();
         (registry, lease)
+    }
+
+    /// Stage spans are a sample: one rank in [`TIMED_RANK_EVERY`], the
+    /// drain's first (a rebuild) included, times its flatten, lowering and
+    /// search; the drain span still covers the whole shard.
+    #[test]
+    fn drains_time_the_stages_of_one_rank_in_seven() {
+        use crate::evaluator::PartitionEvaluator;
+        use spi_store::span::SpanRecorder;
+
+        let system = spi_workloads::scaling_system(5, 2).unwrap(); // 32 variants
+        let mut registry = JobRegistry::new(Duration::from_secs(30));
+        registry
+            .submit(
+                &system,
+                JobSpec {
+                    name: "sampled".into(),
+                    shard_count: 1,
+                    ..JobSpec::default()
+                },
+                Arc::new(PartitionEvaluator::default()),
+            )
+            .unwrap();
+        let lease = registry.lease(Instant::now()).unwrap();
+        let recorder = Arc::new(SpanRecorder::new(1024));
+        let sink = recorder.sink("w0");
+        let mut evaluated = 0;
+        let outcome = drain_lease_spanned(
+            &lease,
+            usize::MAX,
+            &MetricsRegistry::disabled(),
+            &sink,
+            || false,
+            |batch, _| {
+                evaluated += batch.evaluated;
+                FlushResponse::Continue
+            },
+        );
+        assert_eq!(outcome, DrainOutcome::Completed);
+        assert_eq!(evaluated, 32, "every rank is evaluated, timed or not");
+
+        let spans = recorder.spans();
+        let count = |phase: PhaseId| spans.iter().filter(|s| s.phase == phase).count();
+        let timed = 32usize.div_ceil(TIMED_RANK_EVERY);
+        assert_eq!(count(PhaseId::DrainShard), 1);
+        assert_eq!(count(PhaseId::FlattenRebuild), 1, "the first rank rebuilds");
+        assert_eq!(count(PhaseId::FlattenPatch), timed - 1);
+        assert_eq!(count(PhaseId::CompileLower), timed);
+        assert_eq!(count(PhaseId::PartitionSearch), timed);
+        let drain = spans
+            .iter()
+            .find(|s| s.phase == PhaseId::DrainShard)
+            .unwrap();
+        for span in spans.iter().filter(|s| s.phase != PhaseId::DrainShard) {
+            assert_eq!(span.parent, Some(drain.id));
+        }
     }
 
     #[test]

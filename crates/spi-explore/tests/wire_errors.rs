@@ -132,3 +132,56 @@ fn blank_lines_are_ignored_and_shutdown_still_answers() {
         Some("shutdown")
     );
 }
+
+#[test]
+fn an_exact_search_over_64_tasks_is_an_error_not_a_dead_worker() {
+    // 33 common tasks + 32 single-cluster interfaces = 65 tasks in the one
+    // variant: too wide for the exact searches' `u64` masks. On a one-worker
+    // daemon a panic there would kill the only worker, leave the job running
+    // forever and keep the daemon from exiting after EOF; the search must
+    // instead fail the variant, which the job counts as an error.
+    let submit = r#"{"op":"submit","system":{"synthetic":{"common_tasks":33,"interfaces":32,"clusters_per_interface":1,"cluster_depth":1,"seed":1}},"shards":1,"evaluator":{"strategy":"branch_and_bound"}}"#;
+    let input = format!("{submit}\n{{\"op\":\"wait\",\"job\":0}}\n{{\"op\":\"shutdown\"}}\n");
+    let mut daemon = std::process::Command::new(env!("CARGO_BIN_EXE_spi-explored"))
+        .args(["--workers", "1"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("the daemon starts");
+    use std::io::{Read, Write};
+    daemon
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let mut stdout = daemon.stdout.take().unwrap();
+    let (sender, answers) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut text = String::new();
+        let _ = stdout.read_to_string(&mut text);
+        let _ = sender.send(text);
+    });
+    let Ok(text) = answers.recv_timeout(std::time::Duration::from_secs(60)) else {
+        let _ = daemon.kill();
+        panic!("the daemon did not answer and exit within 60s");
+    };
+    assert!(daemon.wait().unwrap().success());
+    let lines: Vec<JsonValue> = text
+        .lines()
+        .map(|line| JsonValue::parse(line).expect("every response line is valid JSON"))
+        .collect();
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    assert!(lines
+        .iter()
+        .all(|line| line.get("ok").and_then(JsonValue::as_bool) == Some(true)));
+    let status = status_from_json(&lines[1]).unwrap();
+    assert_eq!(status.state, "completed");
+    assert_eq!(status.errors, 1);
+    assert_eq!(status.evaluated, 0);
+    assert_eq!(
+        lines[2].get("op").and_then(JsonValue::as_str),
+        Some("shutdown")
+    );
+}

@@ -229,6 +229,7 @@ impl JsonValue {
     /// Returns [`JsonError`] with a byte offset for malformed input.
     pub fn parse(input: &str) -> JsonResult<JsonValue> {
         let mut parser = Parser {
+            text: input,
             bytes: input.as_bytes(),
             position: 0,
         };
@@ -269,6 +270,7 @@ fn write_string(value: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     position: usize,
 }
@@ -429,12 +431,17 @@ impl Parser<'_> {
                     self.position += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar; the input is a &str so bytes are valid.
-                    let rest = &self.bytes[self.position..];
-                    let text = std::str::from_utf8(rest).map_err(|_| self.error("invalid utf8"))?;
-                    let c = text.chars().next().expect("non-empty remainder");
-                    out.push(c);
-                    self.position += c.len_utf8();
+                    // Copy the whole run of plain characters up to the next quote
+                    // or escape straight from the input `&str`: both delimiters
+                    // are ASCII, so the run ends on a char boundary, and each
+                    // byte is looked at once.
+                    let rest = self
+                        .text
+                        .get(self.position..)
+                        .ok_or_else(|| self.error("invalid utf8"))?;
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.position += run;
                 }
             }
         }

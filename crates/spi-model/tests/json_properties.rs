@@ -180,3 +180,31 @@ fn u64_boundary_values_survive_exactly() {
         );
     }
 }
+
+#[test]
+fn long_multibyte_strings_parse_in_linear_time() {
+    // A single-line document (a snapshot of many jobs is one) holding a
+    // 64 KiB string of multi-byte characters. Re-validating the rest of the
+    // input for every character made this quadratic: over a second in a
+    // debug build, where a linear scan takes a few milliseconds.
+    let mut text = String::new();
+    for c in "é℞😀ß".chars().cycle() {
+        if text.len() >= 64 * 1024 {
+            break;
+        }
+        text.push(c);
+    }
+    let value = JsonValue::object([("s", JsonValue::string(text.clone()))]);
+    let line = value.to_line();
+    let started = std::time::Instant::now();
+    let back = JsonValue::parse(&line).expect("round-trips");
+    let elapsed = started.elapsed();
+    assert_eq!(
+        back.get("s").and_then(JsonValue::as_str),
+        Some(text.as_str())
+    );
+    assert!(
+        elapsed < std::time::Duration::from_millis(250),
+        "parsing a 64 KiB string took {elapsed:?}"
+    );
+}

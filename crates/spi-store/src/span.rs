@@ -10,8 +10,11 @@
 //!   registry and the wire surface;
 //! * each thread records through its own [`SpanSink`] — a stack of open
 //!   spans plus the ambient [`SpanIds`] context (job/shard/lease/tenant/
-//!   worker, the same ids the waitgraph uses) — so the hot path takes no
-//!   cross-thread lock until a span *completes* and lands in its ring;
+//!   worker, the same ids the waitgraph uses) — so the hot path touches no
+//!   shared state per span: ids come from a per-sink block, completed spans
+//!   queue in the sink, and the queue is published to its ring (one lock,
+//!   one sequence-counter bump) whenever the outermost span closes or
+//!   [`PUBLISH_BATCH`] spans have queued;
 //! * every completed [`Span`] carries its parent id, its static [`PhaseId`],
 //!   and the [`TraceCapture`](crate::trace::TraceCapture) sequence watermark
 //!   observed at enter and exit, so spans and scheduler decisions
@@ -41,6 +44,16 @@ use crate::metrics::Histogram;
 
 /// Default per-worker span ring capacity.
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
+
+/// How many completed spans a sink queues before it publishes them to its
+/// ring while an outer span is still open. Readers see a long drain's nested
+/// spans at most this many spans late; the outermost span's exit publishes
+/// everything at once.
+pub const PUBLISH_BATCH: usize = 64;
+
+/// How many span ids a sink takes from the recorder's global counter at a
+/// time, so that assigning an id is a local increment.
+const ID_BLOCK: u64 = 1024;
 
 /// The static identity of an instrumented pipeline stage.
 ///
@@ -144,8 +157,8 @@ impl SpanIds {
 /// One completed enter/exit pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    /// Global completion order across all workers (exit time order per
-    /// worker; a strictly monotone cursor for streaming readers).
+    /// Global publication order across all workers (exit order within one
+    /// sink; a strictly monotone cursor for streaming readers).
     pub seq: u64,
     /// Globally unique span id, assigned at enter.
     pub id: u64,
@@ -211,9 +224,44 @@ pub struct SpanDrain {
     pub dropped: u64,
 }
 
+/// A completed span as a sink queues it and a ring holds it: a [`Span`]
+/// whose attribution context is shared with every other span completed under
+/// it, so recording one bumps a reference count instead of cloning a
+/// [`SpanIds`]. `seq` is assigned when the span is published.
+#[derive(Debug)]
+struct StoredSpan {
+    seq: u64,
+    id: u64,
+    parent: Option<u64>,
+    phase: PhaseId,
+    start_ns: u64,
+    end_ns: u64,
+    child_ns: u64,
+    trace_first: u64,
+    trace_last: u64,
+    ids: Arc<SpanIds>,
+}
+
+impl StoredSpan {
+    fn to_span(&self) -> Span {
+        Span {
+            seq: self.seq,
+            id: self.id,
+            parent: self.parent,
+            phase: self.phase,
+            start_ns: self.start_ns,
+            end_ns: self.end_ns,
+            child_ns: self.child_ns,
+            trace_first: self.trace_first,
+            trace_last: self.trace_last,
+            ids: SpanIds::clone(&self.ids),
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct RingInner {
-    ring: VecDeque<Span>,
+    ring: VecDeque<StoredSpan>,
     dropped: u64,
 }
 
@@ -223,6 +271,26 @@ struct RingInner {
 #[derive(Debug, Default)]
 struct WorkerRing {
     inner: Mutex<RingInner>,
+}
+
+impl WorkerRing {
+    /// Moves `spans` into the ring under one lock, numbering them from the
+    /// recorder's global completion sequence and dropping oldest-first past
+    /// the recorder's capacity.
+    fn publish(&self, recorder: &SpanRecorder, spans: &mut Vec<StoredSpan>) {
+        let mut inner = self.inner.lock().expect("span ring lock");
+        let first_seq = recorder
+            .next_seq
+            .fetch_add(spans.len() as u64, Ordering::Relaxed);
+        for (seq, mut span) in (first_seq..).zip(spans.drain(..)) {
+            span.seq = seq;
+            if inner.ring.len() == recorder.capacity {
+                inner.ring.pop_front();
+                inner.dropped += 1;
+            }
+            inner.ring.push_back(span);
+        }
+    }
 }
 
 /// The shared recorder: clock epoch, global counters, per-worker rings and
@@ -295,7 +363,8 @@ impl SpanRecorder {
             .map_or(0, |mirror| mirror.load(Ordering::Relaxed))
     }
 
-    /// The sequence number the next completed span will get.
+    /// The sequence number the next published span will get (spans still
+    /// queued in a sink have none yet).
     pub fn next_seq(&self) -> u64 {
         self.next_seq.load(Ordering::Relaxed)
     }
@@ -334,6 +403,12 @@ impl SpanRecorder {
         }
     }
 
+    /// Takes a fresh block of [`ID_BLOCK`] span ids.
+    fn id_block(&self) -> std::ops::Range<u64> {
+        let start = self.next_id.fetch_add(ID_BLOCK, Ordering::Relaxed);
+        start..start + ID_BLOCK
+    }
+
     /// Non-destructive merged read of every buffered span with
     /// `seq >= since`, sorted by completion `seq`. `dropped` is the
     /// recorder-lifetime overflow total — a reader whose cursor observes it
@@ -346,7 +421,13 @@ impl SpanRecorder {
             for ring in rings.values() {
                 let inner = ring.inner.lock().expect("span ring lock");
                 dropped += inner.dropped;
-                spans.extend(inner.ring.iter().filter(|s| s.seq >= since).cloned());
+                spans.extend(
+                    inner
+                        .ring
+                        .iter()
+                        .filter(|span| span.seq >= since)
+                        .map(StoredSpan::to_span),
+                );
             }
         }
         spans.sort_by_key(|span| span.seq);
@@ -385,14 +466,47 @@ struct OpenSpan {
 
 #[derive(Debug, Default)]
 struct SinkState {
-    context: SpanIds,
+    context: Arc<SpanIds>,
     stack: Vec<OpenSpan>,
+    /// Completed spans not yet published to the ring.
+    pending: Vec<StoredSpan>,
+    /// The unused rest of this sink's id block.
+    ids: std::ops::Range<u64>,
+}
+
+impl SinkState {
+    fn next_id(&mut self, recorder: &SpanRecorder) -> u64 {
+        if self.ids.is_empty() {
+            self.ids = recorder.id_block();
+        }
+        let id = self.ids.start;
+        self.ids.start += 1;
+        id
+    }
+
+    /// Nests a completed span under the current top of the stack and queues
+    /// it, publishing the queue once no span is open or the batch is full.
+    fn complete(&mut self, shared: &SinkShared, mut span: StoredSpan) {
+        let duration = span.end_ns.saturating_sub(span.start_ns);
+        span.parent = self.stack.last_mut().map(|enclosing| {
+            enclosing.child_ns += duration;
+            enclosing.id
+        });
+        self.pending.push(span);
+        if self.stack.is_empty() || self.pending.len() >= PUBLISH_BATCH {
+            shared.ring.publish(&shared.recorder, &mut self.pending);
+        }
+    }
 }
 
 /// A single thread's recording handle: an open-span stack plus the ambient
 /// [`SpanIds`] context. Interior-mutable (`&self` methods) so a drain loop
 /// and its flush callback can share one sink; deliberately `!Sync` — one
 /// sink per thread.
+///
+/// Completed spans queue in the sink and reach its ring when the outermost
+/// open span closes, when [`PUBLISH_BATCH`] of them have queued, or when the
+/// sink is dropped.
 #[derive(Debug)]
 pub struct SpanSink {
     shared: Option<SinkShared>,
@@ -424,7 +538,7 @@ impl SpanSink {
         if self.shared.is_none() {
             return;
         }
-        self.state.borrow_mut().context = ids;
+        self.state.borrow_mut().context = Arc::new(ids);
     }
 
     /// Resets the ambient context to all-`None`.
@@ -437,14 +551,15 @@ impl SpanSink {
         let Some(shared) = &self.shared else {
             return;
         };
+        let mut state = self.state.borrow_mut();
         let open = OpenSpan {
-            id: shared.recorder.next_id.fetch_add(1, Ordering::Relaxed),
+            id: state.next_id(&shared.recorder),
             phase,
             start_ns: shared.recorder.now_ns(),
             trace_first: shared.recorder.trace_watermark(),
             child_ns: 0,
         };
-        self.state.borrow_mut().stack.push(open);
+        state.stack.push(open);
     }
 
     /// Closes the innermost open span under the phase it was entered as.
@@ -482,30 +597,19 @@ impl SpanSink {
             return;
         };
         let mut state = self.state.borrow_mut();
-        let duration = end.ns.saturating_sub(start.ns);
-        let parent = state.stack.last_mut().map(|enclosing| {
-            enclosing.child_ns += duration;
-            enclosing.id
-        });
-        let span = Span {
-            seq: shared.recorder.next_seq.fetch_add(1, Ordering::Relaxed),
-            id: shared.recorder.next_id.fetch_add(1, Ordering::Relaxed),
-            parent,
+        let span = StoredSpan {
+            seq: 0,
+            id: state.next_id(&shared.recorder),
+            parent: None,
             phase,
             start_ns: start.ns,
             end_ns: end.ns,
             child_ns: 0,
             trace_first: start.trace_seq,
             trace_last: end.trace_seq,
-            ids: state.context.clone(),
+            ids: Arc::clone(&state.context),
         };
-        drop(state);
-        let mut inner = shared.ring.inner.lock().expect("span ring lock");
-        if inner.ring.len() == shared.recorder.capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
-        }
-        inner.ring.push_back(span);
+        state.complete(shared, span);
     }
 
     fn finish(&self, phase: Option<PhaseId>) {
@@ -517,31 +621,32 @@ impl SpanSink {
             debug_assert!(false, "span exit without a matching enter");
             return;
         };
-        let end_ns = shared.recorder.now_ns();
-        let duration = end_ns.saturating_sub(open.start_ns);
-        let parent = state.stack.last_mut().map(|enclosing| {
-            enclosing.child_ns += duration;
-            enclosing.id
-        });
-        let span = Span {
-            seq: shared.recorder.next_seq.fetch_add(1, Ordering::Relaxed),
+        let span = StoredSpan {
+            seq: 0,
             id: open.id,
-            parent,
+            parent: None,
             phase: phase.unwrap_or(open.phase),
             start_ns: open.start_ns,
-            end_ns,
+            end_ns: shared.recorder.now_ns(),
             child_ns: open.child_ns,
             trace_first: open.trace_first,
             trace_last: shared.recorder.trace_watermark(),
-            ids: state.context.clone(),
+            ids: Arc::clone(&state.context),
         };
-        drop(state);
-        let mut inner = shared.ring.inner.lock().expect("span ring lock");
-        if inner.ring.len() == shared.recorder.capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
+        state.complete(shared, span);
+    }
+}
+
+impl Drop for SpanSink {
+    /// Publishes whatever is still queued, so spans completed under a span
+    /// that never closed (a panicking worker, say) are not lost.
+    fn drop(&mut self) {
+        if let Some(shared) = &self.shared {
+            let pending = &mut self.state.get_mut().pending;
+            if !pending.is_empty() {
+                shared.ring.publish(&shared.recorder, pending);
+            }
         }
-        inner.ring.push_back(span);
     }
 }
 
@@ -964,6 +1069,87 @@ mod tests {
         assert_eq!(root.self_ns(), root.duration_ns() - children_ns);
         assert_eq!(root.ids.job, Some(3));
         assert_eq!(root.ids.tenant.as_deref(), Some("team"));
+    }
+
+    #[test]
+    fn nested_spans_reach_the_ring_in_batches() {
+        let recorder = recorder(1024);
+        let sink = recorder.sink("w0");
+        sink.enter(PhaseId::DrainShard);
+        let stamp = sink.stamp();
+        for _ in 0..PUBLISH_BATCH - 1 {
+            sink.record_complete(PhaseId::FlattenPatch, stamp, stamp);
+        }
+        assert!(recorder.spans().is_empty(), "queued under the open root");
+        sink.record_complete(PhaseId::FlattenPatch, stamp, stamp);
+        assert_eq!(
+            recorder.spans().len(),
+            PUBLISH_BATCH,
+            "a full batch publishes"
+        );
+        sink.record_complete(PhaseId::CompileLower, stamp, stamp);
+        sink.exit();
+        let spans = recorder.spans();
+        assert_eq!(
+            spans.len(),
+            PUBLISH_BATCH + 2,
+            "the root's exit publishes the rest"
+        );
+        // Sequence numbers stay dense and in exit order.
+        for (at, span) in spans.iter().enumerate() {
+            assert_eq!(span.seq, at as u64);
+        }
+        assert_eq!(spans.last().unwrap().phase, PhaseId::DrainShard);
+        assert_eq!(recorder.next_seq(), spans.len() as u64);
+    }
+
+    #[test]
+    fn queued_spans_keep_the_context_they_completed_under() {
+        let recorder = recorder(64);
+        let sink = recorder.sink("w0");
+        let job = |job: u64| SpanIds {
+            job: Some(job),
+            ..SpanIds::default()
+        };
+        sink.set_context(job(1));
+        sink.enter(PhaseId::DrainShard);
+        sink.enter(PhaseId::CompileLower);
+        sink.exit();
+        sink.set_context(job(2));
+        sink.exit();
+        let spans = recorder.spans();
+        assert_eq!(spans[0].phase, PhaseId::CompileLower);
+        assert_eq!(spans[0].ids.job, Some(1));
+        assert_eq!(spans[1].phase, PhaseId::DrainShard);
+        assert_eq!(spans[1].ids.job, Some(2));
+    }
+
+    #[test]
+    fn span_ids_stay_unique_across_sinks_and_id_blocks() {
+        let recorder = recorder(8192);
+        let sinks = [recorder.sink("a"), recorder.sink("b")];
+        for round in 0..3 * ID_BLOCK as usize {
+            let sink = &sinks[round % 2];
+            sink.enter(PhaseId::WalAppend);
+            sink.exit();
+        }
+        let spans = recorder.spans();
+        let ids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.id).collect();
+        assert_eq!(ids.len(), spans.len());
+    }
+
+    #[test]
+    fn dropping_a_sink_publishes_what_it_queued() {
+        let recorder = recorder(64);
+        {
+            let sink = recorder.sink("w0");
+            sink.enter(PhaseId::DrainShard);
+            sink.enter(PhaseId::FlattenRebuild);
+            sink.exit();
+        }
+        let spans = recorder.spans();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].phase, PhaseId::FlattenRebuild);
     }
 
     #[test]

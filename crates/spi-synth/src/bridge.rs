@@ -9,9 +9,9 @@
 use spi_model::SpiGraph;
 use spi_variants::VariantSystem;
 
-use crate::compiled::CompiledProblem;
+use crate::compiled::{CompiledProblem, LoweredTask};
 use crate::error::SynthError;
-use crate::problem::{ApplicationSpec, SynthesisProblem, TaskSpec};
+use crate::problem::{utilization_permille, ApplicationSpec, SynthesisProblem, TaskSpec};
 use crate::Result;
 
 /// Cost/effort annotation of one task unit, supplied by the caller (estimation is out of
@@ -146,11 +146,12 @@ pub fn from_flat_graph(
 /// the string-keyed `SynthesisProblem` in between.
 ///
 /// This is the exploration service's per-variant hot path — one call per point of
-/// the variant space — so skipping the intermediate `BTreeMap` construction and the
-/// re-compilation matters. The result is bit-identical to
-/// `CompiledProblem::compile(&from_flat_graph(..)?)` (task ids in name order, the
-/// application's member list in graph iteration order), a property pinned by a
-/// differential test.
+/// the variant space — so it allocates a fixed number of buffers whatever the task
+/// count: task names stay the graph's interned symbols (`params` borrows each
+/// name, nothing copies it), and the membership arrays are flat. The result is
+/// bit-identical to `CompiledProblem::compile(&from_flat_graph(..)?)` (task ids in
+/// name order, the application's member list in graph iteration order), a property
+/// pinned by a differential test.
 ///
 /// # Errors
 ///
@@ -161,7 +162,7 @@ pub fn compiled_from_flat_graph(
     processor_cost: u64,
     mut params: impl FnMut(&str) -> Option<TaskParams>,
 ) -> Result<CompiledProblem> {
-    let mut tasks: Vec<TaskSpec> = Vec::with_capacity(graph.process_count());
+    let mut tasks: Vec<LoweredTask> = Vec::with_capacity(graph.process_count());
     for process in graph.processes() {
         if process.is_virtual() {
             continue;
@@ -170,13 +171,11 @@ pub fn compiled_from_flat_graph(
         let p = params(name).ok_or_else(|| {
             SynthError::Validation(format!("no synthesis parameters for task `{name}`"))
         })?;
-        tasks.push(TaskSpec::new(
-            name,
-            p.sw_time,
-            p.period,
-            p.hw_area,
-            p.synthesis_effort,
-        ));
+        tasks.push(LoweredTask {
+            name: process.name_sym(),
+            utilization: utilization_permille(p.sw_time, p.period),
+            hw_area: p.hw_area,
+        });
     }
     CompiledProblem::single_application(
         "flattened",

@@ -3,10 +3,12 @@
 //! The string-keyed [`SynthesisProblem`] is convenient to build and inspect, but its
 //! `BTreeMap<String, _>` lookups are poison for a search that examines millions of
 //! mappings. [`CompiledProblem`] lowers a problem once into dense arrays indexed by
-//! [`TaskId`] — utilization and hardware-area vectors, per-application member lists,
-//! a bitmask membership per application and a reverse `task → applications` adjacency —
+//! [`TaskId`] — interned task names, utilization and hardware-area vectors, the
+//! application membership as one flat member array, a bitmask membership per
+//! application and the reverse `task → applications` adjacency as another flat array —
 //! so the partitioning searches in [`crate::partition`] never touch a `String` in
-//! their inner loops.
+//! their inner loops, and lowering a problem costs a fixed number of allocations
+//! however many tasks it has.
 //!
 //! [`IncrementalEvaluator`] maintains the per-application load sums and the cost
 //! components of one complete mapping and updates them in *O(applications containing
@@ -22,6 +24,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
+
+use spi_model::Sym;
 
 use crate::cost::CostBreakdown;
 use crate::error::SynthError;
@@ -52,23 +56,77 @@ impl fmt::Display for TaskId {
     }
 }
 
+/// The tasks a mapping puts into hardware, as a bitset over [`TaskId`]s: the
+/// name-free form in which the searches report their answer (see
+/// [`crate::partition::SearchOutcome`]). [`CompiledProblem::cost_breakdown_of`]
+/// turns it back into task names.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HardwareSet {
+    words: Vec<u64>,
+}
+
+impl HardwareSet {
+    /// The set encoded by `mask` (bit `i` set = task `i` in hardware).
+    pub(crate) fn from_mask(mask: u64) -> Self {
+        HardwareSet { words: vec![mask] }
+    }
+
+    /// Whether `task` is in the set.
+    #[inline]
+    pub(crate) fn contains(&self, task: TaskId) -> bool {
+        self.words
+            .get(task.index() / 64)
+            .is_some_and(|word| word & (1u64 << (task.index() % 64)) != 0)
+    }
+
+    /// The member tasks in ascending id (= name) order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = TaskId> + '_ {
+        self.words.iter().enumerate().flat_map(|(at, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    TaskId(at as u32 * 64 + bit)
+                })
+            })
+        })
+    }
+}
+
+/// One task of a flattened graph as the bridge lowers it: the interned name and
+/// the two numbers the searches read.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LoweredTask {
+    pub(crate) name: Sym,
+    pub(crate) utilization: u64,
+    pub(crate) hw_area: u64,
+}
+
 /// A [`SynthesisProblem`] lowered to dense indices.
 ///
 /// Tasks are numbered `0..task_count()` in name order; applications keep their
 /// insertion order. All data needed by the searches — utilizations, hardware areas,
-/// application membership (as index lists *and*, for up to 64 tasks, as bitmasks) and
-/// the reverse `task → applications` adjacency — lives in flat `Vec`s.
+/// application membership (as one flat member array *and*, for up to 64 tasks, as
+/// bitmasks) and the reverse `task → applications` adjacency — lives in flat `Vec`s,
+/// and task names stay interned [`Sym`]s until a caller asks for them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledProblem {
-    names: Vec<String>,
+    names: Vec<Sym>,
     utilization: Vec<u64>,
     hw_area: Vec<u64>,
     app_names: Vec<String>,
-    /// Member tasks of each application, in the application's task order. Duplicate
-    /// entries are preserved: `schedule::check` counts a task listed twice twice.
-    app_tasks: Vec<Vec<TaskId>>,
-    /// For each task: the applications it occurs in, one entry per occurrence.
-    apps_of_task: Vec<Vec<u32>>,
+    /// Member tasks of every application, concatenated in application order, each
+    /// application's members in its task order. Duplicate entries are preserved:
+    /// `schedule::check` counts a task listed twice twice.
+    members: Vec<TaskId>,
+    /// Application `a` owns `members[members_start[a]..members_start[a + 1]]`.
+    members_start: Vec<u32>,
+    /// For each task: the applications it occurs in, one entry per occurrence,
+    /// concatenated in task order.
+    task_apps: Vec<u32>,
+    /// Task `t` owns `task_apps[task_apps_start[t]..task_apps_start[t + 1]]`.
+    task_apps_start: Vec<u32>,
     /// Bitmask membership per application (bit `i` = task `i` is a member). Only
     /// meaningful when `mask_ready` is set.
     membership_mask: Vec<u64>,
@@ -88,34 +146,34 @@ impl CompiledProblem {
     /// Returns [`SynthError::UnknownTask`] if an application references a task the
     /// problem does not contain.
     pub fn compile(problem: &SynthesisProblem) -> Result<CompiledProblem> {
-        let mut names = Vec::with_capacity(problem.task_count());
-        let mut utilization = Vec::with_capacity(problem.task_count());
-        let mut hw_area = Vec::with_capacity(problem.task_count());
-        let mut index: HashMap<&str, u32> = HashMap::with_capacity(problem.task_count());
+        let n = problem.task_count();
+        let mut names = Vec::with_capacity(n);
+        let mut utilization = Vec::with_capacity(n);
+        let mut hw_area = Vec::with_capacity(n);
+        let mut index: HashMap<&str, u32> = HashMap::with_capacity(n);
         for task in problem.tasks() {
             index.insert(task.name.as_str(), names.len() as u32);
-            names.push(task.name.clone());
+            names.push(Sym::intern(&task.name));
             utilization.push(task.utilization_permille());
             hw_area.push(task.hw_area);
         }
 
-        let n = names.len();
-        let mut app_names = Vec::new();
-        let mut app_tasks: Vec<Vec<TaskId>> = Vec::new();
-        let mut apps_of_task: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut membership_mask = Vec::new();
+        let applications = problem.applications();
+        let mut app_names = Vec::with_capacity(applications.len());
+        let mut members = Vec::new();
+        let mut members_start = Vec::with_capacity(applications.len() + 1);
+        let mut membership_mask = Vec::with_capacity(applications.len());
         // `full_mask()` computes `(1 << n) - 1`, so the mask fast path needs strictly
         // fewer than 64 tasks (an `n == 64` full mask would overflow the shift).
         let mut mask_ready = n < 64;
-        for (app_index, application) in problem.applications().iter().enumerate() {
-            let mut members = Vec::with_capacity(application.tasks.len());
+        members_start.push(0);
+        for application in applications {
             let mut mask = 0u64;
             for name in &application.tasks {
                 let id = *index
                     .get(name.as_str())
                     .ok_or_else(|| SynthError::UnknownTask(name.clone()))?;
                 members.push(TaskId(id));
-                apps_of_task[id as usize].push(app_index as u32);
                 if n < 64 {
                     let bit = 1u64 << id;
                     if mask & bit != 0 {
@@ -127,9 +185,10 @@ impl CompiledProblem {
                 }
             }
             app_names.push(application.name.clone());
-            app_tasks.push(members);
+            members_start.push(members.len() as u32);
             membership_mask.push(mask);
         }
+        let (task_apps, task_apps_start) = invert_membership(n, &members, &members_start);
 
         Ok(CompiledProblem {
             total_utilization: utilization.iter().sum(),
@@ -137,8 +196,10 @@ impl CompiledProblem {
             utilization,
             hw_area,
             app_names,
-            app_tasks,
-            apps_of_task,
+            members,
+            members_start,
+            task_apps,
+            task_apps_start,
             membership_mask,
             mask_ready,
             processor_cost: problem.processor_cost,
@@ -147,11 +208,11 @@ impl CompiledProblem {
     }
 
     /// Builds a compiled problem for a **single application spanning every
-    /// task**, directly from task specs — no string-keyed
-    /// [`SynthesisProblem`] in between.
+    /// task**, from already-lowered tasks — no string-keyed
+    /// [`SynthesisProblem`] in between, and a fixed number of allocations
+    /// whatever the task count (names are interned, only compared).
     ///
-    /// This is the shape every flattened (single-variant) graph produces, and
-    /// it sits on the exploration service's per-variant hot path (see
+    /// This is the shape every flattened (single-variant) graph produces (see
     /// [`crate::bridge::compiled_from_flat_graph`]). Task ids are assigned in
     /// **name order**, exactly as [`compile`](Self::compile) would assign them
     /// after routing through a `SynthesisProblem`, so searches over either
@@ -162,11 +223,11 @@ impl CompiledProblem {
     ///
     /// Returns [`SynthError::Validation`] if `tasks` is empty (an application
     /// must span at least one task) or if two tasks share a name.
-    pub fn single_application(
+    pub(crate) fn single_application(
         application: impl Into<String>,
         processor_cost: u64,
         capacity_permille: u64,
-        tasks: Vec<crate::problem::TaskSpec>,
+        tasks: Vec<LoweredTask>,
     ) -> Result<CompiledProblem> {
         let application = application.into();
         if tasks.is_empty() {
@@ -174,49 +235,47 @@ impl CompiledProblem {
                 "application `{application}` has no tasks"
             )));
         }
-        // Id assignment is name order: sort a permutation, not the specs, so
-        // the application member list can keep insertion order below.
-        let mut order: Vec<u32> = (0..tasks.len() as u32).collect();
-        order.sort_by(|&a, &b| tasks[a as usize].name.cmp(&tasks[b as usize].name));
+        // Id assignment is name order: sort a permutation, not the tasks, so
+        // the application member list can keep insertion order below. Each
+        // name is resolved once, so the sort compares plain `&str`s.
+        let mut order: Vec<(&'static str, u32)> = tasks
+            .iter()
+            .enumerate()
+            .map(|(at, task)| (task.name.as_str(), at as u32))
+            .collect();
+        order.sort_unstable_by(|a, b| a.0.cmp(b.0));
 
         let n = tasks.len();
         let mut names = Vec::with_capacity(n);
         let mut utilization = Vec::with_capacity(n);
         let mut hw_area = Vec::with_capacity(n);
-        // rank[insertion index] = dense TaskId.
-        let mut rank = vec![TaskId(0); n];
-        for (id, &at) in order.iter().enumerate() {
-            let task = &tasks[at as usize];
-            if names.last().is_some_and(|previous| *previous == task.name) {
+        // members[insertion index] = dense TaskId.
+        let mut members = vec![TaskId(0); n];
+        for (id, &(name, at)) in order.iter().enumerate() {
+            if id > 0 && order[id - 1].0 == name {
                 return Err(SynthError::Validation(format!(
-                    "duplicate task name `{}`",
-                    task.name
+                    "duplicate task name `{name}`"
                 )));
             }
-            names.push(task.name.clone());
-            utilization.push(task.utilization_permille());
+            let task = &tasks[at as usize];
+            names.push(task.name);
+            utilization.push(task.utilization);
             hw_area.push(task.hw_area);
-            rank[at as usize] = TaskId(id as u32);
+            members[at as usize] = TaskId(id as u32);
         }
 
-        let members: Vec<TaskId> = rank.clone();
-        let mut apps_of_task = vec![Vec::new(); n];
-        let mut mask = 0u64;
-        for &task in &members {
-            apps_of_task[task.index()].push(0u32);
-            if n < 64 {
-                mask |= 1u64 << task.0;
-            }
-        }
-
+        let mask = if n < 64 { (1u64 << n) - 1 } else { 0 };
         Ok(CompiledProblem {
             total_utilization: utilization.iter().sum(),
             names,
             utilization,
             hw_area,
             app_names: vec![application],
-            app_tasks: vec![members],
-            apps_of_task,
+            members,
+            members_start: vec![0, n as u32],
+            // Every task occurs in application 0 exactly once.
+            task_apps: vec![0; n],
+            task_apps_start: (0..=n as u32).collect(),
             membership_mask: vec![mask],
             mask_ready: n < 64,
             processor_cost,
@@ -239,14 +298,14 @@ impl CompiledProblem {
         &self.app_names[application]
     }
 
-    /// Task names in id order.
-    pub fn names(&self) -> &[String] {
+    /// Interned task names in id order.
+    pub fn names(&self) -> &[Sym] {
         &self.names
     }
 
     /// Name of one task.
-    pub fn name_of(&self, task: TaskId) -> &str {
-        &self.names[task.index()]
+    pub fn name_of(&self, task: TaskId) -> &'static str {
+        self.names[task.index()].as_str()
     }
 
     /// Looks up the id of a task by name.
@@ -270,12 +329,16 @@ impl CompiledProblem {
 
     /// Member tasks of one application, in the application's task order.
     pub fn application_tasks(&self, application: usize) -> &[TaskId] {
-        &self.app_tasks[application]
+        let start = self.members_start[application] as usize;
+        let end = self.members_start[application + 1] as usize;
+        &self.members[start..end]
     }
 
     /// Applications containing a task, one entry per occurrence.
     pub fn applications_of_task(&self, task: TaskId) -> &[u32] {
-        &self.apps_of_task[task.index()]
+        let start = self.task_apps_start[task.index()] as usize;
+        let end = self.task_apps_start[task.index() + 1] as usize;
+        &self.task_apps[start..end]
     }
 
     /// Cost of the shared processor.
@@ -302,39 +365,6 @@ impl CompiledProblem {
             "mask queries need fewer than 64 tasks"
         );
         (1u64 << self.names.len()) - 1
-    }
-
-    /// Shared mapping builder: `is_hardware` answers "is task `i` in hardware?" for
-    /// whichever representation the caller holds (mask bit or evaluator state).
-    fn build_mapping(&self, is_hardware: impl Fn(usize) -> bool) -> Mapping {
-        let mut mapping = Mapping::new();
-        for (index, name) in self.names.iter().enumerate() {
-            let implementation = if is_hardware(index) {
-                Implementation::Hardware
-            } else {
-                Implementation::Software
-            };
-            mapping.assign(name.clone(), implementation);
-        }
-        mapping
-    }
-
-    /// Shared breakdown builder, bit-identical to [`crate::cost::evaluate`] for any
-    /// complete assignment described by `is_hardware`.
-    fn build_cost_breakdown(&self, is_hardware: impl Fn(usize) -> bool) -> CostBreakdown {
-        let mut breakdown = CostBreakdown::default();
-        for (index, name) in self.names.iter().enumerate() {
-            if is_hardware(index) {
-                breakdown.hardware_tasks.push(name.clone());
-                breakdown.hardware_cost += self.hw_area[index];
-            } else {
-                breakdown.software_tasks.push(name.clone());
-            }
-        }
-        if !breakdown.software_tasks.is_empty() {
-            breakdown.processor_cost = self.processor_cost;
-        }
-        breakdown
     }
 
     /// Shared report builder, bit-identical to [`crate::schedule::check`] /
@@ -369,18 +399,72 @@ impl CompiledProblem {
         }
     }
 
-    /// Materializes the mapping encoded by `mask` (bit `i` set = task `i` in
-    /// hardware).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the problem has 64 tasks or more.
-    pub fn mapping_of_mask(&self, mask: u64) -> Mapping {
-        assert!(
-            self.names.len() < 64,
-            "mask mappings need fewer than 64 tasks"
-        );
-        self.build_mapping(|index| mask & (1u64 << index) != 0)
+    /// Software load of one application when `is_hardware` says which tasks are in
+    /// hardware, summed over the member list (duplicates count twice).
+    fn application_load(&self, application: usize, is_hardware: impl Fn(usize) -> bool) -> u64 {
+        self.application_tasks(application)
+            .iter()
+            .filter(|task| !is_hardware(task.index()))
+            .map(|task| self.utilization[task.index()])
+            .sum()
+    }
+
+    /// The mapping `hardware` describes: every task in the set in hardware, every
+    /// other task in software.
+    pub(crate) fn mapping_of(&self, hardware: &HardwareSet) -> Mapping {
+        let mut mapping = Mapping::new();
+        for (index, name) in self.names.iter().enumerate() {
+            let implementation = if hardware.contains(TaskId(index as u32)) {
+                Implementation::Hardware
+            } else {
+                Implementation::Software
+            };
+            mapping.assign(name.as_str(), implementation);
+        }
+        mapping
+    }
+
+    /// Cost breakdown of the mapping `hardware` describes, bit-identical to
+    /// [`crate::cost::evaluate`] on the materialized mapping.
+    pub fn cost_breakdown_of(&self, hardware: &HardwareSet) -> CostBreakdown {
+        let mut breakdown = CostBreakdown::default();
+        for (index, name) in self.names.iter().enumerate() {
+            if hardware.contains(TaskId(index as u32)) {
+                breakdown.hardware_tasks.push(name.as_str().to_string());
+                breakdown.hardware_cost += self.hw_area[index];
+            } else {
+                breakdown.software_tasks.push(name.as_str().to_string());
+            }
+        }
+        if !breakdown.software_tasks.is_empty() {
+            breakdown.processor_cost = self.processor_cost;
+        }
+        breakdown
+    }
+
+    /// Feasibility report of the mapping `hardware` describes, bit-identical to
+    /// [`crate::schedule::check`] / [`crate::schedule::check_serialized`].
+    pub(crate) fn feasibility_report_of(
+        &self,
+        hardware: &HardwareSet,
+        mode: FeasibilityMode,
+    ) -> FeasibilityReport {
+        let is_hardware = |index: usize| hardware.contains(TaskId(index as u32));
+        let serialized = match mode {
+            FeasibilityMode::Serialized => {
+                self.total_utilization
+                    - hardware
+                        .iter()
+                        .map(|task| self.utilization[task.index()])
+                        .sum::<u64>()
+            }
+            FeasibilityMode::PerApplication => 0,
+        };
+        self.build_feasibility_report(
+            mode,
+            |app| self.application_load(app, is_hardware),
+            serialized,
+        )
     }
 
     /// Encodes a complete [`Mapping`] as a mask.
@@ -395,7 +479,7 @@ impl CompiledProblem {
         );
         let mut mask = 0u64;
         for (index, name) in self.names.iter().enumerate() {
-            match mapping.implementation(name) {
+            match mapping.implementation(name.as_str()) {
                 Some(Implementation::Hardware) => mask |= 1u64 << index,
                 Some(Implementation::Software) => {}
                 None => {
@@ -428,11 +512,7 @@ impl CompiledProblem {
             }
             load
         } else {
-            self.app_tasks[application]
-                .iter()
-                .filter(|task| mask & (1u64 << task.index()) == 0)
-                .map(|task| self.utilization[task.index()])
-                .sum()
+            self.application_load(application, |index| mask & (1u64 << index) != 0)
         }
     }
 
@@ -450,7 +530,7 @@ impl CompiledProblem {
     /// Whether the mapping encoded by `mask` is schedulable under `mode`.
     pub fn feasible_mask(&self, mask: u64, mode: FeasibilityMode) -> bool {
         match mode {
-            FeasibilityMode::PerApplication => (0..self.app_tasks.len())
+            FeasibilityMode::PerApplication => (0..self.app_names.len())
                 .all(|app| self.application_load_of_mask(app, mask) <= self.capacity_permille),
             FeasibilityMode::Serialized => {
                 self.serialized_load_of_mask(mask) <= self.capacity_permille
@@ -478,30 +558,29 @@ impl CompiledProblem {
             area + self.processor_cost
         }
     }
+}
 
-    /// Cost breakdown of the mapping encoded by `mask`, bit-identical to
-    /// [`crate::cost::evaluate`] on the materialized mapping.
-    pub fn cost_breakdown_of_mask(&self, mask: u64) -> CostBreakdown {
-        self.build_cost_breakdown(|index| mask & (1u64 << index) != 0)
+/// The reverse adjacency of a flat member array: for each of the `n` tasks, the
+/// applications listing it, one entry per occurrence and in application order, as
+/// one flat array plus per-task start offsets.
+fn invert_membership(n: usize, members: &[TaskId], members_start: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; n + 1];
+    for task in members {
+        start[task.index() + 1] += 1;
     }
-
-    /// Feasibility report of the mapping encoded by `mask`, bit-identical to
-    /// [`crate::schedule::check`] / [`crate::schedule::check_serialized`].
-    pub fn feasibility_report_of_mask(
-        &self,
-        mask: u64,
-        mode: FeasibilityMode,
-    ) -> FeasibilityReport {
-        let serialized = match mode {
-            FeasibilityMode::Serialized => self.serialized_load_of_mask(mask),
-            FeasibilityMode::PerApplication => 0,
-        };
-        self.build_feasibility_report(
-            mode,
-            |app| self.application_load_of_mask(app, mask),
-            serialized,
-        )
+    for at in 0..n {
+        start[at + 1] += start[at];
     }
+    let mut cursor = start.clone();
+    let mut task_apps = vec![0u32; members.len()];
+    for (app, bounds) in members_start.windows(2).enumerate() {
+        for task in &members[bounds[0] as usize..bounds[1] as usize] {
+            let slot = &mut cursor[task.index()];
+            task_apps[*slot as usize] = app as u32;
+            *slot += 1;
+        }
+    }
+    (task_apps, start)
 }
 
 /// Incrementally maintained schedulability and cost state of one complete mapping.
@@ -526,15 +605,8 @@ pub struct IncrementalEvaluator<'p> {
 impl<'p> IncrementalEvaluator<'p> {
     /// Starts from the all-software mapping.
     pub fn new(problem: &'p CompiledProblem) -> Self {
-        let app_loads: Vec<u64> = problem
-            .app_tasks
-            .iter()
-            .map(|members| {
-                members
-                    .iter()
-                    .map(|task| problem.utilization[task.index()])
-                    .sum()
-            })
+        let app_loads: Vec<u64> = (0..problem.application_count())
+            .map(|app| problem.application_load(app, |_| false))
             .collect();
         let overloaded = app_loads
             .iter()
@@ -547,7 +619,7 @@ impl<'p> IncrementalEvaluator<'p> {
             serialized_load: problem.total_utilization,
             hardware_area: 0,
             software_count: problem.task_count(),
-            trail: Vec::new(),
+            trail: Vec::with_capacity(problem.task_count() + 1),
             problem,
         }
     }
@@ -562,7 +634,7 @@ impl<'p> IncrementalEvaluator<'p> {
             serialized_load: 0,
             hardware_area: problem.hw_area.iter().sum(),
             software_count: 0,
-            trail: Vec::new(),
+            trail: Vec::with_capacity(problem.task_count() + 1),
             problem,
         }
     }
@@ -616,7 +688,7 @@ impl<'p> IncrementalEvaluator<'p> {
         let capacity = self.problem.capacity_permille;
         match implementation {
             Implementation::Hardware => {
-                for &app in &self.problem.apps_of_task[index] {
+                for &app in self.problem.applications_of_task(task) {
                     let old = self.app_loads[app as usize];
                     let new = old - utilization;
                     if old > capacity && new <= capacity {
@@ -629,7 +701,7 @@ impl<'p> IncrementalEvaluator<'p> {
                 self.software_count -= 1;
             }
             Implementation::Software => {
-                for &app in &self.problem.apps_of_task[index] {
+                for &app in self.problem.applications_of_task(task) {
                     let old = self.app_loads[app as usize];
                     let new = old + utilization;
                     if old <= capacity && new > capacity {
@@ -693,17 +765,26 @@ impl<'p> IncrementalEvaluator<'p> {
         }
     }
 
+    /// The tasks currently in hardware, without materializing any name.
+    pub(crate) fn hardware_set(&self) -> HardwareSet {
+        let mut words = vec![0u64; self.implementations.len().div_ceil(64).max(1)];
+        for (index, implementation) in self.implementations.iter().enumerate() {
+            if *implementation == Implementation::Hardware {
+                words[index / 64] |= 1u64 << (index % 64);
+            }
+        }
+        HardwareSet { words }
+    }
+
     /// Materializes the current mapping.
     pub fn mapping(&self) -> Mapping {
-        self.problem
-            .build_mapping(|index| self.implementations[index] == Implementation::Hardware)
+        self.problem.mapping_of(&self.hardware_set())
     }
 
     /// Cost breakdown of the current mapping, bit-identical to
     /// [`crate::cost::evaluate`].
     pub fn cost_breakdown(&self) -> CostBreakdown {
-        self.problem
-            .build_cost_breakdown(|index| self.implementations[index] == Implementation::Hardware)
+        self.problem.cost_breakdown_of(&self.hardware_set())
     }
 
     /// Feasibility report of the current mapping, bit-identical to
@@ -729,7 +810,7 @@ mod tests {
         assert_eq!(
             compiled.names(),
             ["PA", "PB", "cluster1", "cluster2"]
-                .map(String::from)
+                .map(Sym::intern)
                 .as_slice()
         );
         assert_eq!(compiled.task_id("cluster1"), Some(TaskId(2)));
@@ -752,10 +833,11 @@ mod tests {
         let problem = toy_problem();
         let compiled = CompiledProblem::compile(&problem).unwrap();
         for mask in 0u64..16 {
-            let mapping = compiled.mapping_of_mask(mask);
+            let hardware = HardwareSet::from_mask(mask);
+            let mapping = compiled.mapping_of(&hardware);
             assert_eq!(compiled.mask_of_mapping(&mapping).unwrap(), mask);
             assert_eq!(
-                compiled.cost_breakdown_of_mask(mask),
+                compiled.cost_breakdown_of(&hardware),
                 evaluate(&problem, &mapping, None).unwrap()
             );
             for mode in [FeasibilityMode::PerApplication, FeasibilityMode::Serialized] {
@@ -763,12 +845,12 @@ mod tests {
                     FeasibilityMode::PerApplication => check(&problem, &mapping).unwrap(),
                     FeasibilityMode::Serialized => check_serialized(&problem, &mapping).unwrap(),
                 };
-                assert_eq!(compiled.feasibility_report_of_mask(mask, mode), oracle);
+                assert_eq!(compiled.feasibility_report_of(&hardware, mode), oracle);
                 assert_eq!(compiled.feasible_mask(mask, mode), oracle.feasible());
             }
             assert_eq!(
                 compiled.total_cost_of_mask(mask),
-                compiled.cost_breakdown_of_mask(mask).total()
+                compiled.cost_breakdown_of(&hardware).total()
             );
         }
     }
@@ -842,7 +924,7 @@ mod tests {
         let compiled = CompiledProblem::compile(&problem).unwrap();
         assert!(!compiled.mask_ready);
         // `a` listed twice contributes its utilization twice, exactly as check() does.
-        let mapping = compiled.mapping_of_mask(0);
+        let mapping = compiled.mapping_of(&HardwareSet::from_mask(0));
         let oracle = check(&problem, &mapping).unwrap();
         assert_eq!(oracle.applications[0].load_permille, 300 + 300 + 200);
         assert_eq!(compiled.application_load_of_mask(0, 0), 800);

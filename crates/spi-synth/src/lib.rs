@@ -44,10 +44,10 @@ pub use bridge::{
     compiled_from_flat_graph, compiled_shard_sweep, from_flat_graph, from_variant_system,
     from_variant_system_shard, TaskParams,
 };
-pub use compiled::{CompiledProblem, IncrementalEvaluator, TaskId};
+pub use compiled::{CompiledProblem, HardwareSet, IncrementalEvaluator, TaskId};
 pub use cost::CostBreakdown;
 pub use error::SynthError;
-pub use partition::{FeasibilityMode, PartitionResult, SearchStrategy};
+pub use partition::{FeasibilityMode, PartitionResult, SearchOutcome, SearchStrategy};
 pub use problem::{ApplicationSpec, Implementation, Mapping, SynthesisProblem, TaskSpec};
 pub use report::{table1, Table1, Table1Row};
 pub use schedule::{FeasibilityReport, Schedule};

@@ -37,7 +37,7 @@
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::compiled::{CompiledProblem, IncrementalEvaluator, TaskId};
+use crate::compiled::{CompiledProblem, HardwareSet, IncrementalEvaluator, TaskId};
 use crate::cost::{evaluate, CostBreakdown};
 use crate::error::SynthError;
 use crate::problem::{Implementation, Mapping, SynthesisProblem};
@@ -128,18 +128,63 @@ pub fn optimize(
 /// [`CompiledProblem`] directly (see
 /// [`crate::bridge::compiled_from_flat_graph`]) skip both the
 /// `SynthesisProblem` materialization and the per-call re-compilation. The
-/// result is bit-identical to routing the same problem through [`optimize`].
+/// result is bit-identical to routing the same problem through [`optimize`]:
+/// it is [`search_compiled`]'s outcome with the mapping, cost breakdown and
+/// feasibility report materialized.
 ///
 /// # Errors
 ///
-/// As [`optimize`]: [`SynthError::NoApplications`] for a problem without
-/// applications, [`SynthError::Validation`] for an application without tasks,
-/// [`SynthError::Infeasible`] when no mapping is schedulable.
+/// As [`search_compiled`].
 pub fn optimize_compiled(
     compiled: &CompiledProblem,
     mode: FeasibilityMode,
     strategy: SearchStrategy,
 ) -> Result<PartitionResult> {
+    let outcome = search_compiled(compiled, mode, strategy)?;
+    Ok(PartitionResult {
+        mapping: compiled.mapping_of(&outcome.hardware),
+        cost: compiled.cost_breakdown_of(&outcome.hardware),
+        feasibility: compiled.feasibility_report_of(&outcome.hardware, mode),
+        evaluated_candidates: outcome.evaluated_candidates,
+        pruned_candidates: outcome.pruned_candidates,
+    })
+}
+
+/// What a partition search found, before any task name is materialized.
+///
+/// [`optimize_compiled`] turns it into a [`PartitionResult`]; callers that only
+/// need the cost (the exploration service's per-variant path) stop here and look
+/// names up in the [`CompiledProblem`] only when they want them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SearchOutcome {
+    /// Total cost of the chosen mapping (hardware areas plus the processor if any
+    /// task stays in software).
+    pub total: u64,
+    /// The tasks the chosen mapping puts into hardware; every other task runs in
+    /// software.
+    pub hardware: HardwareSet,
+    /// As [`PartitionResult::evaluated_candidates`].
+    pub evaluated_candidates: u64,
+    /// As [`PartitionResult::pruned_candidates`].
+    pub pruned_candidates: u64,
+}
+
+/// Finds the cheapest feasible mapping of a compiled problem and returns it in
+/// name-free form: the search core behind [`optimize_compiled`].
+///
+/// # Errors
+///
+/// As [`optimize`]: [`SynthError::NoApplications`] for a problem without
+/// applications, [`SynthError::Validation`] for an application without tasks or
+/// for an exact search ([`SearchStrategy::Exhaustive`],
+/// [`SearchStrategy::BranchAndBound`]) over 64 tasks or more, whose mappings a
+/// `u64` mask cannot address, and [`SynthError::Infeasible`] when no mapping is
+/// schedulable.
+pub fn search_compiled(
+    compiled: &CompiledProblem,
+    mode: FeasibilityMode,
+    strategy: SearchStrategy,
+) -> Result<SearchOutcome> {
     // The same preconditions `optimize` enforces via `problem.validate()`,
     // so the two entry points accept and reject identical inputs.
     if compiled.application_count() == 0 {
@@ -154,17 +199,30 @@ pub fn optimize_compiled(
         }
     }
     match strategy {
-        SearchStrategy::Exhaustive => optimize_exhaustive(compiled, mode),
-        SearchStrategy::BranchAndBound => optimize_branch_and_bound(compiled, mode),
-        SearchStrategy::Greedy => optimize_greedy(compiled, mode),
+        SearchStrategy::Exhaustive => search_exhaustive(compiled, mode),
+        SearchStrategy::BranchAndBound => search_branch_and_bound(compiled, mode),
+        SearchStrategy::Greedy => search_greedy(compiled, mode),
         SearchStrategy::Auto => {
             if compiled.task_count() <= EXHAUSTIVE_LIMIT {
-                optimize_exhaustive(compiled, mode)
+                search_exhaustive(compiled, mode)
             } else {
-                optimize_greedy(compiled, mode)
+                search_greedy(compiled, mode)
             }
         }
     }
+}
+
+/// The exact searches enumerate `u64` masks, so they refuse 64 tasks or more
+/// with an error rather than a panic: one oversized variant must not take a
+/// worker down.
+fn check_mask_width(compiled: &CompiledProblem, search: &str) -> Result<()> {
+    let n = compiled.task_count();
+    if n >= 64 {
+        return Err(SynthError::Validation(format!(
+            "{search} search is limited to fewer than 64 tasks, got {n}"
+        )));
+    }
+    Ok(())
 }
 
 /// The exact ordering key shared by every exact search. The historical serial scan
@@ -235,18 +293,13 @@ fn search_chunk(
     outcome
 }
 
-fn materialize(
-    compiled: &CompiledProblem,
-    mode: FeasibilityMode,
-    outcome: WorkerOutcome,
-) -> Result<PartitionResult> {
-    let (_, mask) = outcome.best.ok_or_else(|| {
+fn into_search_outcome(outcome: WorkerOutcome) -> Result<SearchOutcome> {
+    let ((total, _, _), mask) = outcome.best.ok_or_else(|| {
         SynthError::Infeasible("no mapping satisfies the schedulability constraints".to_string())
     })?;
-    Ok(PartitionResult {
-        mapping: compiled.mapping_of_mask(mask),
-        cost: compiled.cost_breakdown_of_mask(mask),
-        feasibility: compiled.feasibility_report_of_mask(mask, mode),
+    Ok(SearchOutcome {
+        total,
+        hardware: HardwareSet::from_mask(mask),
         evaluated_candidates: outcome.evaluated,
         pruned_candidates: outcome.pruned,
     })
@@ -268,15 +321,9 @@ fn reduce_outcomes(outcomes: impl IntoIterator<Item = WorkerOutcome>) -> WorkerO
     reduced
 }
 
-fn optimize_exhaustive(
-    compiled: &CompiledProblem,
-    mode: FeasibilityMode,
-) -> Result<PartitionResult> {
+fn search_exhaustive(compiled: &CompiledProblem, mode: FeasibilityMode) -> Result<SearchOutcome> {
+    check_mask_width(compiled, "exhaustive")?;
     let n = compiled.task_count();
-    assert!(
-        n < 64,
-        "exhaustive search is limited to fewer than 64 tasks"
-    );
     let total: u64 = 1u64 << n;
 
     // One chunk per hardware thread is enough: the per-mask work is uniform apart
@@ -312,7 +359,7 @@ fn optimize_exhaustive(
             .collect()
     };
 
-    materialize(compiled, mode, reduce_outcomes(outcomes))
+    into_search_outcome(reduce_outcomes(outcomes))
 }
 
 /// One worker's depth-first walk over (a set of subtrees of) the decision tree.
@@ -454,15 +501,12 @@ impl<'p> BnbWorker<'p> {
     }
 }
 
-fn optimize_branch_and_bound(
+fn search_branch_and_bound(
     compiled: &CompiledProblem,
     mode: FeasibilityMode,
-) -> Result<PartitionResult> {
+) -> Result<SearchOutcome> {
+    check_mask_width(compiled, "branch-and-bound")?;
     let n = compiled.task_count();
-    assert!(
-        n < 64,
-        "branch-and-bound search is limited to fewer than 64 tasks"
-    );
 
     let mut suffix_area = vec![0u64; n + 1];
     for depth in (0..n).rev() {
@@ -517,7 +561,7 @@ fn optimize_branch_and_bound(
         )
     };
 
-    materialize(compiled, mode, outcome)
+    into_search_outcome(outcome)
 }
 
 /// The historical single-threaded, prune-free, string-keyed scan, kept as the oracle
@@ -536,10 +580,11 @@ pub fn optimize_serial_reference(
     problem.validate()?;
     let names: Vec<String> = problem.tasks().map(|t| t.name.clone()).collect();
     let n = names.len();
-    assert!(
-        n < 64,
-        "exhaustive search is limited to fewer than 64 tasks"
-    );
+    if n >= 64 {
+        return Err(SynthError::Validation(format!(
+            "exhaustive search is limited to fewer than 64 tasks, got {n}"
+        )));
+    }
     let mut best: Option<PartitionResult> = None;
     let mut evaluated = 0u64;
     for mask in 0u64..(1u64 << n) {
@@ -590,31 +635,33 @@ pub fn optimize_serial_reference(
     Ok(result)
 }
 
-fn optimize_greedy(compiled: &CompiledProblem, mode: FeasibilityMode) -> Result<PartitionResult> {
+fn search_greedy(compiled: &CompiledProblem, mode: FeasibilityMode) -> Result<SearchOutcome> {
     let n = compiled.task_count();
+    let (utilizations, areas) = (compiled.utilizations(), compiled.hardware_areas());
     let mut evaluator = IncrementalEvaluator::new(compiled);
     let mut evaluated = 1u64;
 
     // Repair: while some application overloads the processor, move the software task
     // with the highest utilization-per-area ratio (among tasks of overloaded
-    // applications) to hardware.
+    // applications) to hardware. Candidates stream in application-then-member order,
+    // repeats included, so `max_by_key` keeps its last-maximum tie-break.
     while !evaluator.feasible(mode) {
-        let candidates: Vec<TaskId> = match mode {
-            FeasibilityMode::Serialized => (0..n as u32).map(TaskId).collect(),
+        let in_software =
+            |task: &TaskId| evaluator.implementation(*task) == Implementation::Software;
+        // Highest utilization relief per unit of hardware cost; scaled to keep
+        // integer arithmetic meaningful.
+        let relief = |task: &TaskId| utilizations[task.index()] * 1000 / areas[task.index()].max(1);
+        let best_move = match mode {
+            FeasibilityMode::Serialized => (0..n as u32)
+                .map(TaskId)
+                .filter(in_software)
+                .max_by_key(relief),
             FeasibilityMode::PerApplication => (0..compiled.application_count())
                 .filter(|&app| evaluator.load_permille(app) > compiled.capacity_permille())
                 .flat_map(|app| compiled.application_tasks(app).iter().copied())
-                .collect(),
+                .filter(in_software)
+                .max_by_key(relief),
         };
-        let best_move = candidates
-            .into_iter()
-            .filter(|&task| evaluator.implementation(task) == Implementation::Software)
-            .max_by_key(|&task| {
-                // Highest utilization relief per unit of hardware cost; scaled to keep
-                // integer arithmetic meaningful.
-                compiled.utilizations()[task.index()] * 1000
-                    / compiled.hardware_areas()[task.index()].max(1)
-            });
         let Some(task) = best_move else {
             return Err(SynthError::Infeasible(
                 "processor overloaded but no software task left to move".to_string(),
@@ -646,10 +693,9 @@ fn optimize_greedy(compiled: &CompiledProblem, mode: FeasibilityMode) -> Result<
         }
     }
 
-    Ok(PartitionResult {
-        mapping: evaluator.mapping(),
-        cost: evaluator.cost_breakdown(),
-        feasibility: evaluator.feasibility_report(mode),
+    Ok(SearchOutcome {
+        total: evaluator.total_cost(),
+        hardware: evaluator.hardware_set(),
         evaluated_candidates: evaluated,
         pruned_candidates: 0,
     })
@@ -803,12 +849,12 @@ mod tests {
         for mode in [FeasibilityMode::PerApplication, FeasibilityMode::Serialized] {
             let serial = optimize_serial_reference(&problem, mode).unwrap();
             let compiled = CompiledProblem::compile(&problem).unwrap();
-            let parallel = optimize_exhaustive(&compiled, mode).unwrap();
+            let parallel = optimize_compiled(&compiled, mode, SearchStrategy::Exhaustive).unwrap();
             assert_eq!(parallel.mapping, serial.mapping);
             assert_eq!(parallel.cost, serial.cost);
             assert_eq!(parallel.feasibility, serial.feasibility);
             assert_eq!(parallel.evaluated_candidates, serial.evaluated_candidates);
-            let bnb = optimize_branch_and_bound(&compiled, mode).unwrap();
+            let bnb = optimize_compiled(&compiled, mode, SearchStrategy::BranchAndBound).unwrap();
             assert_eq!(bnb.mapping, serial.mapping);
             assert_eq!(bnb.cost, serial.cost);
             assert_eq!(bnb.feasibility, serial.feasibility);
@@ -849,7 +895,12 @@ mod tests {
     fn parallel_exhaustive_matches_serial_on_a_chunked_space() {
         let problem = chunked_problem();
         let compiled = CompiledProblem::compile(&problem).unwrap();
-        let parallel = optimize_exhaustive(&compiled, FeasibilityMode::PerApplication).unwrap();
+        let parallel = optimize_compiled(
+            &compiled,
+            FeasibilityMode::PerApplication,
+            SearchStrategy::Exhaustive,
+        )
+        .unwrap();
         let serial = optimize_serial_reference(&problem, FeasibilityMode::PerApplication).unwrap();
         assert_eq!(parallel.mapping, serial.mapping);
         assert_eq!(parallel.cost.total(), serial.cost.total());
@@ -866,9 +917,24 @@ mod tests {
         let n = problem.task_count() as u64;
         let serial = optimize_serial_reference(&problem, FeasibilityMode::PerApplication).unwrap();
         let compiled = CompiledProblem::compile(&problem).unwrap();
-        let exhaustive = optimize_exhaustive(&compiled, FeasibilityMode::PerApplication).unwrap();
-        let bnb = optimize_branch_and_bound(&compiled, FeasibilityMode::PerApplication).unwrap();
-        let greedy = optimize_greedy(&compiled, FeasibilityMode::PerApplication).unwrap();
+        let exhaustive = optimize_compiled(
+            &compiled,
+            FeasibilityMode::PerApplication,
+            SearchStrategy::Exhaustive,
+        )
+        .unwrap();
+        let bnb = optimize_compiled(
+            &compiled,
+            FeasibilityMode::PerApplication,
+            SearchStrategy::BranchAndBound,
+        )
+        .unwrap();
+        let greedy = optimize_compiled(
+            &compiled,
+            FeasibilityMode::PerApplication,
+            SearchStrategy::Greedy,
+        )
+        .unwrap();
 
         // Exhaustive: every mask is a candidate; pruning is a subset of enumeration.
         assert_eq!(exhaustive.evaluated_candidates, 1 << n);

@@ -76,8 +76,16 @@ impl TaskSpec {
 
     /// Processor utilization of the task in permille (`1000 * sw_time / period`).
     pub fn utilization_permille(&self) -> u64 {
-        self.sw_time.saturating_mul(1000) / self.period
+        utilization_permille(self.sw_time, self.period)
     }
+}
+
+/// Processor utilization in permille of a task that runs `sw_time` every `period`
+/// (`1000 * sw_time / period`; a zero period counts as one, as [`TaskSpec::new`]
+/// stores it). The one formula behind [`TaskSpec::utilization_permille`] and the
+/// bridge's name-free lowering, which must agree bit for bit.
+pub(crate) fn utilization_permille(sw_time: u64, period: u64) -> u64 {
+    sw_time.saturating_mul(1000) / period.max(1)
 }
 
 /// One application: a set of task units that execute together (one variant combination).

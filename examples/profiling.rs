@@ -31,7 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut jobs = Vec::new();
     let spec = |tenant: &str| JobSpec {
         name: format!("{tenant}-sweep"),
-        shard_count: 16,
+        // Sixteen ranks per shard: a drain times the stages of one rank in
+        // seven, so each shard records a rebuild and two patches.
+        shard_count: 4,
         top_k: 3,
         tenant: tenant.to_string(),
         use_cache: false,

@@ -228,6 +228,24 @@ impl Flattener {
         &self.skeleton
     }
 
+    /// Every process name a flattened graph of this system can contain: the
+    /// common part's, then each cluster's with its `"{interface}/{cluster}/"`
+    /// prefix — the process half of the name universe [`new`](Self::new)
+    /// proves collision-free, so no name repeats. A table keyed by these
+    /// symbols (per-task synthesis parameters, say) can be built once per
+    /// system instead of once per variant.
+    pub fn process_names(&self) -> impl Iterator<Item = Sym> + '_ {
+        self.skeleton
+            .processes()
+            .chain(
+                self.plans
+                    .iter()
+                    .flat_map(|plan| &plan.clusters)
+                    .flat_map(|cluster| cluster.renamed.processes()),
+            )
+            .map(|process| process.name_sym())
+    }
+
     /// Flattens one combination into a fresh graph.
     ///
     /// # Errors
@@ -605,6 +623,19 @@ mod tests {
             let fast = flattener.flatten(&choice).unwrap();
             assert_eq!(legacy, fast);
             assert!(fast.validate().is_ok());
+        }
+    }
+
+    #[test]
+    fn process_names_cover_every_flattened_process_once() {
+        let system = figure2_like_system();
+        let flattener = Flattener::new(&system).unwrap();
+        let universe: Vec<Sym> = flattener.process_names().collect();
+        let distinct: std::collections::BTreeSet<Sym> = universe.iter().copied().collect();
+        assert_eq!(distinct.len(), universe.len(), "no name repeats");
+        for choice in flattener.space().choices_iter() {
+            let graph = flattener.flatten(&choice).unwrap();
+            assert!(graph.processes().all(|p| distinct.contains(&p.name_sym())));
         }
     }
 

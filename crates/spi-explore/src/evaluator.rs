@@ -15,14 +15,17 @@
 //! the incumbent, so skipping preserves the exact `(cost, index)` optimum,
 //! tie-breaks included.
 
+use std::sync::Arc;
+
 use spi_model::json::{JsonValue, ToJson};
 use spi_model::SpiGraph;
-use spi_store::span::{PhaseId, SpanSink};
+use spi_store::span::{PhaseId, SpanSink, SpanStamp};
 use spi_synth::partition::search_compiled;
 use spi_synth::{
-    compiled_from_flat_graph, FeasibilityMode, SearchStrategy, SynthError, TaskParams,
+    compiled_from_flat_graph, CompiledProblem, FeasibilityMode, SearchStrategy, SynthError,
+    TaskParams, TaskTable,
 };
-use spi_variants::VariantChoice;
+use spi_variants::{Flattener, VariantChoice};
 
 use crate::error::ExploreError;
 use crate::Result;
@@ -105,6 +108,26 @@ pub trait Evaluator: Send + Sync {
     ) -> Result<Evaluation> {
         let _ = (spans, keep);
         self.evaluate(index, choice, graph, incumbent)
+    }
+
+    /// Binds this evaluator to one job, whose variants `flattener` produces.
+    /// The registry calls it once per job, where it builds the job's engine —
+    /// at submit and again when [`JobRegistry::restore`] resumes the job — and
+    /// from then on bounds and evaluates every variant of the job through the
+    /// evaluator returned here, or through `self` when this returns `None`
+    /// (the default).
+    ///
+    /// This is the place to precompute whatever is fixed for the whole job:
+    /// the default [`PartitionEvaluator`] builds a table of every task name
+    /// [`Flattener::process_names`] lists — its rank in name order and its
+    /// parameters — so no variant hashes or sorts a name. A bound evaluator
+    /// must return what `self` would for every variant, bound and `spec`
+    /// included, and should keep `self` alive while it lives.
+    ///
+    /// [`JobRegistry::restore`]: crate::JobRegistry::restore
+    fn bind(self: Arc<Self>, flattener: &Flattener) -> Option<Arc<dyn Evaluator>> {
+        let _ = flattener;
+        None
     }
 }
 
@@ -220,6 +243,49 @@ impl PartitionEvaluator {
             cost.software_tasks.join(",")
         )
     }
+
+    /// The bound every path shares: each task ends up in software (then the
+    /// processor is bought once) or in hardware (then its area is paid).
+    fn bound_of(&self, area_sum: u64) -> u64 {
+        self.processor_cost.min(area_sum)
+    }
+
+    /// Searches a lowered variant: records the lowering, which began at
+    /// `lower_start`, as [`PhaseId::CompileLower`] and the search as
+    /// [`PhaseId::PartitionSearch`] — three stamps for two stages, the
+    /// lowering's end being the search's start (stamps are free on a
+    /// disabled sink) — and renders `detail` only when `keep` asks for it.
+    fn search_lowered(
+        &self,
+        lowered: spi_synth::Result<CompiledProblem>,
+        lower_start: SpanStamp,
+        spans: &SpanSink,
+        keep: &dyn Fn(u64) -> bool,
+    ) -> Result<Evaluation> {
+        let lower_end = spans.stamp();
+        spans.record_complete(PhaseId::CompileLower, lower_start, lower_end);
+        let compiled = lowered?;
+        // The name-free search core: no mapping, breakdown or report is built.
+        let searched = search_compiled(&compiled, self.mode, self.strategy);
+        spans.record_complete(PhaseId::PartitionSearch, lower_end, spans.stamp());
+        match searched {
+            Ok(outcome) => Ok(Evaluation {
+                cost: outcome.total,
+                feasible: true,
+                detail: if keep(outcome.total) {
+                    Self::detail_of(&compiled.cost_breakdown_of(&outcome.hardware))
+                } else {
+                    String::new()
+                },
+            }),
+            Err(SynthError::Infeasible(message)) => Ok(Evaluation {
+                cost: u64::MAX,
+                feasible: false,
+                detail: message,
+            }),
+            Err(other) => Err(ExploreError::Synth(other)),
+        }
+    }
 }
 
 impl Evaluator for PartitionEvaluator {
@@ -259,7 +325,7 @@ impl Evaluator for PartitionEvaluator {
             .filter(|p| !p.is_virtual())
             .map(|p| self.params.params_for(p.name()).hw_area)
             .sum();
-        self.processor_cost.min(area_sum)
+        self.bound_of(area_sum)
     }
 
     fn evaluate(
@@ -288,9 +354,6 @@ impl Evaluator for PartitionEvaluator {
         spans: &SpanSink,
         keep: &dyn Fn(u64) -> bool,
     ) -> Result<Evaluation> {
-        // Both stages are timed from three stamps: the lowering's end is the
-        // search's start, so the pair costs one clock read less than two
-        // enter/exit pairs (stamps are free on a disabled sink).
         let lower_start = spans.stamp();
         // The direct slab → CompiledProblem path: one pass over the flattened
         // graph's node slab, no string-keyed SynthesisProblem in between
@@ -298,28 +361,83 @@ impl Evaluator for PartitionEvaluator {
         let compiled = compiled_from_flat_graph(graph, self.processor_cost, |name| {
             Some(self.params.params_for(name))
         });
-        let lower_end = spans.stamp();
-        spans.record_complete(PhaseId::CompileLower, lower_start, lower_end);
-        let compiled = compiled?;
-        // The name-free search core: no mapping, breakdown or report is built.
-        let searched = search_compiled(&compiled, self.mode, self.strategy);
-        spans.record_complete(PhaseId::PartitionSearch, lower_end, spans.stamp());
-        match searched {
-            Ok(outcome) => Ok(Evaluation {
-                cost: outcome.total,
-                feasible: true,
-                detail: if keep(outcome.total) {
-                    Self::detail_of(&compiled.cost_breakdown_of(&outcome.hardware))
-                } else {
-                    String::new()
-                },
-            }),
-            Err(SynthError::Infeasible(message)) => Ok(Evaluation {
-                cost: u64::MAX,
-                feasible: false,
-                detail: message,
-            }),
-            Err(other) => Err(ExploreError::Synth(other)),
+        self.search_lowered(compiled, lower_start, spans, keep)
+    }
+
+    /// Binds to the job's [`TaskTable`]: every task name `flattener` can
+    /// produce, with its rank in name order and its parameters, so bounding
+    /// and lowering a variant read the table instead of hashing and sorting
+    /// names. `None` (stay unbound) when the names' interned symbols are too
+    /// scattered for the table to be dense.
+    fn bind(self: Arc<Self>, flattener: &Flattener) -> Option<Arc<dyn Evaluator>> {
+        let table = TaskTable::new(flattener.process_names(), |name| {
+            Some(self.params.params_for(name))
+        })?;
+        Some(Arc::new(BoundPartitionEvaluator {
+            evaluator: self,
+            table,
+        }))
+    }
+}
+
+/// A [`PartitionEvaluator`] bound to one job by [`Evaluator::bind`]: the job's
+/// [`TaskTable`] answers every task's rank and parameters. A graph with a task
+/// outside the table — none a job's flattener produces — takes the unbound
+/// evaluator's path, so the answers are the unbound evaluator's everywhere.
+struct BoundPartitionEvaluator {
+    /// The evaluator as submitted, kept alive for as long as the job uses it.
+    evaluator: Arc<PartitionEvaluator>,
+    table: TaskTable,
+}
+
+impl Evaluator for BoundPartitionEvaluator {
+    fn lower_bound(&self, choice: &VariantChoice, graph: &SpiGraph) -> u64 {
+        match self.table.hardware_area_sum(graph) {
+            Some(area_sum) => self.evaluator.bound_of(area_sum),
+            None => self.evaluator.lower_bound(choice, graph),
+        }
+    }
+
+    /// The submitted evaluator's: binding changes no result, so it must not
+    /// change the cache address either.
+    fn spec(&self) -> Option<JsonValue> {
+        self.evaluator.spec()
+    }
+
+    fn evaluate(
+        &self,
+        index: usize,
+        choice: &VariantChoice,
+        graph: &SpiGraph,
+        incumbent: u64,
+    ) -> Result<Evaluation> {
+        self.evaluate_spanned(
+            index,
+            choice,
+            graph,
+            incumbent,
+            &SpanSink::disabled(),
+            &|_| true,
+        )
+    }
+
+    fn evaluate_spanned(
+        &self,
+        index: usize,
+        choice: &VariantChoice,
+        graph: &SpiGraph,
+        incumbent: u64,
+        spans: &SpanSink,
+        keep: &dyn Fn(u64) -> bool,
+    ) -> Result<Evaluation> {
+        let lower_start = spans.stamp();
+        match self.table.compile(graph, self.evaluator.processor_cost) {
+            Some(compiled) => self
+                .evaluator
+                .search_lowered(compiled, lower_start, spans, keep),
+            None => self
+                .evaluator
+                .evaluate_spanned(index, choice, graph, incumbent, spans, keep),
         }
     }
 }

@@ -71,7 +71,7 @@
 //! `Completed`, `evaluated == 0`, the cached optimum in `top` — without a
 //! single worker evaluation.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -385,6 +385,9 @@ struct Holder {
     /// Identity of the worker the lease was granted to (thread name for the
     /// in-process pool); surfaces in the waitgraph and the decision trace.
     worker: String,
+    /// The span attribution of every renew and commit under this lease,
+    /// built once at grant and shared by all of them.
+    context: Arc<SpanIds>,
 }
 
 enum ShardSlot {
@@ -404,9 +407,24 @@ enum ShardSlot {
 enum JobEngine {
     Live {
         flattener: Arc<Flattener>,
+        /// The submitted evaluator as [`Evaluator::bind`] bound it to this
+        /// job (or as submitted, when it does not bind).
         evaluator: Arc<dyn Evaluator>,
     },
     Archived,
+}
+
+impl JobEngine {
+    /// A live engine over `flattener`, with `evaluator` bound to it: the one
+    /// place, at submit and at restore alike, where a job's evaluator gets
+    /// its per-job state.
+    fn live(flattener: Arc<Flattener>, evaluator: Arc<dyn Evaluator>) -> JobEngine {
+        let evaluator = Arc::clone(&evaluator).bind(&flattener).unwrap_or(evaluator);
+        JobEngine::Live {
+            flattener,
+            evaluator,
+        }
+    }
 }
 
 struct Job {
@@ -542,6 +560,10 @@ pub struct JobRegistry {
     next_job: u64,
     next_lease: u64,
     jobs: BTreeMap<JobId, Job>,
+    /// The jobs in the `Running` state, in id order: the only ones that can
+    /// hold a lease, so the per-wakeup scans (expiry, hedging) walk these
+    /// instead of every job ever registered.
+    running: BTreeSet<JobId>,
     /// WFQ dispatcher of `(job, shard)` candidates. May contain entries for
     /// shards that were since leased/cancelled; `lease` skips those.
     scheduler: FairScheduler,
@@ -580,6 +602,7 @@ impl JobRegistry {
             next_job: 0,
             next_lease: 0,
             jobs: BTreeMap::new(),
+            running: BTreeSet::new(),
             scheduler: FairScheduler::new(),
             leases: HashMap::new(),
             cache,
@@ -646,10 +669,15 @@ impl JobRegistry {
 
     /// Number of jobs currently in the `Running` state.
     pub fn running_jobs(&self) -> usize {
-        self.jobs
-            .values()
-            .filter(|job| job.state == JobState::Running)
-            .count()
+        self.running.len()
+    }
+
+    /// The running jobs in id order, for the scans only running jobs can
+    /// answer (a terminal job holds no lease).
+    fn running(&self) -> impl Iterator<Item = (JobId, &Job)> + '_ {
+        self.running
+            .iter()
+            .map(|&id| (id, self.jobs.get(&id).expect("running jobs are registered")))
     }
 
     /// Registers a job over `system`'s variant space; see
@@ -752,10 +780,7 @@ impl JobRegistry {
             engine: if empty || cache_hit {
                 JobEngine::Archived
             } else {
-                JobEngine::Live {
-                    flattener,
-                    evaluator,
-                }
+                JobEngine::live(flattener, evaluator)
             },
             incumbent: Arc::new(AtomicU64::new(u64::MAX)),
             cancelled: Arc::new(AtomicBool::new(false)),
@@ -817,6 +842,9 @@ impl JobRegistry {
                 );
             }
         }
+        if job.state == JobState::Running {
+            self.running.insert(id);
+        }
         self.jobs.insert(id, job);
         Ok(id)
     }
@@ -877,8 +905,8 @@ impl JobRegistry {
     fn hedge_candidate(&self, now: Instant) -> Option<(JobId, usize)> {
         let hedge = &self.config.hedge;
         let mut best: Option<(u128, JobId, usize)> = None;
-        for (&job_id, job) in &self.jobs {
-            if job.state != JobState::Running || !job.is_live() {
+        for (job_id, job) in self.running() {
+            if !job.is_live() {
                 continue;
             }
             let Some(threshold_ns) = job.latencies.hedge_threshold_ns(hedge) else {
@@ -935,6 +963,13 @@ impl JobRegistry {
             deadline,
             started: now,
             worker: worker.to_string(),
+            context: Arc::new(SpanIds {
+                job: Some(job_id.raw()),
+                shard: Some(shard as u64),
+                lease: Some(lease.raw()),
+                tenant: Some(Arc::from(job.tenant.as_str())),
+                worker: Some(Arc::from(worker)),
+            }),
         };
         match &mut job.shards[shard] {
             slot @ ShardSlot::Pending => {
@@ -980,24 +1015,19 @@ impl JobRegistry {
             .ok_or(ExploreError::StaleLease(lease))
     }
 
-    /// The attribution ids of `lease` right now, for span context: the same
-    /// job/shard/lease/tenant/worker ids the waitgraph nodes carry.
-    fn span_context(&self, job_id: JobId, shard: usize, lease: LeaseId) -> SpanIds {
-        let job = self.jobs.get(&job_id);
-        let worker = job.and_then(|job| match &job.shards[shard] {
-            ShardSlot::Leased { holders } => holders
-                .iter()
-                .find(|holder| holder.lease == lease)
-                .map(|holder| Arc::<str>::from(holder.worker.as_str())),
-            _ => None,
-        });
-        SpanIds {
-            job: Some(job_id.raw()),
-            shard: Some(shard as u64),
-            lease: Some(lease.raw()),
-            tenant: job.map(|job| Arc::<str>::from(job.tenant.as_str())),
-            worker,
-        }
+    /// The attribution ids of the live `lease` on `shard`, for span context:
+    /// the same job/shard/lease/tenant/worker ids the waitgraph nodes carry,
+    /// as its holder built them at grant.
+    fn span_context(&self, job_id: JobId, shard: usize, lease: LeaseId) -> Arc<SpanIds> {
+        let job = self.jobs.get(&job_id).expect("lease resolves to job");
+        let ShardSlot::Leased { holders } = &job.shards[shard] else {
+            unreachable!("a live lease's shard is leased")
+        };
+        let holder = holders
+            .iter()
+            .find(|holder| holder.lease == lease)
+            .expect("a live lease has its holder");
+        Arc::clone(&holder.context)
     }
 
     fn append_record(&mut self, record: &JsonValue) -> Result<()> {
@@ -1196,6 +1226,7 @@ impl JobRegistry {
         if done == total {
             job.state = JobState::Completed;
             job.engine = JobEngine::Archived;
+            self.running.remove(&job_id);
             let cache_entry = job.digest.map(|digest| (digest, job.committed.to_json()));
             let status = job.status(job_id);
             job.emit(JobEvent::Finished { status });
@@ -1307,9 +1338,8 @@ impl JobRegistry {
     /// holder left keeps running). Returns how many leases were reclaimed.
     pub fn expire(&mut self, now: Instant) -> usize {
         let expired: Vec<LeaseId> = self
-            .jobs
-            .values()
-            .flat_map(|job| job.shards.iter())
+            .running()
+            .flat_map(|(_, job)| job.shards.iter())
             .filter_map(|slot| match slot {
                 ShardSlot::Leased { holders } => Some(holders.iter()),
                 _ => None,
@@ -1352,6 +1382,7 @@ impl JobRegistry {
         let job = self.jobs.get_mut(&job_id).expect("job still present");
         job.state = JobState::Cancelled;
         job.engine = JobEngine::Archived;
+        self.running.remove(&job_id);
         job.cancelled.store(true, Ordering::Relaxed);
         job.staged.clear();
         let stale: Vec<(LeaseId, usize)> = self
@@ -1455,7 +1486,7 @@ impl JobRegistry {
     /// outside the registry lock.
     pub fn observe_health(&self, now: Instant) -> crate::health::HealthObservation {
         let mut leases = Vec::new();
-        for (&job_id, job) in &self.jobs {
+        for (job_id, job) in self.running() {
             let p95_ns = job.latencies.quantile_ns(95);
             for (shard, slot) in job.shards.iter().enumerate() {
                 let ShardSlot::Leased { holders } = slot else {
@@ -1780,16 +1811,16 @@ impl JobRegistry {
                                 }
                             }
                         }
-                        engine = JobEngine::Live {
-                            flattener,
-                            evaluator,
-                        };
+                        engine = JobEngine::live(flattener, evaluator);
                     }
                     None => {
                         stats.unrecoverable += 1;
                         job.state = JobState::Cancelled;
                     }
                 }
+            }
+            if job.state == JobState::Running {
+                self.running.insert(id);
             }
             let incumbent = job.committed.best().map_or(u64::MAX, |best| best.cost);
             let shards = (0..job.shard_count)
@@ -2244,12 +2275,14 @@ mod tests {
         assert_eq!(summary.get("committed"), Some(&status.report.to_json()));
 
         // A cancelled job lets go too; only the lease still in flight keeps
-        // its clone, until the worker drops it.
+        // its clone, until the worker drops it. The job and its leases share
+        // the one evaluator the job was bound to, which holds the submitted
+        // evaluator once.
         let cancelled = registry
             .submit(&system, spec, Arc::clone(&evaluator))
             .unwrap();
         let in_flight = registry.lease(now).unwrap();
-        assert_eq!(Arc::strong_count(&evaluator), 3);
+        assert_eq!(Arc::strong_count(&evaluator), 2);
         assert_eq!(
             registry.cancel(cancelled).unwrap().state,
             JobState::Cancelled
@@ -2478,6 +2511,145 @@ mod tests {
             registry.complete_shard(hedge.lease, report_with(9, 1), t3),
             Err(ExploreError::StaleLease(_))
         ));
+    }
+
+    #[test]
+    fn hedged_shard_spans_carry_their_own_leases_worker() {
+        use spi_store::span::SpanRecorder;
+
+        let (mut registry, _id) = hedging_registry();
+        let recorder = Arc::new(SpanRecorder::new(1024));
+        registry.set_spans(recorder.sink("registry"));
+        let t0 = Instant::now();
+        let leases: Vec<Lease> = (0..4)
+            .map(|at| registry.lease_as(&format!("w{at}"), t0).unwrap())
+            .collect();
+        let t1 = t0 + Duration::from_secs(1);
+        for lease in &leases[..3] {
+            registry
+                .complete_shard(lease.lease, report_with(lease.shard, 10), t1)
+                .unwrap();
+        }
+        let t3 = t0 + Duration::from_secs(3);
+        let hedge = registry.lease_as("hedger", t3).expect("hedge granted");
+        assert!(hedge.hedged);
+        let original = &leases[3];
+        for _ in 0..2 {
+            registry
+                .report_batch(original.lease, ShardReport::default(), t3)
+                .unwrap();
+            registry
+                .report_batch(hedge.lease, ShardReport::default(), t3)
+                .unwrap();
+        }
+        registry
+            .complete_shard(hedge.lease, report_with(hedge.shard, 3), t3)
+            .unwrap();
+
+        let spans = recorder.spans();
+        let workers = |lease: LeaseId, phase: PhaseId| -> Vec<Option<String>> {
+            spans
+                .iter()
+                .filter(|span| span.phase == phase && span.ids.lease == Some(lease.raw()))
+                .inspect(|span| {
+                    assert_eq!(span.ids.shard, Some(original.shard as u64));
+                    assert_eq!(span.ids.tenant.as_deref(), Some("default"));
+                })
+                .map(|span| span.ids.worker.as_deref().map(str::to_string))
+                .collect()
+        };
+        let named = |worker: &str, count: usize| vec![Some(worker.to_string()); count];
+        assert_eq!(workers(original.lease, PhaseId::LeaseRenew), named("w3", 2));
+        // The commit renews once more, inside its own span.
+        assert_eq!(
+            workers(hedge.lease, PhaseId::LeaseRenew),
+            named("hedger", 3)
+        );
+        assert_eq!(
+            workers(hedge.lease, PhaseId::ShardCommit),
+            named("hedger", 1)
+        );
+        assert!(workers(original.lease, PhaseId::ShardCommit).is_empty());
+    }
+
+    #[test]
+    fn expiry_and_hedging_see_the_one_running_job_among_thousands_of_finished_ones() {
+        let (mut registry, _) = hedging_registry();
+        let system = scaling_system(3, 2).unwrap();
+        let t0 = Instant::now();
+        // Drain the helper's job, then finish 5,000 more and cancel one.
+        while let Some(lease) = registry.lease(t0) {
+            registry
+                .complete_shard(lease.lease, report_with(lease.shard, 10), t0)
+                .unwrap();
+        }
+        let one_shard = JobSpec {
+            shard_count: 1,
+            ..JobSpec::default()
+        };
+        for _ in 0..5_000 {
+            registry
+                .submit(&system, one_shard.clone(), test_evaluator())
+                .unwrap();
+            let lease = registry.lease(t0).unwrap();
+            assert!(registry
+                .complete_shard(lease.lease, report_with(0, 10), t0)
+                .unwrap());
+        }
+        let cancelled = registry
+            .submit(&system, one_shard, test_evaluator())
+            .unwrap();
+        registry.lease(t0).unwrap();
+        registry.cancel(cancelled).unwrap();
+
+        let straggling = registry
+            .submit(
+                &system,
+                JobSpec {
+                    shard_count: 4,
+                    ..JobSpec::default()
+                },
+                test_evaluator(),
+            )
+            .unwrap();
+        assert_eq!(registry.running_jobs(), 1);
+        let leases: Vec<Lease> = (0..4).map(|_| registry.lease(t0).unwrap()).collect();
+        let t1 = t0 + Duration::from_secs(1);
+        for lease in &leases[..3] {
+            registry
+                .complete_shard(lease.lease, report_with(lease.shard, 10), t1)
+                .unwrap();
+        }
+        let t3 = t0 + Duration::from_secs(3);
+        let hedge = registry.lease(t3).expect("the straggler gets the hedge");
+        assert!(hedge.hedged);
+        assert_eq!((hedge.job, hedge.shard), (straggling, leases[3].shard));
+
+        // The hedge keeps reporting; the original falls silent past its
+        // deadline and is the one lease expiry reclaims.
+        let late = t0 + Duration::from_secs(1001);
+        registry
+            .report_batch(hedge.lease, ShardReport::default(), late)
+            .unwrap();
+        let expired_before = registry.metrics().counter(CounterId::LeaseExpiries);
+        assert_eq!(registry.expire(late), 1);
+        assert_eq!(
+            registry.metrics().counter(CounterId::LeaseExpiries),
+            expired_before + 1
+        );
+        assert!(matches!(
+            registry.report_batch(leases[3].lease, ShardReport::default(), late),
+            Err(ExploreError::StaleLease(_))
+        ));
+        assert_eq!(registry.live_lease_count(), 1);
+        assert!(registry
+            .complete_shard(hedge.lease, report_with(hedge.shard, 3), late)
+            .unwrap());
+        assert_eq!(registry.running_jobs(), 0);
+        assert_eq!(
+            registry.poll(straggling).unwrap().state,
+            JobState::Completed
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use spi_store::metrics::{CounterId, HistogramId, MetricsRegistry};
+use spi_store::metrics::{CounterId, Histogram, HistogramId, MetricsRegistry};
 use spi_store::span::{PhaseId, SpanSink};
 use spi_variants::DeltaFlattener;
 
@@ -94,20 +94,27 @@ pub fn drain_lease(
     drain_lease_instrumented(lease, batch_size, metrics, stop, flush)
 }
 
-/// Sums the drain's scratch-graph reuse into the flatten counters — called
-/// once per drain, on every exit path.
-fn record_flatten(metrics: &MetricsRegistry, flattener: &DeltaFlattener<'_>) {
+/// Sums the drain's scratch-graph reuse into the flatten counters and merges
+/// its patched-process tally into the shared histogram — called once per
+/// drain, on every exit path.
+fn record_flatten(metrics: &MetricsRegistry, flattener: &DeltaFlattener<'_>, patched: &Histogram) {
     let stats = flattener.stats();
     metrics.add(CounterId::FlattenPatches, stats.patches);
     metrics.add(CounterId::FlattenRebuilds, stats.rebuilds);
     metrics.add(CounterId::FlattenFallbacks, stats.rebuild_fallbacks);
+    metrics
+        .histogram(HistogramId::FlattenPatchedProcesses)
+        .merge(patched);
 }
 
 /// [`drain_lease`] with a live [`MetricsRegistry`]: the worker pool's entry
 /// point. On top of the plain drain it records, per successful patch, how
 /// many processes the splice touched
-/// ([`HistogramId::FlattenPatchedProcesses`]) and, once per drain, the
-/// patch/rebuild/fallback totals of its scratch graph.
+/// ([`HistogramId::FlattenPatchedProcesses`]), and the patch/rebuild/fallback
+/// totals of its scratch graph. Both reach the registry once per drain: the
+/// patch sizes are tallied in a drain-local histogram first, because four
+/// atomics per variant on cache lines every worker shares cost a sizeable
+/// part of a variant that takes a few microseconds.
 pub fn drain_lease_instrumented(
     lease: &Lease,
     batch_size: usize,
@@ -160,6 +167,7 @@ pub fn drain_lease_spanned(
     let mut batch_started = Instant::now();
     let mut since_flush = 0usize;
     let mut patches_seen = 0u64;
+    let patched = Histogram::new();
     let mut visited = 0usize;
     let untimed = SpanSink::disabled();
     if spanning {
@@ -169,7 +177,7 @@ pub fn drain_lease_spanned(
     let mut rank = lease.shard;
     while rank < combinations {
         if lease.cancelled.load(Ordering::Relaxed) || stop() {
-            record_flatten(metrics, &flattener);
+            record_flatten(metrics, &flattener, &patched);
             if spanning {
                 spans.exit();
             }
@@ -252,10 +260,7 @@ pub fn drain_lease_spanned(
         if metrics.is_enabled() {
             let stats = flattener.stats();
             if stats.patches > patches_seen {
-                metrics.record(
-                    HistogramId::FlattenPatchedProcesses,
-                    stats.last_patched_processes,
-                );
+                patched.record(stats.last_patched_processes);
             }
             patches_seen = stats.patches;
         }
@@ -269,7 +274,7 @@ pub fn drain_lease_spanned(
             delta.eval_ns = batch_started.elapsed().as_nanos();
             let batch = std::mem::take(&mut delta);
             if flush(batch, false) == FlushResponse::Stop {
-                record_flatten(metrics, &flattener);
+                record_flatten(metrics, &flattener, &patched);
                 if spanning {
                     spans.exit();
                 }
@@ -280,7 +285,7 @@ pub fn drain_lease_spanned(
         }
     }
 
-    record_flatten(metrics, &flattener);
+    record_flatten(metrics, &flattener, &patched);
     delta.eval_ns = batch_started.elapsed().as_nanos();
     let outcome = match flush(delta, true) {
         FlushResponse::Continue => DrainOutcome::Completed,
@@ -374,6 +379,42 @@ mod tests {
         for span in spans.iter().filter(|s| s.phase != PhaseId::DrainShard) {
             assert_eq!(span.parent, Some(drain.id));
         }
+    }
+
+    #[test]
+    fn patch_sizes_reach_the_shared_histogram_once_per_drain() {
+        let evaluator = Arc::new(FnEvaluator::new(|index, _c, _g| {
+            Ok(Evaluation {
+                cost: index as u64,
+                feasible: true,
+                detail: String::new(),
+            })
+        }));
+        let (_registry, lease) = lease_for(1, evaluator);
+        let metrics = MetricsRegistry::new();
+        let histogram = metrics.histogram(HistogramId::FlattenPatchedProcesses);
+        let mut seen_mid_drain = Vec::new();
+        let outcome = drain_lease_instrumented(
+            &lease,
+            2,
+            &metrics,
+            || false,
+            |_, _| {
+                seen_mid_drain.push(histogram.count());
+                FlushResponse::Continue
+            },
+        );
+        assert_eq!(outcome, DrainOutcome::Completed);
+        // Intermediate flushes see nothing; the tally lands before the final one.
+        assert_eq!(
+            seen_mid_drain,
+            vec![0, 0, 0, 7],
+            "no shared write per variant"
+        );
+        // 8 variants: one rebuild, then a patch per Gray step.
+        assert_eq!(metrics.counter(CounterId::FlattenPatches), 7);
+        assert_eq!(histogram.count(), 7);
+        assert!(histogram.sum() >= 7, "every Gray step splices a cluster");
     }
 
     #[test]

@@ -533,12 +533,14 @@ impl SpanSink {
     }
 
     /// Replaces the ambient attribution context; spans completed after this
-    /// call carry a clone of `ids`.
-    pub fn set_context(&self, ids: SpanIds) {
+    /// call share `ids`. A caller that sets the same ids again and again (a
+    /// lease's, on every renew) passes one `Arc` it keeps, so the spans and
+    /// the ring entries share one allocation.
+    pub fn set_context(&self, ids: impl Into<Arc<SpanIds>>) {
         if self.shared.is_none() {
             return;
         }
-        self.state.borrow_mut().context = Arc::new(ids);
+        self.state.borrow_mut().context = ids.into();
     }
 
     /// Resets the ambient context to all-`None`.

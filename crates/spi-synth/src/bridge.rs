@@ -6,7 +6,7 @@
 //! part becomes a task, every cluster of every interface becomes a task, and every
 //! variant combination becomes an application.
 
-use spi_model::SpiGraph;
+use spi_model::{SpiGraph, Sym};
 use spi_variants::VariantSystem;
 
 use crate::compiled::{CompiledProblem, LoweredTask};
@@ -145,10 +145,11 @@ pub fn from_flat_graph(
 /// application, lowered straight into a [`CompiledProblem`] without materializing
 /// the string-keyed `SynthesisProblem` in between.
 ///
-/// This is the exploration service's per-variant hot path — one call per point of
-/// the variant space — so it allocates a fixed number of buffers whatever the task
-/// count: task names stay the graph's interned symbols (`params` borrows each
-/// name, nothing copies it), and the membership arrays are flat. The result is
+/// This is the per-variant path for callers without a per-job [`TaskTable`]. It
+/// allocates a fixed number of buffers whatever the task count: task names stay
+/// the graph's interned symbols (`params` borrows each name, nothing copies it),
+/// the tasks are ranked by one sort of their names, and the ranked core under
+/// [`TaskTable::compile`] assigns ids from those ranks. The result is
 /// bit-identical to `CompiledProblem::compile(&from_flat_graph(..)?)` (task ids in
 /// name order, the application's member list in graph iteration order), a property
 /// pinned by a differential test.
@@ -177,17 +178,184 @@ pub fn compiled_from_flat_graph(
             hw_area: p.hw_area,
         });
     }
+    let order = rank_by_name(&tasks);
+    lower_flattened(processor_cost, &tasks, order)
+}
+
+/// The ranked core's keys for `tasks` (`rank << 32 | position`), with each
+/// task's rank in byte-wise name order among `tasks` taken from one sort of the
+/// names — the order a [`TaskTable`] precomputes once per job. Equal names share
+/// a rank, which the core reports as a duplicate. The keys come out in sorted
+/// order.
+fn rank_by_name(tasks: &[LoweredTask]) -> Vec<u64> {
+    let mut by_name: Vec<(&'static str, u32)> = tasks
+        .iter()
+        .enumerate()
+        .map(|(at, task)| (task.name.as_str(), at as u32))
+        .collect();
+    by_name.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let mut rank = 0u64;
+    by_name
+        .iter()
+        .enumerate()
+        .map(|(position, &(name, at))| {
+            if position > 0 && by_name[position - 1].0 != name {
+                rank = position as u64;
+            }
+            rank << 32 | u64::from(at)
+        })
+        .collect()
+}
+
+/// The ranked lowering core shared by [`compiled_from_flat_graph`] and
+/// [`TaskTable::compile`]: one all-spanning application named `flattened`, at
+/// the capacity [`SynthesisProblem::new`] defaults to.
+fn lower_flattened(
+    processor_cost: u64,
+    tasks: &[LoweredTask],
+    order: Vec<u64>,
+) -> Result<CompiledProblem> {
     CompiledProblem::single_application(
         "flattened",
         processor_cost,
         DEFAULT_CAPACITY_PERMILLE,
         tasks,
+        order,
     )
 }
 
 /// The schedulable-capacity default of [`SynthesisProblem::new`], which the direct
 /// compiled path must match for bit-identical results.
 const DEFAULT_CAPACITY_PERMILLE: u64 = 1000;
+
+/// A job's lowering table: for every process name the job's flattened graphs can
+/// contain (see [`spi_variants::Flattener::process_names`]), the name's rank in
+/// name order and its lowered parameters, looked up by the name's interned
+/// symbol.
+///
+/// Built once per job, it answers what [`compiled_from_flat_graph`] derives per
+/// variant: [`compile`](Self::compile) lowers a graph with table reads and an
+/// integer sort of ranks — no name is hashed, copied or compared — and
+/// [`hardware_area_sum`](Self::hardware_area_sum) sums its tasks' areas. Both
+/// return `None` for a graph with a task outside the table, so a caller can fall
+/// back to the per-name path and never gets a different answer.
+#[derive(Debug, Clone)]
+pub struct TaskTable {
+    /// Symbol index of `slots[0]`.
+    base: u32,
+    /// Indexed by `symbol index - base`; slots between the table's names are
+    /// [`TableSlot::ABSENT`].
+    slots: Vec<TableSlot>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct TableSlot {
+    rank: u32,
+    utilization: u64,
+    hw_area: u64,
+}
+
+impl TableSlot {
+    const ABSENT: TableSlot = TableSlot {
+        rank: u32::MAX,
+        utilization: 0,
+        hw_area: 0,
+    };
+}
+
+impl TaskTable {
+    /// The table is dense over its names' symbol indices, which the
+    /// process-global interner hands out in first-seen order. Past this many
+    /// slots per name (plus a fixed allowance) the names are too scattered for
+    /// a dense table to be worth its memory.
+    const SLOTS_PER_NAME: usize = 16;
+    const SLOT_ALLOWANCE: usize = 4096;
+
+    /// Builds the table over `names`, asking `params` once per distinct name; a
+    /// name `params` has no answer for stays out of the table, so graphs
+    /// containing it fall back as any unknown name does.
+    ///
+    /// Returns `None` when the names' symbols are spread too thinly over the
+    /// interner for a dense table (more than 16 slots per name beyond a fixed
+    /// allowance); the caller keeps its per-name path then.
+    pub fn new(
+        names: impl IntoIterator<Item = Sym>,
+        mut params: impl FnMut(&str) -> Option<TaskParams>,
+    ) -> Option<TaskTable> {
+        let mut names: Vec<Sym> = names.into_iter().collect();
+        names.sort_unstable_by(|a, b| a.as_str().cmp(b.as_str()));
+        names.dedup();
+        let base = names.iter().map(|name| name.index()).min().unwrap_or(0);
+        let span = names
+            .iter()
+            .map(|name| (name.index() - base) as usize + 1)
+            .max()
+            .unwrap_or(0);
+        if span > names.len() * Self::SLOTS_PER_NAME + Self::SLOT_ALLOWANCE {
+            return None;
+        }
+        let mut slots = vec![TableSlot::ABSENT; span];
+        for (rank, name) in names.iter().enumerate() {
+            if let Some(p) = params(name.as_str()) {
+                slots[(name.index() - base) as usize] = TableSlot {
+                    rank: rank as u32,
+                    utilization: utilization_permille(p.sw_time, p.period),
+                    hw_area: p.hw_area,
+                };
+            }
+        }
+        Some(TaskTable { base, slots })
+    }
+
+    #[inline]
+    fn slot(&self, name: Sym) -> Option<&TableSlot> {
+        let at = name.index().wrapping_sub(self.base) as usize;
+        self.slots
+            .get(at)
+            .filter(|slot| slot.rank != TableSlot::ABSENT.rank)
+    }
+
+    /// Total hardware area of `graph`'s non-virtual processes, or `None` if one
+    /// of them is not in the table.
+    pub fn hardware_area_sum(&self, graph: &SpiGraph) -> Option<u64> {
+        graph
+            .processes()
+            .filter(|process| !process.is_virtual())
+            .map(|process| self.slot(process.name_sym()).map(|slot| slot.hw_area))
+            .sum()
+    }
+
+    /// [`compiled_from_flat_graph`] from table reads: bit-identical to it with
+    /// the `params` the table was built from, or `None` if a non-virtual
+    /// process of `graph` is not in the table.
+    ///
+    /// # Errors
+    ///
+    /// Inside the `Some`: [`SynthError::Validation`] if the graph has no
+    /// non-virtual process or two processes share a name.
+    pub fn compile(
+        &self,
+        graph: &SpiGraph,
+        processor_cost: u64,
+    ) -> Option<Result<CompiledProblem>> {
+        let mut tasks: Vec<LoweredTask> = Vec::with_capacity(graph.process_count());
+        let mut order: Vec<u64> = Vec::with_capacity(graph.process_count());
+        for process in graph.processes() {
+            if process.is_virtual() {
+                continue;
+            }
+            let name = process.name_sym();
+            let slot = self.slot(name)?;
+            order.push(u64::from(slot.rank) << 32 | tasks.len() as u64);
+            tasks.push(LoweredTask {
+                name,
+                utilization: slot.utilization,
+                hw_area: slot.hw_area,
+            });
+        }
+        Some(lower_flattened(processor_cost, &tasks, order))
+    }
+}
 
 /// Sweeps one strided shard of a flattener's variant space through the compiled
 /// per-variant path, **incrementally**: the shard's combinations are visited in
@@ -433,6 +601,58 @@ mod tests {
                 crate::partition::optimize_compiled(&two_step, mode, strategy).unwrap(),
             );
         }
+    }
+
+    #[test]
+    fn task_table_lowers_and_bounds_like_the_per_name_path() {
+        let system = small_system();
+        let flattener = spi_variants::Flattener::new(&system).unwrap();
+        // Distinct parameters per name, so a mixed-up slot would show.
+        let params = |name: &str| {
+            let weight = name.bytes().map(u64::from).sum::<u64>();
+            Some(TaskParams {
+                sw_time: 5 + weight % 17,
+                period: 100,
+                hw_area: 10 + weight % 13,
+                synthesis_effort: 1,
+            })
+        };
+        let table = TaskTable::new(flattener.process_names(), params).unwrap();
+        for choice in flattener.space().choices_iter() {
+            let graph = flattener.flatten(&choice).unwrap();
+            let direct = compiled_from_flat_graph(&graph, 15, params).unwrap();
+            assert_eq!(table.compile(&graph, 15).unwrap().unwrap(), direct);
+            assert_eq!(
+                table.hardware_area_sum(&graph),
+                Some(direct.hardware_areas().iter().sum())
+            );
+        }
+
+        // A name `params` cannot answer stays out, and so does any graph with it.
+        let without_pa = TaskTable::new(flattener.process_names(), |name| {
+            (name != "PA").then(|| params(name).unwrap())
+        })
+        .unwrap();
+        let graph = flattener.flatten_at(0).unwrap().1;
+        assert!(without_pa.compile(&graph, 15).is_none());
+        assert!(without_pa.hardware_area_sum(&graph).is_none());
+        // A graph with no task lowers to the same error either way.
+        let empty = SpiGraph::new("empty");
+        assert!(matches!(
+            table.compile(&empty, 15),
+            Some(Err(SynthError::Validation(_)))
+        ));
+    }
+
+    #[test]
+    fn task_table_refuses_names_scattered_over_the_interner() {
+        let early = Sym::intern("task-table-scatter/early");
+        for filler in 0..5000 {
+            Sym::intern(&format!("task-table-scatter/filler{filler}"));
+        }
+        let late = Sym::intern("task-table-scatter/late");
+        assert!(TaskTable::new([early, late], default_params).is_none());
+        assert!(TaskTable::new([late], default_params).is_some());
     }
 
     #[test]

@@ -210,11 +210,16 @@ impl CompiledProblem {
     /// Builds a compiled problem for a **single application spanning every
     /// task**, from already-lowered tasks — no string-keyed
     /// [`SynthesisProblem`] in between, and a fixed number of allocations
-    /// whatever the task count (names are interned, only compared).
+    /// whatever the task count.
     ///
     /// This is the shape every flattened (single-variant) graph produces (see
-    /// [`crate::bridge::compiled_from_flat_graph`]). Task ids are assigned in
-    /// **name order**, exactly as [`compile`](Self::compile) would assign them
+    /// [`crate::bridge::compiled_from_flat_graph`] and
+    /// [`crate::bridge::TaskTable`], the two ways tasks get their ranks).
+    /// `order` holds one key per task, `rank << 32 | position`: the task's
+    /// rank in name order (equal names share one) and its position in `tasks`.
+    /// Task ids are assigned in **name order** by sorting those integers — no
+    /// name is hashed or compared here, and keys handed over already sorted
+    /// cost one pass — exactly as [`compile`](Self::compile) would assign them
     /// after routing through a `SynthesisProblem`, so searches over either
     /// construction return bit-identical results; the application's member
     /// list keeps the given insertion order, as an `ApplicationSpec` would.
@@ -222,28 +227,23 @@ impl CompiledProblem {
     /// # Errors
     ///
     /// Returns [`SynthError::Validation`] if `tasks` is empty (an application
-    /// must span at least one task) or if two tasks share a name.
+    /// must span at least one task) or if two tasks share a rank (a name).
     pub(crate) fn single_application(
-        application: impl Into<String>,
+        application: &str,
         processor_cost: u64,
         capacity_permille: u64,
-        tasks: Vec<LoweredTask>,
+        tasks: &[LoweredTask],
+        mut order: Vec<u64>,
     ) -> Result<CompiledProblem> {
-        let application = application.into();
+        debug_assert_eq!(order.len(), tasks.len(), "one key per task");
         if tasks.is_empty() {
             return Err(SynthError::Validation(format!(
                 "application `{application}` has no tasks"
             )));
         }
-        // Id assignment is name order: sort a permutation, not the tasks, so
-        // the application member list can keep insertion order below. Each
-        // name is resolved once, so the sort compares plain `&str`s.
-        let mut order: Vec<(&'static str, u32)> = tasks
-            .iter()
-            .enumerate()
-            .map(|(at, task)| (task.name.as_str(), at as u32))
-            .collect();
-        order.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        // Sort a permutation, not the tasks, so the application member list
+        // can keep insertion order below.
+        order.sort_unstable();
 
         let n = tasks.len();
         let mut names = Vec::with_capacity(n);
@@ -251,17 +251,19 @@ impl CompiledProblem {
         let mut hw_area = Vec::with_capacity(n);
         // members[insertion index] = dense TaskId.
         let mut members = vec![TaskId(0); n];
-        for (id, &(name, at)) in order.iter().enumerate() {
-            if id > 0 && order[id - 1].0 == name {
+        for (id, &key) in order.iter().enumerate() {
+            let at = key as u32 as usize;
+            let task = &tasks[at];
+            if id > 0 && order[id - 1] >> 32 == key >> 32 {
                 return Err(SynthError::Validation(format!(
-                    "duplicate task name `{name}`"
+                    "duplicate task name `{}`",
+                    task.name
                 )));
             }
-            let task = &tasks[at as usize];
             names.push(task.name);
             utilization.push(task.utilization);
             hw_area.push(task.hw_area);
-            members[at as usize] = TaskId(id as u32);
+            members[at] = TaskId(id as u32);
         }
 
         let mask = if n < 64 { (1u64 << n) - 1 } else { 0 };
@@ -270,7 +272,7 @@ impl CompiledProblem {
             names,
             utilization,
             hw_area,
-            app_names: vec![application],
+            app_names: vec![application.to_string()],
             members,
             members_start: vec![0, n as u32],
             // Every task occurs in application 0 exactly once.

@@ -42,7 +42,7 @@ pub mod strategy;
 
 pub use bridge::{
     compiled_from_flat_graph, compiled_shard_sweep, from_flat_graph, from_variant_system,
-    from_variant_system_shard, TaskParams,
+    from_variant_system_shard, TaskParams, TaskTable,
 };
 pub use compiled::{CompiledProblem, HardwareSet, IncrementalEvaluator, TaskId};
 pub use cost::CostBreakdown;

@@ -635,32 +635,62 @@ pub fn optimize_serial_reference(
     Ok(result)
 }
 
+/// The greedy repair's picks in advance, when its candidates are one fixed list:
+/// every task under the serialized check, or the members of the only application
+/// when none repeats. Only the repair moves tasks during the repair, and each move
+/// takes the highest-relief candidate still in software — the last of equal ones —
+/// to hardware for good, so the picks are that list ordered by relief, then
+/// position, both descending. `None` where the candidates depend on which of
+/// several applications still overload the processor.
+fn presorted_picks(
+    compiled: &CompiledProblem,
+    mode: FeasibilityMode,
+    relief: &[u64],
+) -> Option<Vec<(u64, u32, TaskId)>> {
+    let n = compiled.task_count() as u32;
+    let keyed = |(position, task): (usize, TaskId)| (relief[task.index()], position as u32, task);
+    let mut picks: Vec<(u64, u32, TaskId)> = match mode {
+        FeasibilityMode::Serialized => (0..n).map(TaskId).enumerate().map(keyed).collect(),
+        FeasibilityMode::PerApplication
+            if compiled.application_count() == 1
+                && (0..n).all(|task| compiled.applications_of_task(TaskId(task)).len() <= 1) =>
+        {
+            let members = compiled.application_tasks(0).iter().copied();
+            members.enumerate().map(keyed).collect()
+        }
+        FeasibilityMode::PerApplication => return None,
+    };
+    picks.sort_unstable_by(|a, b| b.cmp(a));
+    Some(picks)
+}
+
 fn search_greedy(compiled: &CompiledProblem, mode: FeasibilityMode) -> Result<SearchOutcome> {
     let n = compiled.task_count();
-    let (utilizations, areas) = (compiled.utilizations(), compiled.hardware_areas());
     let mut evaluator = IncrementalEvaluator::new(compiled);
     let mut evaluated = 1u64;
+    // Utilization relief per unit of hardware cost, scaled to keep integer
+    // arithmetic meaningful; fixed per task, so computed once.
+    let relief: Vec<u64> = compiled
+        .utilizations()
+        .iter()
+        .zip(compiled.hardware_areas())
+        .map(|(&utilization, &area)| utilization * 1000 / area.max(1))
+        .collect();
+    let mut picks = presorted_picks(compiled, mode, &relief).map(Vec::into_iter);
 
     // Repair: while some application overloads the processor, move the software task
-    // with the highest utilization-per-area ratio (among tasks of overloaded
-    // applications) to hardware. Candidates stream in application-then-member order,
-    // repeats included, so `max_by_key` keeps its last-maximum tie-break.
+    // with the highest relief (among tasks of overloaded applications) to hardware.
+    // Candidates stream in application-then-member order, repeats included, so
+    // `max_by_key` keeps its last-maximum tie-break; where they form one fixed list,
+    // the picks were sorted out in advance.
     while !evaluator.feasible(mode) {
-        let in_software =
-            |task: &TaskId| evaluator.implementation(*task) == Implementation::Software;
-        // Highest utilization relief per unit of hardware cost; scaled to keep
-        // integer arithmetic meaningful.
-        let relief = |task: &TaskId| utilizations[task.index()] * 1000 / areas[task.index()].max(1);
-        let best_move = match mode {
-            FeasibilityMode::Serialized => (0..n as u32)
-                .map(TaskId)
-                .filter(in_software)
-                .max_by_key(relief),
-            FeasibilityMode::PerApplication => (0..compiled.application_count())
+        let best_move = match picks.as_mut() {
+            Some(picks) => picks.next().map(|(_, _, task)| task),
+            None => (0..compiled.application_count())
                 .filter(|&app| evaluator.load_permille(app) > compiled.capacity_permille())
                 .flat_map(|app| compiled.application_tasks(app).iter().copied())
-                .filter(in_software)
-                .max_by_key(relief),
+                .filter(|task| evaluator.implementation(*task) == Implementation::Software)
+                .max_by_key(|task| relief[task.index()]),
         };
         let Some(task) = best_move else {
             return Err(SynthError::Infeasible(
@@ -962,6 +992,143 @@ mod tests {
         // Greedy never prunes.
         assert_eq!(greedy.pruned_candidates, 0);
         assert!(greedy.evaluated_candidates >= 1);
+    }
+
+    /// The greedy search as it is defined: every repair move rescans the
+    /// candidates — the members of the overloaded applications, or every task
+    /// under the serialized check — and takes the last of the highest-relief
+    /// ones; the improvement pass follows. The reference the presorted picks
+    /// must reproduce, candidate counts included.
+    fn greedy_by_scan(compiled: &CompiledProblem, mode: FeasibilityMode) -> Result<SearchOutcome> {
+        let n = compiled.task_count();
+        let (utilizations, areas) = (compiled.utilizations(), compiled.hardware_areas());
+        let mut evaluator = IncrementalEvaluator::new(compiled);
+        let mut evaluated = 1u64;
+        while !evaluator.feasible(mode) {
+            let in_software =
+                |task: &TaskId| evaluator.implementation(*task) == Implementation::Software;
+            let relief =
+                |task: &TaskId| utilizations[task.index()] * 1000 / areas[task.index()].max(1);
+            let best_move = match mode {
+                FeasibilityMode::Serialized => (0..n as u32)
+                    .map(TaskId)
+                    .filter(in_software)
+                    .max_by_key(relief),
+                FeasibilityMode::PerApplication => (0..compiled.application_count())
+                    .filter(|&app| evaluator.load_permille(app) > compiled.capacity_permille())
+                    .flat_map(|app| compiled.application_tasks(app).iter().copied())
+                    .filter(in_software)
+                    .max_by_key(relief),
+            };
+            let Some(task) = best_move else {
+                return Err(SynthError::Infeasible(
+                    "processor overloaded but no software task left to move".to_string(),
+                ));
+            };
+            evaluator.apply(task, Implementation::Hardware);
+            evaluated += 1;
+        }
+        let mut improved = true;
+        while improved {
+            improved = false;
+            for task in (0..n as u32).map(TaskId) {
+                if evaluator.implementation(task) != Implementation::Hardware {
+                    continue;
+                }
+                let old_cost = evaluator.total_cost();
+                evaluator.apply(task, Implementation::Software);
+                evaluated += 1;
+                if evaluator.feasible(mode) && evaluator.total_cost() < old_cost {
+                    evaluator.commit();
+                    improved = true;
+                } else {
+                    evaluator.undo();
+                }
+            }
+        }
+        Ok(SearchOutcome {
+            total: evaluator.total_cost(),
+            hardware: evaluator.hardware_set(),
+            evaluated_candidates: evaluated,
+            pruned_candidates: 0,
+        })
+    }
+
+    /// A random problem with few distinct utilizations and areas, so reliefs
+    /// tie often; `applications` of them list random members in random order
+    /// (with repeats when `repeats`), or all tasks shuffled when there is one.
+    fn random_problem(
+        cases: &mut spi_testutil::Lcg,
+        applications: usize,
+        repeats: bool,
+    ) -> SynthesisProblem {
+        let n = cases.range(1, 40) as usize;
+        let mut problem = SynthesisProblem::new("random", cases.range(5, 60));
+        let names: Vec<String> = (0..n).map(|task| format!("t{task:02}")).collect();
+        for name in &names {
+            problem.add_task(TaskSpec::new(
+                name,
+                10 * cases.range(1, 12),
+                100,
+                5 * cases.range(1, 4),
+                1,
+            ));
+        }
+        for app in 0..applications {
+            let mut members = if applications == 1 {
+                names.clone()
+            } else {
+                names
+                    .iter()
+                    .filter(|_| cases.chance(1, 2))
+                    .cloned()
+                    .collect()
+            };
+            if members.is_empty() || repeats {
+                members.push(names[cases.below(n as u64) as usize].clone());
+            }
+            for at in (1..members.len()).rev() {
+                members.swap(at, cases.below(at as u64 + 1) as usize);
+            }
+            problem
+                .add_application(ApplicationSpec::new(format!("app{app}"), members))
+                .unwrap();
+        }
+        problem
+    }
+
+    #[test]
+    fn presorted_greedy_repair_matches_the_scan_on_random_problems() {
+        let mut cases = spi_testutil::Lcg::new(2024);
+        let mut presorted = 0;
+        for round in 0..600 {
+            let (applications, repeats) = match round % 3 {
+                0 => (1, false),
+                1 => (1, true),
+                _ => (2 + round % 2, false),
+            };
+            let compiled =
+                CompiledProblem::compile(&random_problem(&mut cases, applications, repeats))
+                    .unwrap();
+            for mode in [FeasibilityMode::PerApplication, FeasibilityMode::Serialized] {
+                // One fixed candidate list: every task when serialized, the one
+                // application's members when none repeats. Otherwise the scan.
+                let fixed = mode == FeasibilityMode::Serialized || (applications == 1 && !repeats);
+                let relief = vec![0; compiled.task_count()];
+                assert_eq!(
+                    presorted_picks(&compiled, mode, &relief).is_some(),
+                    fixed,
+                    "round {round}, {mode:?}"
+                );
+                presorted += usize::from(fixed);
+                assert_eq!(
+                    search_greedy(&compiled, mode),
+                    greedy_by_scan(&compiled, mode),
+                    "round {round}, {mode:?}"
+                );
+            }
+        }
+        assert_eq!(presorted, 600 + 200);
     }
 
     #[test]

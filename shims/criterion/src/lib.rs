@@ -130,6 +130,18 @@ impl Bencher {
     }
 }
 
+/// Most iterations one sample may run.
+const MAX_ITERATIONS: u64 = 1 << 20;
+
+/// The iteration count that fills one sample's budget at the pace observed
+/// when `iterations` runs of the routine took `elapsed_ns`. The per-run time
+/// is clamped to a nanosecond *after* the division, so a routine faster than
+/// that (an optimized no-op, say) gets the cap instead of a division by zero.
+fn calibrated_iterations(elapsed_ns: u128, iterations: u64) -> u64 {
+    let per_iter = (elapsed_ns / u128::from(iterations)).max(1);
+    (SAMPLE_BUDGET.as_nanos() / per_iter).clamp(1, u128::from(MAX_ITERATIONS)) as u64
+}
+
 fn run_benchmark<F>(name: &str, sample_size: usize, mut f: F)
 where
     F: FnMut(&mut Bencher),
@@ -143,12 +155,10 @@ where
             elapsed: Duration::ZERO,
         };
         f(&mut bencher);
-        if bencher.elapsed >= SAMPLE_BUDGET || iterations >= 1 << 20 {
+        if bencher.elapsed >= SAMPLE_BUDGET || iterations >= MAX_ITERATIONS {
             break;
         }
-        // Aim directly for the budget based on the observed per-iter time.
-        let per_iter = bencher.elapsed.as_nanos().max(1) / u128::from(iterations);
-        let target = (SAMPLE_BUDGET.as_nanos() / per_iter).clamp(1, 1 << 20) as u64;
+        let target = calibrated_iterations(bencher.elapsed.as_nanos(), iterations);
         if target <= iterations {
             break;
         }
@@ -222,6 +232,17 @@ mod tests {
         group.bench_function("count", |b| b.iter(|| count += 1));
         group.finish();
         assert!(count > 0);
+    }
+
+    #[test]
+    fn calibration_survives_sub_nanosecond_routines() {
+        // 999 ns over 1000 runs is under a nanosecond per run, as cheap
+        // routines get in release builds: the clamp must follow the division.
+        assert_eq!(calibrated_iterations(999, 1000), MAX_ITERATIONS);
+        assert_eq!(calibrated_iterations(0, 1), MAX_ITERATIONS);
+        assert_eq!(calibrated_iterations(1_000, 1), 20_000);
+        assert_eq!(calibrated_iterations(2_000_000, 100), 1_000);
+        assert_eq!(calibrated_iterations(SAMPLE_BUDGET.as_nanos() * 3, 1), 1);
     }
 
     #[test]

@@ -705,13 +705,19 @@ struct ObsSection {
 /// both sides, the span pair toggles `spans_enabled` with metrics on, so
 /// each overhead is attributed to exactly one plane. Rounds are paired and
 /// interleaved so frequency scaling and cache state drift hit both sides
-/// equally; each overhead is the ratio of the two **medians** (robust
-/// against per-round noise), clamped at zero.
+/// equally; each overhead is the **median of the per-round ratios**
+/// (robust against per-round noise), clamped at zero.
+///
+/// A run takes ~12 ms, so a single round is at the mercy of one scheduling
+/// hiccup. On a 2-vCPU VM, 7 rounds read anywhere from -14% to +17% for
+/// planes that cost 0–3%; the median ratio of 101 rounds still read the
+/// span plane at 5.3% once in 15 runs, while 201 rounds (~5 s per plane)
+/// kept it within 1.0–2.9% over 10 runs.
 fn measure_obs(interfaces: usize) -> ObsSection {
     let system = scaling_system(interfaces, 2).expect("scaling system builds");
     let variants = system.variant_space().count();
     let evaluator = PartitionEvaluator::default();
-    const ROUNDS: usize = 7;
+    const ROUNDS: usize = 201;
 
     let run = |metrics_enabled: bool, spans_enabled: bool| -> u128 {
         let service = ExplorationService::start(ServiceConfig {
@@ -750,16 +756,18 @@ fn measure_obs(interfaces: usize) -> ObsSection {
         off();
         let mut instrumented = Vec::new();
         let mut stubbed = Vec::new();
+        let mut ratios = Vec::new();
         for _ in 0..ROUNDS {
-            instrumented.push(on());
-            stubbed.push(off());
+            let (with, without) = (on(), off());
+            instrumented.push(with);
+            stubbed.push(without);
+            ratios.push(with as f64 / without.max(1) as f64);
         }
         instrumented.sort_unstable();
         stubbed.sort_unstable();
-        let median_on = instrumented[ROUNDS / 2];
-        let median_off = stubbed[ROUNDS / 2];
-        let pct = (median_on as f64 / median_off.max(1) as f64 - 1.0).max(0.0) * 100.0;
-        (median_on, median_off, pct)
+        ratios.sort_unstable_by(f64::total_cmp);
+        let pct = (ratios[ROUNDS / 2] - 1.0).max(0.0) * 100.0;
+        (instrumented[ROUNDS / 2], stubbed[ROUNDS / 2], pct)
     };
 
     let (instrumented_ns, stubbed_ns, overhead_pct) =
@@ -1007,7 +1015,7 @@ fn main() {
     json.push_str("  },\n");
     json.push_str("  \"obs\": {\n");
     json.push_str(&format!(
-        "    \"scenario\": \"scaling_system({}, 2), 4 workers: metrics plane then span recorder enabled vs disabled, median of {} paired rounds each\",\n",
+        "    \"scenario\": \"scaling_system({}, 2), 4 workers: metrics plane then span recorder enabled vs disabled, median ratio over {} paired rounds each\",\n",
         obs.interfaces, obs.rounds
     ));
     json.push_str(&format!("    \"variants\": {},\n", obs.variants));

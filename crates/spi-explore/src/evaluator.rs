@@ -366,13 +366,12 @@ impl Evaluator for PartitionEvaluator {
 
     /// Binds to the job's [`TaskTable`]: every task name `flattener` can
     /// produce, with its rank in name order and its parameters, so bounding
-    /// and lowering a variant read the table instead of hashing and sorting
-    /// names. `None` (stay unbound) when the names' interned symbols are too
-    /// scattered for the table to be dense.
+    /// and lowering a variant read the table instead of hashing names'
+    /// bytes and sorting them.
     fn bind(self: Arc<Self>, flattener: &Flattener) -> Option<Arc<dyn Evaluator>> {
         let table = TaskTable::new(flattener.process_names(), |name| {
             Some(self.params.params_for(name))
-        })?;
+        });
         Some(Arc::new(BoundPartitionEvaluator {
             evaluator: self,
             table,

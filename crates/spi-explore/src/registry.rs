@@ -383,11 +383,12 @@ struct Holder {
     deadline: Instant,
     started: Instant,
     /// Identity of the worker the lease was granted to (thread name for the
-    /// in-process pool); surfaces in the waitgraph and the decision trace.
-    worker: String,
+    /// in-process pool); surfaces in the waitgraph, the decision trace and
+    /// the lease's span context.
+    worker: Arc<str>,
     /// The span attribution of every renew and commit under this lease,
-    /// built once at grant and shared by all of them.
-    context: Arc<SpanIds>,
+    /// built at its first span and shared by the rest.
+    context: Option<Arc<SpanIds>>,
 }
 
 enum ShardSlot {
@@ -962,14 +963,8 @@ impl JobRegistry {
             lease,
             deadline,
             started: now,
-            worker: worker.to_string(),
-            context: Arc::new(SpanIds {
-                job: Some(job_id.raw()),
-                shard: Some(shard as u64),
-                lease: Some(lease.raw()),
-                tenant: Some(Arc::from(job.tenant.as_str())),
-                worker: Some(Arc::from(worker)),
-            }),
+            worker: Arc::from(worker),
+            context: None,
         };
         match &mut job.shards[shard] {
             slot @ ShardSlot::Pending => {
@@ -1017,17 +1012,26 @@ impl JobRegistry {
 
     /// The attribution ids of the live `lease` on `shard`, for span context:
     /// the same job/shard/lease/tenant/worker ids the waitgraph nodes carry,
-    /// as its holder built them at grant.
-    fn span_context(&self, job_id: JobId, shard: usize, lease: LeaseId) -> Arc<SpanIds> {
-        let job = self.jobs.get(&job_id).expect("lease resolves to job");
-        let ShardSlot::Leased { holders } = &job.shards[shard] else {
+    /// built at the lease's first span and shared by the rest.
+    fn span_context(&mut self, job_id: JobId, shard: usize, lease: LeaseId) -> Arc<SpanIds> {
+        let job = self.jobs.get_mut(&job_id).expect("lease resolves to job");
+        let ShardSlot::Leased { holders } = &mut job.shards[shard] else {
             unreachable!("a live lease's shard is leased")
         };
         let holder = holders
-            .iter()
+            .iter_mut()
             .find(|holder| holder.lease == lease)
             .expect("a live lease has its holder");
-        Arc::clone(&holder.context)
+        let context = holder.context.get_or_insert_with(|| {
+            Arc::new(SpanIds {
+                job: Some(job_id.raw()),
+                shard: Some(shard as u64),
+                lease: Some(lease.raw()),
+                tenant: Some(Arc::from(job.tenant.as_str())),
+                worker: Some(Arc::clone(&holder.worker)),
+            })
+        });
+        Arc::clone(context)
     }
 
     fn append_record(&mut self, record: &JsonValue) -> Result<()> {
@@ -1497,7 +1501,7 @@ impl JobRegistry {
                         lease: holder.lease.raw(),
                         job: job_id.raw(),
                         shard,
-                        worker: holder.worker.clone(),
+                        worker: holder.worker.to_string(),
                         elapsed: now.saturating_duration_since(holder.started),
                         overdue: holder.deadline <= now,
                         p95_ns,
@@ -1561,7 +1565,7 @@ impl JobRegistry {
             for slot in &job.shards {
                 if let ShardSlot::Leased { holders } = slot {
                     for holder in holders {
-                        workers.insert(&holder.worker);
+                        workers.insert(&*holder.worker);
                     }
                 }
             }
@@ -1616,7 +1620,7 @@ impl JobRegistry {
                     let lease_node = format!("lease:{}", holder.lease.raw());
                     snapshot.nodes.push(
                         GraphNode::new(&lease_node, "lease", holder.lease.raw().to_string())
-                            .attr("worker", &holder.worker),
+                            .attr("worker", &*holder.worker),
                     );
                     snapshot
                         .edges

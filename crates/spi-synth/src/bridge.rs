@@ -6,7 +6,9 @@
 //! part becomes a task, every cluster of every interface becomes a task, and every
 //! variant combination becomes an application.
 
-use spi_model::{SpiGraph, Sym};
+use std::collections::HashMap;
+
+use spi_model::{BuildSymHasher, SpiGraph, Sym};
 use spi_variants::VariantSystem;
 
 use crate::compiled::{CompiledProblem, LoweredTask};
@@ -230,89 +232,52 @@ const DEFAULT_CAPACITY_PERMILLE: u64 = 1000;
 
 /// A job's lowering table: for every process name the job's flattened graphs can
 /// contain (see [`spi_variants::Flattener::process_names`]), the name's rank in
-/// name order and its lowered parameters, looked up by the name's interned
-/// symbol.
+/// name order and its lowered parameters, keyed by the name's interned symbol.
 ///
 /// Built once per job, it answers what [`compiled_from_flat_graph`] derives per
 /// variant: [`compile`](Self::compile) lowers a graph with table reads and an
-/// integer sort of ranks — no name is hashed, copied or compared — and
+/// integer sort of ranks — no name is copied or compared, and a lookup hashes
+/// the symbol's index with one multiply — and
 /// [`hardware_area_sum`](Self::hardware_area_sum) sums its tasks' areas. Both
 /// return `None` for a graph with a task outside the table, so a caller can fall
 /// back to the per-name path and never gets a different answer.
 #[derive(Debug, Clone)]
 pub struct TaskTable {
-    /// Symbol index of `slots[0]`.
-    base: u32,
-    /// Indexed by `symbol index - base`; slots between the table's names are
-    /// [`TableSlot::ABSENT`].
-    slots: Vec<TableSlot>,
+    entries: HashMap<Sym, TableEntry, BuildSymHasher>,
 }
 
 #[derive(Debug, Clone, Copy)]
-struct TableSlot {
+struct TableEntry {
     rank: u32,
     utilization: u64,
     hw_area: u64,
 }
 
-impl TableSlot {
-    const ABSENT: TableSlot = TableSlot {
-        rank: u32::MAX,
-        utilization: 0,
-        hw_area: 0,
-    };
-}
-
 impl TaskTable {
-    /// The table is dense over its names' symbol indices, which the
-    /// process-global interner hands out in first-seen order. Past this many
-    /// slots per name (plus a fixed allowance) the names are too scattered for
-    /// a dense table to be worth its memory.
-    const SLOTS_PER_NAME: usize = 16;
-    const SLOT_ALLOWANCE: usize = 4096;
-
     /// Builds the table over `names`, asking `params` once per distinct name; a
     /// name `params` has no answer for stays out of the table, so graphs
     /// containing it fall back as any unknown name does.
-    ///
-    /// Returns `None` when the names' symbols are spread too thinly over the
-    /// interner for a dense table (more than 16 slots per name beyond a fixed
-    /// allowance); the caller keeps its per-name path then.
     pub fn new(
         names: impl IntoIterator<Item = Sym>,
         mut params: impl FnMut(&str) -> Option<TaskParams>,
-    ) -> Option<TaskTable> {
+    ) -> TaskTable {
         let mut names: Vec<Sym> = names.into_iter().collect();
         names.sort_unstable_by(|a, b| a.as_str().cmp(b.as_str()));
         names.dedup();
-        let base = names.iter().map(|name| name.index()).min().unwrap_or(0);
-        let span = names
+        let entries = names
             .iter()
-            .map(|name| (name.index() - base) as usize + 1)
-            .max()
-            .unwrap_or(0);
-        if span > names.len() * Self::SLOTS_PER_NAME + Self::SLOT_ALLOWANCE {
-            return None;
-        }
-        let mut slots = vec![TableSlot::ABSENT; span];
-        for (rank, name) in names.iter().enumerate() {
-            if let Some(p) = params(name.as_str()) {
-                slots[(name.index() - base) as usize] = TableSlot {
+            .enumerate()
+            .filter_map(|(rank, &name)| {
+                let p = params(name.as_str())?;
+                let entry = TableEntry {
                     rank: rank as u32,
                     utilization: utilization_permille(p.sw_time, p.period),
                     hw_area: p.hw_area,
                 };
-            }
-        }
-        Some(TaskTable { base, slots })
-    }
-
-    #[inline]
-    fn slot(&self, name: Sym) -> Option<&TableSlot> {
-        let at = name.index().wrapping_sub(self.base) as usize;
-        self.slots
-            .get(at)
-            .filter(|slot| slot.rank != TableSlot::ABSENT.rank)
+                Some((name, entry))
+            })
+            .collect();
+        TaskTable { entries }
     }
 
     /// Total hardware area of `graph`'s non-virtual processes, or `None` if one
@@ -321,7 +286,11 @@ impl TaskTable {
         graph
             .processes()
             .filter(|process| !process.is_virtual())
-            .map(|process| self.slot(process.name_sym()).map(|slot| slot.hw_area))
+            .map(|process| {
+                self.entries
+                    .get(&process.name_sym())
+                    .map(|entry| entry.hw_area)
+            })
             .sum()
     }
 
@@ -345,12 +314,12 @@ impl TaskTable {
                 continue;
             }
             let name = process.name_sym();
-            let slot = self.slot(name)?;
-            order.push(u64::from(slot.rank) << 32 | tasks.len() as u64);
+            let entry = self.entries.get(&name)?;
+            order.push(u64::from(entry.rank) << 32 | tasks.len() as u64);
             tasks.push(LoweredTask {
                 name,
-                utilization: slot.utilization,
-                hw_area: slot.hw_area,
+                utilization: entry.utilization,
+                hw_area: entry.hw_area,
             });
         }
         Some(lower_flattened(processor_cost, &tasks, order))
@@ -617,7 +586,7 @@ mod tests {
                 synthesis_effort: 1,
             })
         };
-        let table = TaskTable::new(flattener.process_names(), params).unwrap();
+        let table = TaskTable::new(flattener.process_names(), params);
         for choice in flattener.space().choices_iter() {
             let graph = flattener.flatten(&choice).unwrap();
             let direct = compiled_from_flat_graph(&graph, 15, params).unwrap();
@@ -631,8 +600,7 @@ mod tests {
         // A name `params` cannot answer stays out, and so does any graph with it.
         let without_pa = TaskTable::new(flattener.process_names(), |name| {
             (name != "PA").then(|| params(name).unwrap())
-        })
-        .unwrap();
+        });
         let graph = flattener.flatten_at(0).unwrap().1;
         assert!(without_pa.compile(&graph, 15).is_none());
         assert!(without_pa.hardware_area_sum(&graph).is_none());
@@ -642,17 +610,6 @@ mod tests {
             table.compile(&empty, 15),
             Some(Err(SynthError::Validation(_)))
         ));
-    }
-
-    #[test]
-    fn task_table_refuses_names_scattered_over_the_interner() {
-        let early = Sym::intern("task-table-scatter/early");
-        for filler in 0..5000 {
-            Sym::intern(&format!("task-table-scatter/filler{filler}"));
-        }
-        let late = Sym::intern("task-table-scatter/late");
-        assert!(TaskTable::new([early, late], default_params).is_none());
-        assert!(TaskTable::new([late], default_params).is_some());
     }
 
     #[test]

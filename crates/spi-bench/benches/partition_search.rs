@@ -1,6 +1,7 @@
-//! Partition-search trajectory: the chunked exhaustive enumeration vs the
-//! branch-and-bound search (both running over the dense-index `CompiledProblem`
-//! layer) and the greedy heuristic, on synthetic problems of growing task count.
+//! Partition-search trajectory: the exhaustive enumeration vs the
+//! branch-and-bound search (both running single-threaded over the dense-index
+//! `CompiledProblem` layer) and the greedy heuristic, on synthetic problems of
+//! growing task count.
 //!
 //! The two exact strategies are asserted to return the identical optimum before any
 //! measurement — the bench doubles as a coarse differential check in CI's bench

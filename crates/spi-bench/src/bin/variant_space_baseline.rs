@@ -9,8 +9,8 @@
 //! * **flattening** — the legacy clone-per-variant `VariantSystem::flatten` vs the
 //!   skeleton-reusing `Flattener::flatten_into`, over a fixed 64-combination
 //!   strided shard of the space;
-//! * **partition search** — the chunked exhaustive enumeration vs the
-//!   branch-and-bound search on synthetic problems of 10/14/18 tasks, with the
+//! * **partition search** — the exhaustive enumeration vs the branch-and-bound
+//!   search, each on one thread, on synthetic problems of 10/14/18 tasks, with the
 //!   candidate accounting (`evaluated`, `pruned`) of both, so the search trajectory
 //!   is tracked PR over PR. The two optima are asserted identical before anything is
 //!   recorded.

@@ -158,7 +158,7 @@ fn parse_evaluator(value: Option<&JsonValue>) -> Result<Arc<dyn Evaluator>> {
         }
     }
     if let Some(cost) = value.get("processor_cost").and_then(JsonValue::as_u64) {
-        evaluator.processor_cost = cost;
+        evaluator.processor_cost = summand("processor_cost", cost)?;
     }
     if let Some(strategy) = value.get("strategy").and_then(JsonValue::as_str) {
         evaluator.strategy = match strategy {
@@ -199,9 +199,9 @@ fn parse_params(value: &JsonValue) -> Result<TaskParamsSpec> {
                     .unwrap_or(default)
             };
             Ok(TaskParamsSpec::Uniform(TaskParams {
-                sw_time: field("sw_time", 10),
+                sw_time: summand("sw_time", field("sw_time", 10))?,
                 period: field("period", 100),
-                hw_area: field("hw_area", 20),
+                hw_area: summand("hw_area", field("hw_area", 20))?,
                 synthesis_effort: field("synthesis_effort", 5),
             }))
         }
@@ -209,6 +209,18 @@ fn parse_params(value: &JsonValue) -> Result<TaskParamsSpec> {
             "unknown params kind `{other}`"
         ))),
     }
+}
+
+/// Accepts a value that the searches' cost and load sums add up only below 2^32:
+/// a problem has fewer than 2^32 tasks, so no cost sum can then overflow a `u64`,
+/// and a load sum only past 2^22 tasks in one application.
+fn summand(name: &str, value: u64) -> Result<u64> {
+    if value >= 1 << 32 {
+        return Err(ExploreError::Protocol(format!(
+            "`{name}` must be below 2^32, got {value}"
+        )));
+    }
+    Ok(value)
 }
 
 /// Rebuilds the `(system, evaluator)` of a stored submission recipe —

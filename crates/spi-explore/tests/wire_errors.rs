@@ -1,7 +1,8 @@
 //! Wire-protocol error paths of [`run_session`]: malformed and truncated
-//! ndjson, unknown ops, duplicate keys and mid-frame EOF must each produce
-//! one structured `{"ok":false,"error":…}` line, leave the stream usable for
-//! the *next* request, and never prevent the session from quiescing cleanly.
+//! ndjson, unknown ops, duplicate keys, out-of-range task parameters and
+//! mid-frame EOF must each produce one structured `{"ok":false,"error":…}`
+//! line, leave the stream usable for the *next* request, and never prevent the
+//! session from quiescing cleanly.
 
 use spi_explore::wire::{run_session, status_from_json};
 use spi_explore::{ExplorationService, HedgeConfig, JobId, ServiceConfig};
@@ -131,6 +132,47 @@ fn blank_lines_are_ignored_and_shutdown_still_answers() {
         lines[0].get("op").and_then(JsonValue::as_str),
         Some("shutdown")
     );
+}
+
+#[test]
+fn parameters_whose_sums_could_overflow_are_rejected_and_the_stream_continues() {
+    // The searches add `processor_cost`, `hw_area` and `sw_time` up over the
+    // tasks of a problem. A value of 2^32 or more is refused at the wire, so no
+    // such sum can wrap into a bogus optimum or panic a debug-built worker.
+    for (field, evaluator) in [
+        ("processor_cost", r#"{"processor_cost":4294967296}"#),
+        (
+            "hw_area",
+            r#"{"params":{"kind":"uniform","hw_area":9223372036854775807}}"#,
+        ),
+        (
+            "sw_time",
+            r#"{"params":{"kind":"uniform","sw_time":18446744073709551615}}"#,
+        ),
+    ] {
+        let submit =
+            format!(r#"{{"op":"submit","system":{{"scenario":"tv"}},"evaluator":{evaluator}}}"#);
+        let lines = session(&format!(
+            "{submit}\n{SUBMIT}\n{{\"op\":\"wait\",\"job\":0}}\n"
+        ));
+        assert_eq!(lines.len(), 3, "{field}: {lines:?}");
+        assert!(is_error(&lines[0]), "{field}: {:?}", lines[0]);
+        let message = lines[0].get("error").and_then(JsonValue::as_str).unwrap();
+        assert!(message.contains(field), "{field}: {message}");
+        assert_eq!(lines[1].get("ok").and_then(JsonValue::as_bool), Some(true));
+        let status = status_from_json(&lines[2]).unwrap();
+        assert_eq!(status.state, "completed", "{field}");
+        assert_eq!(status.evaluated + status.pruned + status.errors, 16);
+    }
+
+    // Just below the limit every field is accepted and every variant evaluates.
+    let submit = r#"{"op":"submit","system":{"scenario":"tv"},"evaluator":{"processor_cost":4294967295,"params":{"kind":"uniform","sw_time":4294967295,"hw_area":4294967295}}}"#;
+    let lines = session(&format!("{submit}\n{{\"op\":\"wait\",\"job\":0}}\n"));
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    let status = status_from_json(&lines[1]).unwrap();
+    assert_eq!(status.state, "completed");
+    assert_eq!(status.errors, 0);
+    assert_eq!(status.evaluated + status.pruned, status.combinations as u64);
 }
 
 #[test]

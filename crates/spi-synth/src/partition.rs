@@ -13,13 +13,12 @@
 //! a `String` key. The historical string-keyed serial scan survives as
 //! [`optimize_serial_reference`], the oracle the differential tests compare against.
 //!
-//! The **exhaustive** search enumerates the `2^n` mapping masks in contiguous chunks
-//! across all hardware threads (via `rayon::scope`) and shares the best total cost
-//! found so far in an atomic **bound**: a mask whose hardware-area lower bound already
-//! exceeds the bound is discarded before the schedulability check runs. The chunk
-//! results are reduced by the exact ordering key `(total cost, hardware-task count,
-//! Reverse(mask))`, so the parallel search returns the same optimum, bit for bit, as
-//! the serial scan.
+//! The **exhaustive** search enumerates the `2^n` mapping masks in ascending order
+//! and keeps the best total cost found so far as a **bound**: a mask whose
+//! hardware-area lower bound already exceeds the bound is discarded before the
+//! schedulability check runs. Candidates are compared by the exact ordering key
+//! `(total cost, hardware-task count, Reverse(mask))`, so the search returns the same
+//! optimum, bit for bit, as the serial scan.
 //!
 //! The **branch-and-bound** search walks the decision tree depth-first instead of
 //! enumerating leaves: task `i` is decided at depth `i`, undecided tasks sit in
@@ -28,14 +27,16 @@
 //! containing the flipped task). A subtree is cut when its partial software load
 //! already overloads an application (every completion only adds load) or when the
 //! admissible lower bound — committed hardware area plus a processor-cost floor —
-//! strictly exceeds the shared incumbent. Subtree roots (the first few decision
-//! levels) are sharded across threads exactly like the exhaustive search shards
-//! masks. Because only strictly-worse subtrees are cut and surviving leaves are
-//! reduced with the same ordering key, the result is bit-identical to the serial
-//! scan, tie-breaks included.
+//! strictly exceeds the incumbent. Because only strictly-worse subtrees are cut and
+//! surviving leaves are compared with the same ordering key, the result is
+//! bit-identical to the serial scan, tie-breaks included.
+//!
+//! Every search runs on its calling thread, so its candidate counts are a fixed
+//! function of the problem. Parallelism lives one level up: the exploration service
+//! runs one search per variant on each of its shard workers, which already keep
+//! every core busy.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::compiled::{CompiledProblem, HardwareSet, IncrementalEvaluator, TaskId};
 use crate::cost::{evaluate, CostBreakdown};
@@ -81,7 +82,7 @@ pub const EXHAUSTIVE_LIMIT: usize = 18;
 /// `pruned_candidates <= evaluated_candidates`:
 ///
 /// * **Exhaustive**: `evaluated_candidates` is the number of enumerated masks
-///   (always `2^n`); `pruned_candidates` counts the masks the shared best-cost bound
+///   (always `2^n`); `pruned_candidates` counts the masks the best-cost bound
 ///   discarded before their schedulability check.
 /// * **Branch-and-bound**: `evaluated_candidates` is the number of decision-tree
 ///   nodes visited (one per single-task decision applied); `pruned_candidates`
@@ -235,38 +236,48 @@ fn candidate_key(total: u64, mask: u64) -> CandidateKey {
     (total, mask.count_ones(), std::cmp::Reverse(mask))
 }
 
-/// Best candidate found by one worker, as `(key, mask)`; the mapping is only
-/// materialized once, after the reduction.
-type WorkerBest = Option<(CandidateKey, u64)>;
-
-fn merge_best(best: &mut WorkerBest, candidate: (CandidateKey, u64)) {
-    if best.as_ref().is_none_or(|current| candidate.0 < current.0) {
-        *best = Some(candidate);
-    }
-}
-
-/// Outcome of scanning one contiguous chunk of masks (or one set of subtree roots).
-struct WorkerOutcome {
-    best: WorkerBest,
+/// The best candidate of one search so far, as `(key, mask)`, and its candidate
+/// counts; the mapping is only materialized once the search ends.
+#[derive(Default)]
+struct Tally {
+    best: Option<(CandidateKey, u64)>,
     evaluated: u64,
     pruned: u64,
 }
 
-/// Scans `masks`, sharing (and tightening) the best-total bound with sibling chunks.
-fn search_chunk(
-    compiled: &CompiledProblem,
-    mode: FeasibilityMode,
-    masks: std::ops::Range<u64>,
-    bound: &AtomicU64,
-) -> WorkerOutcome {
+impl Tally {
+    fn offer(&mut self, total: u64, mask: u64) {
+        let key = candidate_key(total, mask);
+        if self.best.is_none_or(|(current, _)| key < current) {
+            self.best = Some((key, mask));
+        }
+    }
+
+    fn into_outcome(self) -> Result<SearchOutcome> {
+        let ((total, _, _), mask) = self.best.ok_or_else(|| {
+            SynthError::Infeasible(
+                "no mapping satisfies the schedulability constraints".to_string(),
+            )
+        })?;
+        Ok(SearchOutcome {
+            total,
+            hardware: HardwareSet::from_mask(mask),
+            evaluated_candidates: self.evaluated,
+            pruned_candidates: self.pruned,
+        })
+    }
+}
+
+fn search_exhaustive(compiled: &CompiledProblem, mode: FeasibilityMode) -> Result<SearchOutcome> {
+    check_mask_width(compiled, "exhaustive")?;
     let areas = compiled.hardware_areas();
-    let mut outcome = WorkerOutcome {
-        best: None,
-        evaluated: 0,
-        pruned: 0,
+    let masks = 1u64 << compiled.task_count();
+    let mut tally = Tally {
+        evaluated: masks,
+        ..Tally::default()
     };
-    for mask in masks {
-        outcome.evaluated += 1;
+    let mut bound = u64::MAX;
+    for mask in 0..masks {
         // Hardware areas are a lower bound on the total cost of this mask (the
         // processor, if needed, only adds to it). A strictly larger bound can
         // neither beat nor tie the best mapping seen so far, so the expensive
@@ -278,8 +289,8 @@ fn search_chunk(
             area_bound += areas[index];
             bits &= bits - 1;
         }
-        if area_bound > bound.load(Ordering::Relaxed) {
-            outcome.pruned += 1;
+        if area_bound > bound {
+            tally.pruned += 1;
             continue;
         }
 
@@ -287,115 +298,25 @@ fn search_chunk(
             continue;
         }
         let total = compiled.total_cost_of_mask(mask);
-        bound.fetch_min(total, Ordering::Relaxed);
-        merge_best(&mut outcome.best, (candidate_key(total, mask), mask));
+        bound = bound.min(total);
+        tally.offer(total, mask);
     }
-    outcome
+    tally.into_outcome()
 }
 
-fn into_search_outcome(outcome: WorkerOutcome) -> Result<SearchOutcome> {
-    let ((total, _, _), mask) = outcome.best.ok_or_else(|| {
-        SynthError::Infeasible("no mapping satisfies the schedulability constraints".to_string())
-    })?;
-    Ok(SearchOutcome {
-        total,
-        hardware: HardwareSet::from_mask(mask),
-        evaluated_candidates: outcome.evaluated,
-        pruned_candidates: outcome.pruned,
-    })
-}
-
-fn reduce_outcomes(outcomes: impl IntoIterator<Item = WorkerOutcome>) -> WorkerOutcome {
-    let mut reduced = WorkerOutcome {
-        best: None,
-        evaluated: 0,
-        pruned: 0,
-    };
-    for outcome in outcomes {
-        reduced.evaluated += outcome.evaluated;
-        reduced.pruned += outcome.pruned;
-        if let Some(candidate) = outcome.best {
-            merge_best(&mut reduced.best, candidate);
-        }
-    }
-    reduced
-}
-
-fn search_exhaustive(compiled: &CompiledProblem, mode: FeasibilityMode) -> Result<SearchOutcome> {
-    check_mask_width(compiled, "exhaustive")?;
-    let n = compiled.task_count();
-    let total: u64 = 1u64 << n;
-
-    // One chunk per hardware thread is enough: the per-mask work is uniform apart
-    // from pruning, and fewer chunks keep the bound-sharing traffic low. Small
-    // spaces run on the calling thread — `optimize` fires once per application in
-    // the independent flows, so a per-call thread spawn would dominate there.
-    let bound = AtomicU64::new(u64::MAX);
-    let chunk_count = if total <= 1 << 10 {
-        1u64
-    } else {
-        rayon::current_num_threads().min(usize::try_from(total).unwrap_or(usize::MAX)) as u64
-    };
-
-    let outcomes: Vec<WorkerOutcome> = if chunk_count == 1 {
-        vec![search_chunk(compiled, mode, 0..total, &bound)]
-    } else {
-        let chunk_size = total.div_ceil(chunk_count);
-        let mut slots: Vec<Option<WorkerOutcome>> = Vec::new();
-        slots.resize_with(chunk_count as usize, || None);
-        rayon::scope(|scope| {
-            for (chunk_index, slot) in slots.iter_mut().enumerate() {
-                let start = chunk_index as u64 * chunk_size;
-                let end = (start + chunk_size).min(total);
-                let bound = &bound;
-                scope.spawn(move |_| {
-                    *slot = Some(search_chunk(compiled, mode, start..end, bound));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every chunk reports an outcome"))
-            .collect()
-    };
-
-    into_search_outcome(reduce_outcomes(outcomes))
-}
-
-/// One worker's depth-first walk over (a set of subtrees of) the decision tree.
-struct BnbWorker<'p> {
+/// The depth-first walk over the decision tree.
+struct BranchAndBound<'p> {
     evaluator: IncrementalEvaluator<'p>,
     mode: FeasibilityMode,
     /// Suffix sums of hardware areas in decision order: `suffix_area[d]` is the total
     /// area of the still-undecided tasks `d..n`.
-    suffix_area: &'p [u64],
-    bound: &'p AtomicU64,
-    outcome: WorkerOutcome,
+    suffix_area: Vec<u64>,
+    /// The incumbent: the best total cost known so far.
+    bound: u64,
+    tally: Tally,
 }
 
-impl<'p> BnbWorker<'p> {
-    fn new(
-        compiled: &'p CompiledProblem,
-        mode: FeasibilityMode,
-        suffix_area: &'p [u64],
-        bound: &'p AtomicU64,
-    ) -> Self {
-        BnbWorker {
-            // Undecided tasks park in hardware: they contribute no processor load, so
-            // the evaluator's application loads are exactly the decided-software
-            // loads — a lower bound on every completion's loads.
-            evaluator: IncrementalEvaluator::all_hardware(compiled),
-            mode,
-            suffix_area,
-            bound,
-            outcome: WorkerOutcome {
-                best: None,
-                evaluated: 0,
-                pruned: 0,
-            },
-        }
-    }
-
+impl BranchAndBound<'_> {
     /// Admissible lower bound on the total cost of every completion below a node at
     /// `depth`: the hardware area already committed by decided tasks, plus the
     /// processor cost once any decided task is in software — or, while everything
@@ -414,24 +335,16 @@ impl<'p> BnbWorker<'p> {
     }
 
     /// Applies the decision for the task at `depth` and reports whether the subtree
-    /// below it survives the partial-infeasibility and bound cuts. `counted` is
-    /// false only while a worker re-walks a prefix node owned by a sibling worker,
-    /// so every decision-tree node is counted at most once across all workers.
-    fn enter(&mut self, depth: usize, implementation: Implementation, counted: bool) -> bool {
-        if counted {
-            self.outcome.evaluated += 1;
-        }
+    /// below it survives the partial-infeasibility and bound cuts.
+    fn enter(&mut self, depth: usize, implementation: Implementation) -> bool {
+        self.tally.evaluated += 1;
         self.evaluator.apply(TaskId(depth as u32), implementation);
         // Decided-software loads only grow toward the leaves, so a partial overload
-        // dooms every completion; and a lower bound strictly above the shared
-        // incumbent cannot beat or tie it (ties must survive for exact
-        // tie-breaking, hence the strict comparison).
-        if !self.evaluator.feasible(self.mode)
-            || self.lower_bound(depth + 1) > self.bound.load(Ordering::Relaxed)
-        {
-            if counted {
-                self.outcome.pruned += 1;
-            }
+        // dooms every completion; and a lower bound strictly above the incumbent
+        // cannot beat or tie it (ties must survive for exact tie-breaking, hence
+        // the strict comparison).
+        if !self.evaluator.feasible(self.mode) || self.lower_bound(depth + 1) > self.bound {
+            self.tally.pruned += 1;
             return false;
         }
         true
@@ -442,62 +355,20 @@ impl<'p> BnbWorker<'p> {
         if depth == n {
             // Complete mapping; partial pruning kept it feasible on the way down.
             let total = self.evaluator.total_cost();
-            self.bound.fetch_min(total, Ordering::Relaxed);
-            merge_best(&mut self.outcome.best, (candidate_key(total, mask), mask));
+            self.bound = self.bound.min(total);
+            self.tally.offer(total, mask);
             return;
         }
         // Software first: leaves are reached in ascending mask order, mirroring the
         // serial scan, and the cheap low-mask region seeds the incumbent early.
-        if self.enter(depth, Implementation::Software, true) {
+        if self.enter(depth, Implementation::Software) {
             self.dfs(depth + 1, mask);
         }
         self.evaluator.undo();
-        if self.enter(depth, Implementation::Hardware, true) {
+        if self.enter(depth, Implementation::Hardware) {
             self.dfs(depth + 1, mask | (1u64 << depth));
         }
         self.evaluator.undo();
-    }
-
-    /// Walks the prefix tree of the first `root_depth` decisions restricted to the
-    /// contiguous root range `lo..hi`, then runs the unrestricted [`Self::dfs`]
-    /// below every surviving root.
-    ///
-    /// Root indices order the prefix subtrees left to right: task `depth` maps to
-    /// bit `root_depth - 1 - depth`, so a prefix node at `depth` spans the aligned
-    /// root range `base .. base + 2^(root_depth - depth)` and a contiguous range of
-    /// roots shares its early decisions. Shared prefixes inside one worker's range
-    /// are therefore applied (and counted) once, not once per root. A prefix node
-    /// whose span crosses worker boundaries is still re-applied by each
-    /// intersecting worker, but only its **owner** — the worker whose range
-    /// contains the node's leftmost root — counts the visit (and any cut at it), so
-    /// `evaluated_candidates` sums to at most one visit per distinct tree node.
-    fn search_roots(&mut self, depth: usize, root_depth: usize, base: u64, lo: u64, hi: u64) {
-        if depth == root_depth {
-            // `base` is the root index; reassemble the mask (task `d` = bit `d`).
-            let mut mask = 0u64;
-            for d in 0..root_depth {
-                if base & (1u64 << (root_depth - 1 - d)) != 0 {
-                    mask |= 1u64 << d;
-                }
-            }
-            self.dfs(root_depth, mask);
-            return;
-        }
-        let span = 1u64 << (root_depth - depth - 1);
-        for (branch, implementation) in [
-            (0u64, Implementation::Software),
-            (1u64, Implementation::Hardware),
-        ] {
-            let branch_base = base + branch * span;
-            if branch_base + span <= lo || branch_base >= hi {
-                continue;
-            }
-            let owned = branch_base >= lo;
-            if self.enter(depth, implementation, owned) {
-                self.search_roots(depth + 1, root_depth, branch_base, lo, hi);
-            }
-            self.evaluator.undo();
-        }
     }
 }
 
@@ -516,52 +387,18 @@ fn search_branch_and_bound(
     // is an achievable incumbent value the very first bound check can prune against.
     // It is seeded as a *value* only — the all-hardware leaf itself is still visited
     // and key-compared, so tie-breaking stays exact.
-    let bound = AtomicU64::new(suffix_area[0]);
-
-    let threads = rayon::current_num_threads();
-    let outcome = if threads <= 1 || n <= 10 {
-        let mut worker = BnbWorker::new(compiled, mode, &suffix_area, &bound);
-        worker.search_roots(0, 0, 0, 0, 1);
-        worker.outcome
-    } else {
-        // Shard subtree roots (the assignments of the first `root_depth` tasks)
-        // across workers in contiguous ranges, the way the exhaustive search shards
-        // masks. Each worker walks the prefix tree restricted to its range, so the
-        // only duplicated evaluator work is the boundary prefixes shared between
-        // neighbouring workers (at most `workers * root_depth` extra flips, none of
-        // them double-counted — see `search_roots`). Aim for several roots per
-        // worker: with exactly one power-of-two root per thread, a non-power-of-two
-        // thread count would leave `roots.div_ceil(workers)`-sized ranges to a
-        // prefix of the workers and the rest idle.
-        let mut root_depth = 0usize;
-        while (1u64 << root_depth) < 4 * threads as u64 && root_depth < n.min(10) {
-            root_depth += 1;
-        }
-        let roots = 1u64 << root_depth;
-        let worker_count = (threads as u64).min(roots);
-        let per_worker = roots.div_ceil(worker_count);
-        let mut slots: Vec<Option<WorkerOutcome>> = Vec::new();
-        slots.resize_with(worker_count as usize, || None);
-        rayon::scope(|scope| {
-            for (worker_index, slot) in slots.iter_mut().enumerate() {
-                let start = worker_index as u64 * per_worker;
-                let end = (start + per_worker).min(roots);
-                let (suffix_area, bound) = (&suffix_area, &bound);
-                scope.spawn(move |_| {
-                    let mut worker = BnbWorker::new(compiled, mode, suffix_area, bound);
-                    worker.search_roots(0, root_depth, 0, start, end);
-                    *slot = Some(worker.outcome);
-                });
-            }
-        });
-        reduce_outcomes(
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every worker reports an outcome")),
-        )
+    let mut search = BranchAndBound {
+        // Undecided tasks park in hardware: they contribute no processor load, so the
+        // evaluator's application loads are exactly the decided-software loads — a
+        // lower bound on every completion's loads.
+        evaluator: IncrementalEvaluator::all_hardware(compiled),
+        mode,
+        bound: suffix_area[0],
+        suffix_area,
+        tally: Tally::default(),
     };
-
-    into_search_outcome(outcome)
+    search.dfs(0, 0);
+    search.tally.into_outcome()
 }
 
 /// The historical single-threaded, prune-free, string-keyed scan, kept as the oracle
@@ -879,11 +716,12 @@ mod tests {
         for mode in [FeasibilityMode::PerApplication, FeasibilityMode::Serialized] {
             let serial = optimize_serial_reference(&problem, mode).unwrap();
             let compiled = CompiledProblem::compile(&problem).unwrap();
-            let parallel = optimize_compiled(&compiled, mode, SearchStrategy::Exhaustive).unwrap();
-            assert_eq!(parallel.mapping, serial.mapping);
-            assert_eq!(parallel.cost, serial.cost);
-            assert_eq!(parallel.feasibility, serial.feasibility);
-            assert_eq!(parallel.evaluated_candidates, serial.evaluated_candidates);
+            let exhaustive =
+                optimize_compiled(&compiled, mode, SearchStrategy::Exhaustive).unwrap();
+            assert_eq!(exhaustive.mapping, serial.mapping);
+            assert_eq!(exhaustive.cost, serial.cost);
+            assert_eq!(exhaustive.feasibility, serial.feasibility);
+            assert_eq!(exhaustive.evaluated_candidates, serial.evaluated_candidates);
             let bnb = optimize_compiled(&compiled, mode, SearchStrategy::BranchAndBound).unwrap();
             assert_eq!(bnb.mapping, serial.mapping);
             assert_eq!(bnb.cost, serial.cost);
@@ -891,10 +729,10 @@ mod tests {
         }
     }
 
-    /// 14 tasks = 16384 masks: beyond the serial-scan threshold, so the exhaustive
-    /// search actually fans out over multiple chunks and the shared bound prunes.
-    fn chunked_problem() -> SynthesisProblem {
-        let mut problem = SynthesisProblem::new("chunked", 40);
+    /// 14 tasks = 16384 masks: enough for the best-cost bound to prune and for
+    /// branch-and-bound to cut most of the decision tree.
+    fn fourteen_task_problem() -> SynthesisProblem {
+        let mut problem = SynthesisProblem::new("fourteen", 40);
         let mut app_a = Vec::new();
         let mut app_b = Vec::new();
         for index in 0..14u64 {
@@ -922,28 +760,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_exhaustive_matches_serial_on_a_chunked_space() {
-        let problem = chunked_problem();
+    fn exhaustive_matches_serial_and_prunes_on_a_14_task_space() {
+        let problem = fourteen_task_problem();
         let compiled = CompiledProblem::compile(&problem).unwrap();
-        let parallel = optimize_compiled(
+        let exhaustive = optimize_compiled(
             &compiled,
             FeasibilityMode::PerApplication,
             SearchStrategy::Exhaustive,
         )
         .unwrap();
         let serial = optimize_serial_reference(&problem, FeasibilityMode::PerApplication).unwrap();
-        assert_eq!(parallel.mapping, serial.mapping);
-        assert_eq!(parallel.cost.total(), serial.cost.total());
-        assert_eq!(parallel.evaluated_candidates, 1 << 14);
+        assert_eq!(exhaustive.mapping, serial.mapping);
+        assert_eq!(exhaustive.cost.total(), serial.cost.total());
+        assert_eq!(exhaustive.evaluated_candidates, 1 << 14);
         assert!(
-            parallel.pruned_candidates > 0,
-            "the shared bound should discard some of the 16384 masks"
+            exhaustive.pruned_candidates > 0,
+            "the best-cost bound should discard some of the 16384 masks"
         );
     }
 
     #[test]
     fn candidate_accounting_is_consistent_across_strategies() {
-        let problem = chunked_problem();
+        let problem = fourteen_task_problem();
         let n = problem.task_count() as u64;
         let serial = optimize_serial_reference(&problem, FeasibilityMode::PerApplication).unwrap();
         let compiled = CompiledProblem::compile(&problem).unwrap();
@@ -992,6 +830,17 @@ mod tests {
         // Greedy never prunes.
         assert_eq!(greedy.pruned_candidates, 0);
         assert!(greedy.evaluated_candidates >= 1);
+
+        // Each search is a fixed function of the problem: a second run returns
+        // the identical result, candidate counts included.
+        for (strategy, first) in [
+            (SearchStrategy::Exhaustive, &exhaustive),
+            (SearchStrategy::BranchAndBound, &bnb),
+        ] {
+            let again =
+                optimize_compiled(&compiled, FeasibilityMode::PerApplication, strategy).unwrap();
+            assert_eq!(&again, first, "{strategy:?} differed on a second run");
+        }
     }
 
     /// The greedy search as it is defined: every repair move rescans the

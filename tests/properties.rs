@@ -239,13 +239,15 @@ fn variant_aware_never_loses_to_superposition() {
 /// On seeded random problems, branch-and-bound must return the bit-identical optimum
 /// — same mapping, same cost breakdown, same `(total, hw-count, Reverse(mask))`
 /// tie-break — as the retained string-keyed serial exhaustive reference, under both
-/// feasibility modes. The chunked parallel exhaustive search is held to the same
-/// standard while we are at it.
+/// feasibility modes. The compiled exhaustive search is held to the same standard
+/// while we are at it, and a repeated run of either must return the identical
+/// result, candidate counts included.
 #[test]
 fn exact_searches_match_the_serial_oracle_on_random_problems() {
     let mut cases = Cases::new(11);
+    let mut problems = Vec::new();
     for round in 0..24 {
-        let problem = if round % 2 == 0 {
+        problems.push(if round % 2 == 0 {
             // Single variant set: few tasks, many ties.
             random_problem(
                 1 + cases.below(3) as usize,
@@ -260,11 +262,18 @@ fn exact_searches_match_the_serial_oracle_on_random_problems() {
                 2 + cases.below(2) as usize,
                 1000 + cases.below(50),
             )
-        };
+        });
+    }
+    // 11–14 tasks (3–6 common tasks plus two sets of four clusters): the
+    // widest problems the string-keyed oracle enumerates in a test's time.
+    for common in 3..=6 {
+        problems.push(random_multi_problem(common, 4, 1100 + cases.below(50)));
+    }
+    for (round, problem) in problems.iter().enumerate() {
         for mode in [FeasibilityMode::PerApplication, FeasibilityMode::Serialized] {
-            let oracle = optimize_serial_reference(&problem, mode).unwrap();
+            let oracle = optimize_serial_reference(problem, mode).unwrap();
             for exact in [SearchStrategy::Exhaustive, SearchStrategy::BranchAndBound] {
-                let result = optimize(&problem, mode, exact).unwrap();
+                let result = optimize(problem, mode, exact).unwrap();
                 assert_eq!(
                     result.mapping,
                     oracle.mapping,
@@ -276,6 +285,11 @@ fn exact_searches_match_the_serial_oracle_on_random_problems() {
                 assert_eq!(
                     result.feasibility, oracle.feasibility,
                     "feasibility report diverged on round {round}"
+                );
+                assert_eq!(
+                    optimize(problem, mode, exact).unwrap(),
+                    result,
+                    "{exact:?}/{mode:?} differed on a second run of round {round}"
                 );
             }
         }

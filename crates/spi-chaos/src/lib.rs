@@ -13,7 +13,7 @@
 //! 2. bit-identical optimum versus the serial reference,
 //! 3. clean decision-trace replay ([`spi_store::trace::TraceReplay`]),
 //! 4. valid waitgraph snapshot,
-//! 5. conservation laws between trace-derived counts and metrics counters.
+//! 5. conservation laws over the traced lease fates and queue traffic.
 //!
 //! A failing plan is shrunk by greedy delta debugging
 //! ([`shrink::shrink`]) to a minimal reproducer and printed as **one

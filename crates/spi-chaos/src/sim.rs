@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 
 use spi_explore::{
     drain_lease, rebuild_from_recipe, DrainOutcome, ExploreError, FlushResponse, HedgeConfig,
-    JobId, JobRegistry, JobSpec, JobState, Lease, MemoryStore, MetricsRegistry, RegistryConfig,
-    ShardReport, TaskParamsSpec,
+    JobId, JobRegistry, JobSpec, JobState, Lease, MemoryStore, RegistryConfig, ShardReport,
+    SpanSink, TaskParamsSpec,
 };
 use spi_model::json::{JsonError, JsonValue};
 use spi_synth::from_flat_graph;
@@ -201,7 +201,6 @@ struct Sim {
     store: Arc<Mutex<MemoryStore>>,
     script: Arc<Mutex<FaultScript>>,
     registry: JobRegistry,
-    metrics: Arc<MetricsRegistry>,
     job: JobId,
     now: Instant,
     held: Vec<Lease>,
@@ -214,9 +213,7 @@ impl Sim {
     fn new(config: SimConfig, oracle_best: (usize, u64)) -> Result<Sim, SimFailure> {
         let store = Arc::new(Mutex::new(MemoryStore::default()));
         let script = Arc::new(Mutex::new(FaultScript::default()));
-        let metrics = Arc::new(MetricsRegistry::new());
         let mut registry = JobRegistry::with_config(registry_config(&config));
-        registry.set_metrics(Arc::clone(&metrics));
         registry.set_sink(Box::new(FaultSink::new(
             Arc::clone(&store),
             Arc::clone(&script),
@@ -259,7 +256,6 @@ impl Sim {
             store,
             script,
             registry,
-            metrics,
             job,
             now: Instant::now(),
             held: Vec::new(),
@@ -316,9 +312,12 @@ impl Sim {
     /// belongs to someone else now).
     fn drain_commit(&mut self, lease: &Lease, batch: usize) {
         let mut flushes: Vec<(ShardReport, bool)> = Vec::new();
+        let metrics = self.registry.metrics();
         let outcome = drain_lease(
             lease,
             batch.max(1),
+            &metrics,
+            &SpanSink::disabled(),
             || false,
             |delta, is_final| {
                 flushes.push((delta, is_final));
@@ -352,9 +351,12 @@ impl Sim {
     /// nor abandoned and must be reclaimed by expiry.
     fn drain_crash(&mut self, lease: &Lease, batches: u8) {
         let mut partials: Vec<ShardReport> = Vec::new();
+        let metrics = self.registry.metrics();
         let _ = drain_lease(
             lease,
             1,
+            &metrics,
+            &SpanSink::disabled(),
             || false,
             |delta, is_final| {
                 if !is_final && partials.len() < usize::from(batches) {
@@ -399,8 +401,6 @@ impl Sim {
                 .sum();
         }
         let mut registry = JobRegistry::with_config(registry_config(&self.config));
-        self.metrics = Arc::new(MetricsRegistry::new());
-        registry.set_metrics(Arc::clone(&self.metrics));
         let (snapshot, records) = {
             let store = self.store.lock().expect("store lock");
             (store.snapshot.clone(), store.records.clone())
@@ -431,12 +431,8 @@ impl Sim {
         }
         let (report, replay_violations) = oracle::check_replay(&drain.events);
         self.violations.extend(replay_violations);
-        self.violations.extend(oracle::check_conservation(
-            &drain.events,
-            &report,
-            &self.metrics,
-            drained,
-        ));
+        self.violations
+            .extend(oracle::check_conservation(&drain.events, &report, drained));
         self.violations
             .extend(oracle::check_waitgraph(&self.registry.waitgraph()));
     }

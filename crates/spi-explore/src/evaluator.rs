@@ -48,9 +48,12 @@ pub struct Evaluation {
 
 /// A pluggable variant evaluator; see the module docs.
 ///
-/// The drain reads an evaluation's `detail` only for the variants that enter
-/// its shard report's top-K, and says so through
-/// [`evaluate_spanned`](Self::evaluate_spanned)'s `keep` test: the default
+/// An evaluator implements one method,
+/// [`evaluate_spanned`](Self::evaluate_spanned), which the drain calls for
+/// every variant it does not prune; [`evaluate`](Self::evaluate) is the same
+/// call with nothing observed and every result kept. The drain reads an
+/// evaluation's `detail` only for the variants that enter its shard report's
+/// top-K, and says so through `evaluate_spanned`'s `keep` test: the default
 /// [`PartitionEvaluator`] builds task names for those entrants alone.
 pub trait Evaluator: Send + Sync {
     /// An admissible lower bound on [`evaluate`](Self::evaluate)'s cost for
@@ -71,32 +74,25 @@ pub trait Evaluator: Send + Sync {
         None
     }
 
-    /// Evaluates the variant at `index` of the space. `graph` is the flattened
-    /// single-variant SPI graph for `choice`; `incumbent` is the best feasible
-    /// cost seen job-wide at call time (`u64::MAX` until a first result), which
-    /// smart evaluators may use to cut their own internal search.
+    /// Evaluates the variant at `index` of the space, as the drain calls it.
+    /// `graph` is the flattened single-variant SPI graph for `choice`;
+    /// `incumbent` is the best feasible cost seen job-wide at call time
+    /// (`u64::MAX` until a first result), which smart evaluators may use to
+    /// cut their own internal search.
+    ///
+    /// `spans` is a [`SpanSink`] the evaluator may record its internal stages
+    /// into (the default [`PartitionEvaluator`] times its compile lowering
+    /// and partition search separately). `keep` answers whether the caller
+    /// will keep a feasible result of a given cost: the drain keeps only the
+    /// variants that enter its shard report's top-K, so an evaluator whose
+    /// `detail` is costly may return an empty one whenever `keep(cost)` is
+    /// false — the partition evaluator renders task names only for the
+    /// entrants. An evaluator that always returns a ready `detail` may
+    /// ignore both.
     ///
     /// # Errors
     ///
     /// Evaluation errors are counted per shard and do not abort the job.
-    fn evaluate(
-        &self,
-        index: usize,
-        choice: &VariantChoice,
-        graph: &SpiGraph,
-        incumbent: u64,
-    ) -> Result<Evaluation>;
-
-    /// As [`evaluate`](Self::evaluate), as the drain calls it: with a
-    /// [`SpanSink`] the evaluator may record its internal stages into (the
-    /// default [`PartitionEvaluator`] times its compile lowering and partition
-    /// search separately), and with `keep`, which answers whether the caller
-    /// will keep a feasible result of a given cost. The drain keeps only the
-    /// variants that enter its shard report's top-K, so an evaluator whose
-    /// `detail` is costly may return an empty one whenever `keep(cost)` is
-    /// false — the partition evaluator renders task names only for the
-    /// entrants. The default implementation ignores both and delegates, so
-    /// evaluators that always return a ready `detail` need not care.
     fn evaluate_spanned(
         &self,
         index: usize,
@@ -105,9 +101,29 @@ pub trait Evaluator: Send + Sync {
         incumbent: u64,
         spans: &SpanSink,
         keep: &dyn Fn(u64) -> bool,
+    ) -> Result<Evaluation>;
+
+    /// [`evaluate_spanned`](Self::evaluate_spanned) with a disabled span
+    /// sink and every result kept, so `detail` is always rendered.
+    ///
+    /// # Errors
+    ///
+    /// As [`evaluate_spanned`](Self::evaluate_spanned).
+    fn evaluate(
+        &self,
+        index: usize,
+        choice: &VariantChoice,
+        graph: &SpiGraph,
+        incumbent: u64,
     ) -> Result<Evaluation> {
-        let _ = (spans, keep);
-        self.evaluate(index, choice, graph, incumbent)
+        self.evaluate_spanned(
+            index,
+            choice,
+            graph,
+            incumbent,
+            &SpanSink::disabled(),
+            &|_| true,
+        )
     }
 
     /// Binds this evaluator to one job, whose variants `flattener` produces.
@@ -328,23 +344,6 @@ impl Evaluator for PartitionEvaluator {
         self.bound_of(area_sum)
     }
 
-    fn evaluate(
-        &self,
-        index: usize,
-        choice: &VariantChoice,
-        graph: &SpiGraph,
-        incumbent: u64,
-    ) -> Result<Evaluation> {
-        self.evaluate_spanned(
-            index,
-            choice,
-            graph,
-            incumbent,
-            &SpanSink::disabled(),
-            &|_| true,
-        )
-    }
-
     fn evaluate_spanned(
         &self,
         _index: usize,
@@ -401,23 +400,6 @@ impl Evaluator for BoundPartitionEvaluator {
     /// change the cache address either.
     fn spec(&self) -> Option<JsonValue> {
         self.evaluator.spec()
-    }
-
-    fn evaluate(
-        &self,
-        index: usize,
-        choice: &VariantChoice,
-        graph: &SpiGraph,
-        incumbent: u64,
-    ) -> Result<Evaluation> {
-        self.evaluate_spanned(
-            index,
-            choice,
-            graph,
-            incumbent,
-            &SpanSink::disabled(),
-            &|_| true,
-        )
     }
 
     fn evaluate_spanned(
@@ -498,12 +480,14 @@ where
         self.spec.clone()
     }
 
-    fn evaluate(
+    fn evaluate_spanned(
         &self,
         index: usize,
         choice: &VariantChoice,
         graph: &SpiGraph,
         _incumbent: u64,
+        _spans: &SpanSink,
+        _keep: &dyn Fn(u64) -> bool,
     ) -> Result<Evaluation> {
         (self.function)(index, choice, graph)
     }

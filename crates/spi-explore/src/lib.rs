@@ -87,9 +87,7 @@ pub use spi_store::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use wire::{
     handle_request, rebuild_from_recipe, run_session, serve, status_from_json, WireStatus,
 };
-pub use worker::{
-    drain_lease, drain_lease_instrumented, drain_lease_spanned, DrainOutcome, FlushResponse,
-};
+pub use worker::{drain_lease, DrainOutcome, FlushResponse};
 
 /// Convenient result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, ExploreError>;

@@ -555,6 +555,61 @@ pub struct RestoreStats {
     pub cache_entries: usize,
 }
 
+/// Where the registry records its scheduler decisions: each one goes into
+/// the trace ring and adds the counters [`MetricsRegistry::count`] derives
+/// from it, through one [`emit`](Self::emit).
+struct Events {
+    /// Bounded ring of scheduler decisions; drained over the `trace` op.
+    trace: TraceCapture,
+    /// Aggregate counters/gauges/histograms next to the event-level trace;
+    /// shared with the service layer (and with benches, which may hand in a
+    /// [`MetricsRegistry::disabled`] stub to measure instrumentation cost).
+    metrics: Arc<MetricsRegistry>,
+}
+
+impl Events {
+    /// Records one scheduler decision: in the trace, and in its counters.
+    fn emit(&mut self, event: TraceEvent) {
+        self.metrics.count(&event);
+        self.trace.record(event);
+    }
+
+    /// Queues `shards` of job `id` on `tenant`'s WFQ queue at `weight`: the
+    /// one place a shard is enqueued, emitted and added to the tenant's
+    /// metrics row. The row is looked up once per call, not once per shard.
+    fn enqueue(
+        &mut self,
+        scheduler: &mut FairScheduler,
+        id: JobId,
+        tenant: &str,
+        weight: u32,
+        shards: impl IntoIterator<Item = usize>,
+    ) {
+        let row = self
+            .metrics
+            .is_enabled()
+            .then(|| self.metrics.tenant(tenant));
+        for shard in shards {
+            scheduler.enqueue(tenant, weight, (id.raw(), shard));
+            self.emit(TraceEvent::WfqEnqueue {
+                tenant: tenant.to_string(),
+                weight,
+                job: id.raw(),
+                shard,
+            });
+            if let Some(row) = &row {
+                row.add_enqueue();
+            }
+        }
+        if let Some(row) = row {
+            row.observe_queue(
+                scheduler.tenant_backlog(tenant) as u64,
+                scheduler.tenant_vtime_lag(tenant),
+            );
+        }
+    }
+}
+
 /// The service's job table; see the module docs for the protocol.
 pub struct JobRegistry {
     config: RegistryConfig,
@@ -572,13 +627,9 @@ pub struct JobRegistry {
     leases: HashMap<LeaseId, (JobId, usize)>,
     cache: ResultCache,
     sink: Option<Box<dyn DurabilitySink>>,
-    auto_compactions: u64,
-    /// Bounded ring of scheduler decisions; drained over the `trace` op.
-    trace: TraceCapture,
-    /// Aggregate counters/gauges/histograms next to the event-level trace;
-    /// shared with the service layer (and with benches, which may hand in a
-    /// [`MetricsRegistry::disabled`] stub to measure instrumentation cost).
-    metrics: Arc<MetricsRegistry>,
+    /// Where every scheduler decision is recorded, once; a field apart from
+    /// `jobs`, so a decision can be emitted while a job is borrowed.
+    events: Events,
     /// The registry's own span sink (commit/renew/WAL phases run under the
     /// registry lock, so one sink suffices); a disabled no-op by default.
     spans: SpanSink,
@@ -608,9 +659,10 @@ impl JobRegistry {
             leases: HashMap::new(),
             cache,
             sink: None,
-            auto_compactions: 0,
-            trace,
-            metrics: Arc::new(MetricsRegistry::new()),
+            events: Events {
+                trace,
+                metrics: Arc::new(MetricsRegistry::new()),
+            },
             spans: SpanSink::disabled(),
         }
     }
@@ -620,12 +672,12 @@ impl JobRegistry {
     /// the worker pool and the wire surface all share one instance; benches
     /// pass [`MetricsRegistry::disabled`] to measure instrumentation cost.
     pub fn set_metrics(&mut self, metrics: Arc<MetricsRegistry>) {
-        self.metrics = metrics;
+        self.events.metrics = metrics;
     }
 
     /// The metrics registry transitions are counted into.
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.metrics)
+        Arc::clone(&self.events.metrics)
     }
 
     /// Replaces the span sink the registry's own phases (lease renew, shard
@@ -642,7 +694,7 @@ impl JobRegistry {
     ///
     /// [`SpanRecorder::link_trace_seq`]: spi_store::SpanRecorder::link_trace_seq
     pub fn trace_seq_mirror(&self) -> Arc<AtomicU64> {
-        self.trace.seq_mirror()
+        self.events.trace.seq_mirror()
     }
 
     /// Attaches the durability sink every subsequent transition is
@@ -655,12 +707,6 @@ impl JobRegistry {
     /// `(entries, hits, misses)` of the result cache, for observability.
     pub fn cache_stats(&self) -> (usize, u64, u64) {
         (self.cache.len(), self.cache.hits(), self.cache.misses())
-    }
-
-    /// How many times the WAL was auto-compacted because its log outgrew
-    /// [`RegistryConfig::compact_log_bytes`].
-    pub fn auto_compactions(&self) -> u64 {
-        self.auto_compactions
     }
 
     /// Number of currently live leases (across all jobs and hedges).
@@ -739,14 +785,11 @@ impl JobRegistry {
                     .map(ShardReport::from_json)
                     .transpose()
                     .map_err(|e| ExploreError::Store(format!("corrupt cache entry: {e}")))?;
-                self.metrics.add(
-                    if hit.is_some() {
-                        CounterId::CacheHits
-                    } else {
-                        CounterId::CacheMisses
-                    },
-                    1,
-                );
+                // A hit is counted when its job exists (the `CacheHit`
+                // event below), a miss here: no event records one.
+                if hit.is_none() {
+                    self.events.metrics.add(CounterId::CacheMisses, 1);
+                }
                 hit
             }
             _ => None,
@@ -818,32 +861,16 @@ impl JobRegistry {
 
         self.next_job += 1;
         if cache_hit {
-            self.trace.record(TraceEvent::CacheHit { job: id.raw() });
+            self.events.emit(TraceEvent::CacheHit { job: id.raw() });
         }
         if job.state == JobState::Running {
-            for shard in 0..shard_count {
-                self.scheduler
-                    .enqueue(&job.tenant, job.weight, (id.raw(), shard));
-                self.trace.record(TraceEvent::WfqEnqueue {
-                    tenant: job.tenant.clone(),
-                    weight: job.weight,
-                    job: id.raw(),
-                    shard,
-                });
-            }
-            self.metrics.add(CounterId::WfqEnqueues, shard_count as u64);
-            if self.metrics.is_enabled() {
-                let tenant = self.metrics.tenant(&job.tenant);
-                for _ in 0..shard_count {
-                    tenant.add_enqueue();
-                }
-                tenant.observe_queue(
-                    self.scheduler.tenant_backlog(&job.tenant) as u64,
-                    self.scheduler.tenant_vtime_lag(&job.tenant),
-                );
-            }
-        }
-        if job.state == JobState::Running {
+            self.events.enqueue(
+                &mut self.scheduler,
+                id,
+                &job.tenant,
+                job.weight,
+                0..shard_count,
+            );
             self.running.insert(id);
         }
         self.jobs.insert(id, job);
@@ -870,14 +897,13 @@ impl JobRegistry {
             // Every dispatch is recorded — including ones skipped as stale
             // below — because each one advances virtual time and debits the
             // tenant's traced backlog; replay would underflow otherwise.
-            self.trace.record(TraceEvent::WfqDequeue {
+            self.events.emit(TraceEvent::WfqDequeue {
                 tenant: dispatch.tenant,
                 weight: dispatch.weight,
                 job: job_raw,
                 shard,
                 vtime: dispatch.vtime,
             });
-            self.metrics.add(CounterId::WfqDequeues, 1);
             let job_id = JobId(job_raw);
             let Some(job) = self.jobs.get(&job_id) else {
                 continue;
@@ -888,8 +914,9 @@ impl JobRegistry {
             {
                 continue;
             }
-            if self.metrics.is_enabled() {
-                let tenant = self.metrics.tenant(&job.tenant);
+            let metrics = &self.events.metrics;
+            if metrics.is_enabled() {
+                let tenant = metrics.tenant(&job.tenant);
                 tenant.add_service();
                 tenant.observe_queue(
                     self.scheduler.tenant_backlog(&job.tenant) as u64,
@@ -946,17 +973,13 @@ impl JobRegistry {
     ) -> Lease {
         let lease = LeaseId(self.next_lease);
         self.next_lease += 1;
-        self.trace.record(TraceEvent::LeaseGrant {
+        self.events.emit(TraceEvent::LeaseGrant {
             job: job_id.raw(),
             shard,
             lease: lease.raw(),
             worker: worker.to_string(),
             hedged,
         });
-        self.metrics.add(CounterId::LeaseGrants, 1);
-        if hedged {
-            self.metrics.add(CounterId::HedgesIssued, 1);
-        }
         let deadline = now + self.config.lease_timeout;
         let job = self.jobs.get_mut(&job_id).expect("candidate job exists");
         let holder = Holder {
@@ -1050,12 +1073,11 @@ impl JobRegistry {
                 self.spans.exit();
             }
             appended?;
-            if self.metrics.is_enabled() {
-                self.metrics.add(CounterId::WalAppends, 1);
-                self.metrics
-                    .add(CounterId::WalAppendBytes, record.to_line().len() as u64);
-                self.metrics
-                    .set_gauge(GaugeId::WalLogBytes, sink.log_bytes());
+            let metrics = &self.events.metrics;
+            if metrics.is_enabled() {
+                metrics.add(CounterId::WalAppends, 1);
+                metrics.add(CounterId::WalAppendBytes, record.to_line().len() as u64);
+                metrics.set_gauge(GaugeId::WalLogBytes, sink.log_bytes());
             }
         }
         Ok(())
@@ -1083,16 +1105,15 @@ impl JobRegistry {
         if let ShardSlot::Leased { holders } = &mut job.shards[shard] {
             if let Some(holder) = holders.iter_mut().find(|holder| holder.lease == lease) {
                 holder.deadline = deadline;
-                self.trace.record(TraceEvent::LeaseRenew {
+                self.events.emit(TraceEvent::LeaseRenew {
                     job: job_id.raw(),
                     shard,
                     lease: lease.raw(),
                 });
-                self.metrics.add(CounterId::LeaseRenews, 1);
             }
         }
         if delta.eval_ns > 0 {
-            self.metrics.record(
+            self.events.metrics.record(
                 HistogramId::BatchEvalNs,
                 u64::try_from(delta.eval_ns).unwrap_or(u64::MAX),
             );
@@ -1196,27 +1217,26 @@ impl JobRegistry {
         self.leases.remove(&lease);
         job.shards[shard] = ShardSlot::Done;
         job.shards_done += 1;
-        self.trace.record(TraceEvent::ShardCommit {
+        self.events.emit(TraceEvent::ShardCommit {
             job: job_id.raw(),
             shard,
             lease: lease.raw(),
             evaluated,
         });
-        self.metrics.add(CounterId::ShardCommits, 1);
-        self.metrics.add(CounterId::EvalVariants, evaluated);
         if let Some(started) = winner_started {
             let duration = now.saturating_duration_since(started);
             let duration_ns = u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX);
             job.latencies.record_ns(duration_ns);
-            self.metrics.record(HistogramId::ShardEvalNs, duration_ns);
+            self.events
+                .metrics
+                .record(HistogramId::ShardEvalNs, duration_ns);
             if earliest_started.is_some_and(|earliest| started > earliest) {
                 job.hedge_wins += 1;
-                self.trace.record(TraceEvent::HedgeWin {
+                self.events.emit(TraceEvent::HedgeWin {
                     job: job_id.raw(),
                     shard,
                     lease: lease.raw(),
                 });
-                self.metrics.add(CounterId::HedgeWins, 1);
             }
         }
 
@@ -1237,13 +1257,11 @@ impl JobRegistry {
             if let Some((digest, result)) = cache_entry {
                 let evicted = self.cache.insert(digest, result);
                 if evicted > 0 {
-                    self.trace.record(TraceEvent::CacheEvict { evicted });
-                    self.metrics.add(CounterId::CacheEvictions, evicted);
+                    self.events.emit(TraceEvent::CacheEvict { evicted });
                 }
-                self.metrics
-                    .set_gauge(GaugeId::CacheEntries, self.cache.len() as u64);
-                self.metrics
-                    .set_gauge(GaugeId::CacheBytes, self.cache.total_bytes() as u64);
+                let metrics = &self.events.metrics;
+                metrics.set_gauge(GaugeId::CacheEntries, self.cache.len() as u64);
+                metrics.set_gauge(GaugeId::CacheBytes, self.cache.total_bytes() as u64);
             }
             self.maybe_compact_for_size();
             if spanning {
@@ -1270,8 +1288,8 @@ impl JobRegistry {
             .sink
             .as_ref()
             .is_some_and(|sink| sink.log_bytes() > budget);
-        if oversized && self.compact_store().is_ok() {
-            self.auto_compactions += 1;
+        if oversized {
+            let _ = self.compact_store();
         }
     }
 
@@ -1289,7 +1307,7 @@ impl JobRegistry {
         let Some((job_id, shard)) = self.leases.remove(&lease) else {
             return;
         };
-        self.trace.record(if expired {
+        self.events.emit(if expired {
             TraceEvent::LeaseExpire {
                 job: job_id.raw(),
                 shard,
@@ -1302,37 +1320,19 @@ impl JobRegistry {
                 lease: lease.raw(),
             }
         });
-        self.metrics.add(
-            if expired {
-                CounterId::LeaseExpiries
-            } else {
-                CounterId::LeaseAbandons
-            },
-            1,
-        );
         let job = self.jobs.get_mut(&job_id).expect("lease resolves to job");
         job.staged.remove(&lease);
         if let ShardSlot::Leased { holders } = &mut job.shards[shard] {
             holders.retain(|holder| holder.lease != lease);
             if holders.is_empty() && job.state == JobState::Running {
                 job.shards[shard] = ShardSlot::Pending;
-                self.scheduler
-                    .enqueue(&job.tenant, job.weight, (job_id.raw(), shard));
-                self.trace.record(TraceEvent::WfqEnqueue {
-                    tenant: job.tenant.clone(),
-                    weight: job.weight,
-                    job: job_id.raw(),
-                    shard,
-                });
-                self.metrics.add(CounterId::WfqEnqueues, 1);
-                if self.metrics.is_enabled() {
-                    let tenant = self.metrics.tenant(&job.tenant);
-                    tenant.add_enqueue();
-                    tenant.observe_queue(
-                        self.scheduler.tenant_backlog(&job.tenant) as u64,
-                        self.scheduler.tenant_vtime_lag(&job.tenant),
-                    );
-                }
+                self.events.enqueue(
+                    &mut self.scheduler,
+                    job_id,
+                    &job.tenant,
+                    job.weight,
+                    [shard],
+                );
             }
         }
     }
@@ -1397,12 +1397,11 @@ impl JobRegistry {
             .collect();
         for (lease, shard) in stale {
             self.leases.remove(&lease);
-            self.trace.record(TraceEvent::LeaseAbandon {
+            self.events.emit(TraceEvent::LeaseAbandon {
                 job: job_id.raw(),
                 shard,
                 lease: lease.raw(),
             });
-            self.metrics.add(CounterId::LeaseAbandons, 1);
         }
         let job = self.jobs.get_mut(&job_id).expect("job still present");
         for slot in &mut job.shards {
@@ -1460,26 +1459,26 @@ impl JobRegistry {
     /// events the ring had to drop since the previous drain). Concatenated
     /// drains of a never-full ring form one gap-free, replayable trace.
     pub fn drain_trace(&mut self) -> TraceDrain {
-        self.trace.drain()
+        self.events.trace.drain()
     }
 
     /// Reads trace events at or after the `since` cursor **without**
     /// consuming them — the cursor-style counterpart of
     /// [`drain_trace`](Self::drain_trace); see [`TraceCapture::read_since`].
     pub fn read_trace_since(&self, since: u64) -> TraceDrain {
-        self.trace.read_since(since)
+        self.events.trace.read_since(since)
     }
 
     /// The sequence number the next recorded trace event will get — the
     /// natural starting cursor for [`read_trace_since`](Self::read_trace_since).
     pub fn trace_next_seq(&self) -> u64 {
-        self.trace.next_seq()
+        self.events.trace.next_seq()
     }
 
     /// Registers a bounded live subscription fed every subsequent trace
     /// event; see [`TraceCapture::subscribe`].
     pub fn subscribe_trace(&mut self, queue: usize) -> TraceSubscription {
-        self.trace.subscribe(queue)
+        self.events.trace.subscribe(queue)
     }
 
     /// A point-in-time health observation for the stall watchdog: every live
@@ -1515,7 +1514,7 @@ impl JobRegistry {
             .map(|tenant| crate::health::TenantHealth {
                 tenant: tenant.to_string(),
                 backlog: self.scheduler.tenant_backlog(tenant) as u64,
-                service: self.metrics.tenant_service(tenant),
+                service: self.events.metrics.tenant_service(tenant),
             })
             .collect();
         crate::health::HealthObservation {
@@ -1523,7 +1522,7 @@ impl JobRegistry {
             tenants,
             log_bytes: self.sink.as_ref().map_or(0, |sink| sink.log_bytes()),
             compact_budget: self.config.compact_log_bytes,
-            compactions: self.metrics.counter(CounterId::WalCompactions),
+            compactions: self.events.metrics.counter(CounterId::WalCompactions),
         }
     }
 
@@ -1664,9 +1663,10 @@ impl JobRegistry {
         let snapshot = self.durable_snapshot();
         if let Some(sink) = self.sink.as_mut() {
             let log_bytes = sink.compact(&snapshot).map_err(ExploreError::Store)?;
-            self.trace.record(TraceEvent::WalCompact { log_bytes });
-            self.metrics.add(CounterId::WalCompactions, 1);
-            self.metrics.set_gauge(GaugeId::WalLogBytes, log_bytes);
+            self.events.emit(TraceEvent::WalCompact { log_bytes });
+            self.events
+                .metrics
+                .set_gauge(GaugeId::WalLogBytes, sink.log_bytes());
         }
         Ok(())
     }
@@ -1798,23 +1798,16 @@ impl JobRegistry {
                 match rebuilt {
                     Some((flattener, evaluator)) => {
                         stats.resumed += 1;
-                        for shard in 0..job.shard_count {
-                            if !job.done.contains(&shard) {
-                                stats.requeued_shards += 1;
-                                self.scheduler
-                                    .enqueue(&job.tenant, job.weight, (raw, shard));
-                                self.trace.record(TraceEvent::WfqEnqueue {
-                                    tenant: job.tenant.clone(),
-                                    weight: job.weight,
-                                    job: raw,
-                                    shard,
-                                });
-                                self.metrics.add(CounterId::WfqEnqueues, 1);
-                                if self.metrics.is_enabled() {
-                                    self.metrics.tenant(&job.tenant).add_enqueue();
-                                }
-                            }
-                        }
+                        let pending =
+                            (0..job.shard_count).filter(|shard| !job.done.contains(shard));
+                        stats.requeued_shards += pending.clone().count();
+                        self.events.enqueue(
+                            &mut self.scheduler,
+                            id,
+                            &job.tenant,
+                            job.weight,
+                            pending,
+                        );
                         engine = JobEngine::live(flattener, evaluator);
                     }
                     None => {
@@ -2232,6 +2225,8 @@ mod tests {
             drain_lease(
                 &lease,
                 5,
+                &MetricsRegistry::disabled(),
+                &SpanSink::disabled(),
                 || false,
                 |delta, last| {
                     let flushed = if last {
@@ -2898,14 +2893,12 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(registry.poll(id).unwrap().state, JobState::Completed);
+        let counted = registry.metrics().counter(CounterId::WalCompactions);
         assert!(
-            registry.auto_compactions() >= 1,
+            counted >= 1,
             "commits past the byte budget must compact mid-flight"
         );
-        assert_eq!(
-            registry.auto_compactions(),
-            compactions.load(Ordering::Relaxed)
-        );
+        assert_eq!(counted, compactions.load(Ordering::Relaxed));
     }
 
     #[test]
@@ -2926,7 +2919,7 @@ mod tests {
                 .complete_shard(lease.lease, report_with(lease.shard, 5), now)
                 .unwrap();
         }
-        assert_eq!(registry.auto_compactions(), 0);
+        assert_eq!(registry.metrics().counter(CounterId::WalCompactions), 0);
         assert_eq!(compactions.load(Ordering::Relaxed), 0);
     }
 

@@ -39,7 +39,7 @@ use crate::registry::{
     JobEvent, JobId, JobRegistry, JobSpec, JobStatus, Lease, RegistryConfig, RestoreStats,
 };
 use crate::wire::rebuild_from_recipe;
-use crate::worker::{drain_lease_spanned, DrainOutcome, FlushResponse};
+use crate::worker::{drain_lease, DrainOutcome, FlushResponse};
 use crate::{ExploreError, Result};
 use spi_model::json::JsonValue;
 
@@ -185,17 +185,8 @@ impl ExplorationService {
             compact_log_bytes: config.compact_log_bytes,
             trace_capacity: config.trace_capacity,
         });
-        let mut restored = RestoreStats::default();
-        if let Some(dir) = &config.store_dir {
-            let (wal, recovered) =
-                Wal::open(dir).map_err(|e| ExploreError::Store(e.to_string()))?;
-            restored = registry.restore(
-                recovered.snapshot.as_ref(),
-                &recovered.records,
-                &rebuild_from_recipe,
-            )?;
-            registry.set_sink(Box::new(WalSink(wal)));
-        }
+        // The observers attach before the restore, so the shards it requeues
+        // are counted where the rest of the run is.
         let metrics = Arc::new(if config.metrics_enabled {
             MetricsRegistry::new()
         } else {
@@ -211,6 +202,17 @@ impl ExplorationService {
         // sequence numbers it overlapped.
         spans.link_trace_seq(registry.trace_seq_mirror());
         registry.set_spans(spans.sink("registry"));
+        let mut restored = RestoreStats::default();
+        if let Some(dir) = &config.store_dir {
+            let (wal, recovered) =
+                Wal::open(dir).map_err(|e| ExploreError::Store(e.to_string()))?;
+            restored = registry.restore(
+                recovered.snapshot.as_ref(),
+                &recovered.records,
+                &rebuild_from_recipe,
+            )?;
+            registry.set_sink(Box::new(WalSink(wal)));
+        }
         let inner = Arc::new(Inner {
             registry: Mutex::new(registry),
             work_available: Condvar::new(),
@@ -638,7 +640,7 @@ fn process_lease(inner: &Inner, lease: &Lease, spans: &SpanSink, worker: &Arc<st
             worker: Some(Arc::clone(worker)),
         });
     }
-    let outcome = drain_lease_spanned(
+    let outcome = drain_lease(
         lease,
         inner.batch_size,
         &inner.metrics,

@@ -1,12 +1,15 @@
 //! Draining a leased shard: the per-worker hot loop.
 //!
-//! [`drain_lease`] is deliberately independent of the thread pool — it talks
-//! to the registry only through the `flush` callback, so the same code runs
-//! under the real [`crate::ExplorationService`] workers and under the
-//! deterministic simulated workers of the property tests.
+//! [`drain_lease`] is the one drain entry point, and it is deliberately
+//! independent of the thread pool — it talks to the registry only through
+//! the `flush` callback and to the observability planes only through the
+//! [`MetricsRegistry`] and [`SpanSink`] it is handed, so the same code runs
+//! under the real [`crate::ExplorationService`] workers, the deterministic
+//! simulated workers of the chaos harness and the property tests. Callers
+//! that observe nothing pass [`MetricsRegistry::disabled`] and
+//! [`SpanSink::disabled`].
 
 use std::sync::atomic::Ordering;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use spi_store::metrics::{CounterId, Histogram, HistogramId, MetricsRegistry};
@@ -71,6 +74,22 @@ pub enum DrainOutcome {
 ///   (only a *single evaluation* outlasting the whole lease timeout can
 ///   still lose the shard — size the timeout above the per-variant worst
 ///   case).
+/// * `metrics` receives, once per drain, the patch/rebuild/fallback totals
+///   of the drain's scratch graph and, per successful patch, how many
+///   processes the splice touched
+///   ([`HistogramId::FlattenPatchedProcesses`]). The patch sizes are tallied
+///   in a drain-local histogram first, because four atomics per variant on
+///   cache lines every worker shares cost a sizeable part of a variant that
+///   takes a few microseconds.
+/// * `spans` gets the whole drain as one [`PhaseId::DrainShard`] root span.
+///   For one rank in seven (the drain's first included), the variant's
+///   flatten is recorded as [`PhaseId::FlattenPatch`] or
+///   [`PhaseId::FlattenRebuild`] (classified by the delta flattener's own
+///   stats — a rebuild is exactly the one-shot `flatten_at` path), and the
+///   evaluator gets the sink through [`Evaluator::evaluate_spanned`] to time
+///   its internal stages; the other ranks run untimed, so their stage time
+///   counts as the drain's own. A disabled sink reduces every site to one
+///   branch.
 /// * `stop` is polled once per variant (service shutdown rides on it).
 /// * `flush(delta, is_final)` hands a report delta to the registry —
 ///   [`crate::JobRegistry::report_batch`] for intermediate batches,
@@ -78,78 +97,20 @@ pub enum DrainOutcome {
 ///   `eval_ns` covers exactly the work since the previous flush, so the
 ///   per-shard sum is the shard's true wall time.
 ///
+/// The drain asks the evaluator for a variant's `detail` only when the
+/// batch's [`ShardReport`] would keep the variant in its top-K (the same
+/// test [`ShardReport::record`] applies, passed as `evaluate_spanned`'s
+/// `keep`), so an evaluator that renders names lazily builds them for
+/// entrants alone.
+///
 /// Accounting guarantee: when the drain returns [`DrainOutcome::Completed`],
 /// every Gray rank `r ≡ shard (mod shard_count)` of the space was counted in
 /// exactly one flushed delta (as evaluated, pruned or errored). Gray order
 /// is a permutation of the space, so the union over all shards still covers
 /// every variant index exactly once.
-pub fn drain_lease(
-    lease: &Lease,
-    batch_size: usize,
-    stop: impl Fn() -> bool,
-    flush: impl FnMut(ShardReport, bool) -> FlushResponse,
-) -> DrainOutcome {
-    static STUB: OnceLock<MetricsRegistry> = OnceLock::new();
-    let metrics = STUB.get_or_init(MetricsRegistry::disabled);
-    drain_lease_instrumented(lease, batch_size, metrics, stop, flush)
-}
-
-/// Sums the drain's scratch-graph reuse into the flatten counters and merges
-/// its patched-process tally into the shared histogram — called once per
-/// drain, on every exit path.
-fn record_flatten(metrics: &MetricsRegistry, flattener: &DeltaFlattener<'_>, patched: &Histogram) {
-    let stats = flattener.stats();
-    metrics.add(CounterId::FlattenPatches, stats.patches);
-    metrics.add(CounterId::FlattenRebuilds, stats.rebuilds);
-    metrics.add(CounterId::FlattenFallbacks, stats.rebuild_fallbacks);
-    metrics
-        .histogram(HistogramId::FlattenPatchedProcesses)
-        .merge(patched);
-}
-
-/// [`drain_lease`] with a live [`MetricsRegistry`]: the worker pool's entry
-/// point. On top of the plain drain it records, per successful patch, how
-/// many processes the splice touched
-/// ([`HistogramId::FlattenPatchedProcesses`]), and the patch/rebuild/fallback
-/// totals of its scratch graph. Both reach the registry once per drain: the
-/// patch sizes are tallied in a drain-local histogram first, because four
-/// atomics per variant on cache lines every worker shares cost a sizeable
-/// part of a variant that takes a few microseconds.
-pub fn drain_lease_instrumented(
-    lease: &Lease,
-    batch_size: usize,
-    metrics: &MetricsRegistry,
-    stop: impl Fn() -> bool,
-    flush: impl FnMut(ShardReport, bool) -> FlushResponse,
-) -> DrainOutcome {
-    drain_lease_spanned(
-        lease,
-        batch_size,
-        metrics,
-        &SpanSink::disabled(),
-        stop,
-        flush,
-    )
-}
-
-/// [`drain_lease_instrumented`] plus the profiling plane: the whole drain
-/// becomes one [`PhaseId::DrainShard`] root span on `spans`. For one rank in
-/// seven (the drain's first included), the variant's flatten is recorded as
-/// [`PhaseId::FlattenPatch`] or [`PhaseId::FlattenRebuild`] (classified by
-/// the delta flattener's own stats — a rebuild is exactly the one-shot
-/// `flatten_at` path), and the evaluator gets the sink via
-/// [`Evaluator::evaluate_spanned`] to time its internal stages; the other
-/// ranks run untimed, so their stage time counts as the drain's own. A
-/// disabled sink reduces every site to one branch.
-///
-/// Every drain entry point asks the evaluator for a variant's `detail` only
-/// when the batch's [`ShardReport`] would keep the variant in its top-K (the
-/// same test [`ShardReport::record`] applies, passed as `evaluate_spanned`'s
-/// `keep`), so an evaluator that renders names lazily builds them for
-/// entrants alone.
 ///
 /// [`Evaluator::evaluate_spanned`]: crate::evaluator::Evaluator::evaluate_spanned
-pub fn drain_lease_spanned(
+pub fn drain_lease(
     lease: &Lease,
     batch_size: usize,
     metrics: &MetricsRegistry,
@@ -174,16 +135,16 @@ pub fn drain_lease_spanned(
         spans.enter(PhaseId::DrainShard);
     }
 
+    // `Some` when the drain ends early; `None` when it walked every rank,
+    // and then its final flush waits until the flatten totals are recorded.
     let mut rank = lease.shard;
-    while rank < combinations {
-        if lease.cancelled.load(Ordering::Relaxed) || stop() {
-            record_flatten(metrics, &flattener, &patched);
-            if spanning {
-                spans.exit();
-            }
-            return DrainOutcome::Stopped;
+    let ended = loop {
+        if rank >= combinations {
+            break None;
         }
-
+        if lease.cancelled.load(Ordering::Relaxed) || stop() {
+            break Some(DrainOutcome::Stopped);
+        }
         let timed = spanning && visited.is_multiple_of(TIMED_RANK_EVERY);
         let stage_spans = if timed { spans } else { &untimed };
         let patches_before = timed.then(|| flattener.stats().patches);
@@ -274,23 +235,27 @@ pub fn drain_lease_spanned(
             delta.eval_ns = batch_started.elapsed().as_nanos();
             let batch = std::mem::take(&mut delta);
             if flush(batch, false) == FlushResponse::Stop {
-                record_flatten(metrics, &flattener, &patched);
-                if spanning {
-                    spans.exit();
-                }
-                return DrainOutcome::Stale;
+                break Some(DrainOutcome::Stale);
             }
             since_flush = 0;
             batch_started = Instant::now();
         }
-    }
-
-    record_flatten(metrics, &flattener, &patched);
-    delta.eval_ns = batch_started.elapsed().as_nanos();
-    let outcome = match flush(delta, true) {
-        FlushResponse::Continue => DrainOutcome::Completed,
-        FlushResponse::Stop => DrainOutcome::Stale,
     };
+
+    let stats = flattener.stats();
+    metrics.add(CounterId::FlattenPatches, stats.patches);
+    metrics.add(CounterId::FlattenRebuilds, stats.rebuilds);
+    metrics.add(CounterId::FlattenFallbacks, stats.rebuild_fallbacks);
+    metrics
+        .histogram(HistogramId::FlattenPatchedProcesses)
+        .merge(&patched);
+    let outcome = ended.unwrap_or_else(|| {
+        delta.eval_ns = batch_started.elapsed().as_nanos();
+        match flush(delta, true) {
+            FlushResponse::Continue => DrainOutcome::Completed,
+            FlushResponse::Stop => DrainOutcome::Stale,
+        }
+    });
     if spanning {
         spans.exit();
     }
@@ -350,7 +315,7 @@ mod tests {
         let recorder = Arc::new(SpanRecorder::new(1024));
         let sink = recorder.sink("w0");
         let mut evaluated = 0;
-        let outcome = drain_lease_spanned(
+        let outcome = drain_lease(
             &lease,
             usize::MAX,
             &MetricsRegistry::disabled(),
@@ -394,10 +359,11 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let histogram = metrics.histogram(HistogramId::FlattenPatchedProcesses);
         let mut seen_mid_drain = Vec::new();
-        let outcome = drain_lease_instrumented(
+        let outcome = drain_lease(
             &lease,
             2,
             &metrics,
+            &SpanSink::disabled(),
             || false,
             |_, _| {
                 seen_mid_drain.push(histogram.count());
@@ -435,6 +401,8 @@ mod tests {
         let outcome = drain_lease(
             &lease,
             3,
+            &MetricsRegistry::disabled(),
+            &SpanSink::disabled(),
             || false,
             |delta, _| {
                 flushed.merge(&delta, 8);
@@ -475,6 +443,8 @@ mod tests {
         let outcome = drain_lease(
             &lease,
             64,
+            &MetricsRegistry::disabled(),
+            &SpanSink::disabled(),
             || false,
             |delta, _| {
                 flushed.merge(&delta, 8);
@@ -508,6 +478,8 @@ mod tests {
         drain_lease(
             &lease,
             2,
+            &MetricsRegistry::disabled(),
+            &SpanSink::disabled(),
             || false,
             |delta, _| {
                 flushed.merge(&delta, 8);
@@ -557,6 +529,8 @@ mod tests {
         let outcome = drain_lease(
             &lease,
             1000,
+            &MetricsRegistry::disabled(),
+            &SpanSink::disabled(),
             || false,
             |delta, is_final| {
                 if !is_final {
@@ -594,12 +568,26 @@ mod tests {
         }));
         let (_registry, lease) = lease_for(1, Arc::clone(&evaluator) as Arc<dyn Evaluator>);
         assert_eq!(
-            drain_lease(&lease, 1, || true, |_d, _| FlushResponse::Continue),
+            drain_lease(
+                &lease,
+                1,
+                &MetricsRegistry::disabled(),
+                &SpanSink::disabled(),
+                || true,
+                |_d, _| FlushResponse::Continue
+            ),
             DrainOutcome::Stopped
         );
         let (_registry2, lease2) = lease_for(1, evaluator);
         assert_eq!(
-            drain_lease(&lease2, 1, || false, |_d, _| FlushResponse::Stop),
+            drain_lease(
+                &lease2,
+                1,
+                &MetricsRegistry::disabled(),
+                &SpanSink::disabled(),
+                || false,
+                |_d, _| FlushResponse::Stop
+            ),
             DrainOutcome::Stale
         );
     }

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use spi_explore::worker::{drain_lease, FlushResponse};
 use spi_explore::{
     rebuild_from_recipe, Evaluation, Evaluator, JobRegistry, JobSpec, JobState, MemorySink,
-    MemoryStore, PartitionEvaluator, SpanSink, TaskParamsSpec,
+    MemoryStore, MetricsRegistry, PartitionEvaluator, SpanSink, TaskParamsSpec,
 };
 use spi_model::json::JsonValue;
 use spi_model::SpiGraph;
@@ -193,14 +193,17 @@ impl Evaluator for CountingBinds {
         self.inner.spec()
     }
 
-    fn evaluate(
+    fn evaluate_spanned(
         &self,
         index: usize,
         choice: &VariantChoice,
         graph: &SpiGraph,
         incumbent: u64,
+        spans: &SpanSink,
+        keep: &dyn Fn(u64) -> bool,
     ) -> spi_explore::Result<Evaluation> {
-        self.inner.evaluate(index, choice, graph, incumbent)
+        self.inner
+            .evaluate_spanned(index, choice, graph, incumbent, spans, keep)
     }
 
     fn bind(self: Arc<Self>, flattener: &Flattener) -> Option<Arc<dyn Evaluator>> {
@@ -218,6 +221,8 @@ fn drain_all(registry: &mut JobRegistry, now: Instant, limit: usize) {
         drain_lease(
             &lease,
             7,
+            &MetricsRegistry::disabled(),
+            &SpanSink::disabled(),
             || false,
             |delta, last| {
                 let flushed = if last {

@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 
 use spi_explore::worker::{drain_lease, FlushResponse};
 use spi_explore::{
-    BestVariant, Evaluation, Evaluator, JobRegistry, JobSpec, PartitionEvaluator, ShardReport,
-    SpanSink, TaskParamsSpec,
+    BestVariant, Evaluation, Evaluator, JobRegistry, JobSpec, MetricsRegistry, PartitionEvaluator,
+    ShardReport, SpanSink, TaskParamsSpec,
 };
 use spi_model::digest::Hasher;
 use spi_model::SpiGraph;
@@ -287,16 +287,6 @@ impl Evaluator for Counting {
         self.inner.lower_bound(choice, graph)
     }
 
-    fn evaluate(
-        &self,
-        index: usize,
-        choice: &VariantChoice,
-        graph: &SpiGraph,
-        incumbent: u64,
-    ) -> spi_explore::Result<Evaluation> {
-        self.inner.evaluate(index, choice, graph, incumbent)
-    }
-
     fn evaluate_spanned(
         &self,
         index: usize,
@@ -350,6 +340,8 @@ fn the_drain_renders_detail_only_for_top_k_entrants() {
     drain_lease(
         &lease,
         batch,
+        &MetricsRegistry::disabled(),
+        &SpanSink::disabled(),
         || false,
         |delta, _| {
             flushed.push(delta);

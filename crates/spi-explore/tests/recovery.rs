@@ -19,9 +19,10 @@ use std::time::{Duration, Instant};
 
 use spi_explore::wire::{run_session, status_from_json};
 use spi_explore::{
-    drain_lease, handle_request, rebuild_from_recipe, DrainOutcome, ExplorationService,
-    FlushResponse, HedgeConfig, JobId, JobRegistry, JobSpec, JobState, Lease, RegistryConfig,
-    ServiceConfig, ShardReport, TaskParamsSpec, WalSink,
+    drain_lease, handle_request, rebuild_from_recipe, CounterId, DrainOutcome, ExplorationService,
+    FlushResponse, GaugeId, HedgeConfig, JobId, JobRegistry, JobSpec, JobState, Lease,
+    MetricsRegistry, RegistryConfig, ServiceConfig, ShardReport, SpanSink, TaskParamsSpec,
+    TraceEvent, WalSink,
 };
 use spi_model::json::JsonValue;
 use spi_store::Wal;
@@ -83,6 +84,8 @@ fn drain_fully(
     let outcome = drain_lease(
         lease,
         batch,
+        &MetricsRegistry::disabled(),
+        &SpanSink::disabled(),
         || false,
         |delta, is_final| {
             flushes.push((delta, is_final));
@@ -111,6 +114,8 @@ fn stage_and_vanish(registry: &mut JobRegistry, lease: &Lease, clock: Instant) {
     let _ = drain_lease(
         lease,
         2,
+        &MetricsRegistry::disabled(),
+        &SpanSink::disabled(),
         || false,
         |delta, is_final| {
             if first.is_none() && !is_final {
@@ -424,10 +429,10 @@ fn byte_budgeted_registry_compacts_its_real_wal_mid_flight() {
         }
         job_raw = job.raw();
         assert_eq!(registry.poll(job).unwrap().state, JobState::Completed);
+        let compactions = registry.metrics().counter(CounterId::WalCompactions);
         assert!(
-            registry.auto_compactions() >= 4,
-            "every commit over the 256-byte budget must compact, got {}",
-            registry.auto_compactions()
+            compactions >= 4,
+            "every commit over the 256-byte budget must compact, got {compactions}"
         );
     }
     // The last commit compacted, so the log on disk is empty and the whole
@@ -444,5 +449,88 @@ fn byte_budgeted_registry_compacts_its_real_wal_mid_flight() {
     assert_eq!(status.report.accounted(), COMBINATIONS as u64);
     let violations = spi_chaos::oracle::check_census(&status, COMBINATIONS);
     assert!(violations.is_empty(), "{violations:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_restarted_service_counts_the_shards_it_requeues() {
+    let dir = temp_dir("requeue-count");
+    let job = {
+        let mut registry = open_registry(&dir);
+        let (system, evaluator) = rebuild_from_recipe(&recipe()).unwrap();
+        let job = registry
+            .submit_with_recipe(
+                &system,
+                JobSpec {
+                    name: "requeue".into(),
+                    shard_count: 4,
+                    ..JobSpec::default()
+                },
+                evaluator,
+                Some(recipe()),
+            )
+            .unwrap();
+        let lease = registry.lease(Instant::now()).unwrap();
+        drain_fully(&mut registry, &lease, 3, Instant::now());
+        job // the "kill": three shards still pending in the store
+    };
+
+    let service = ExplorationService::try_start(ServiceConfig {
+        store_dir: Some(dir.clone()),
+        hedge: HedgeConfig::disabled(),
+        ..ServiceConfig::with_workers(2)
+    })
+    .unwrap();
+    assert_eq!(service.restored().requeued_shards, 3);
+    assert_eq!(service.wait(job).unwrap().state, JobState::Completed);
+    let metrics = service.metrics();
+    let enqueues = metrics.counter(CounterId::WfqEnqueues);
+    let traced = service
+        .drain_trace()
+        .events
+        .iter()
+        .filter(|traced| matches!(traced.event, TraceEvent::WfqEnqueue { .. }))
+        .count() as u64;
+    assert_eq!(enqueues, 3, "restore's requeues are counted");
+    assert_eq!(metrics.counter(CounterId::WfqDequeues), enqueues);
+    assert_eq!(metrics.tenant("default").enqueues(), enqueues);
+    assert_eq!(traced, enqueues);
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn compaction_sets_the_log_bytes_gauge_to_the_size_of_the_log() {
+    let dir = temp_dir("log-bytes-gauge");
+    let mut registry = open_registry(&dir);
+    let (system, evaluator) = rebuild_from_recipe(&recipe()).unwrap();
+    registry
+        .submit_with_recipe(
+            &system,
+            JobSpec {
+                name: "gauge".into(),
+                shard_count: 4,
+                ..JobSpec::default()
+            },
+            evaluator,
+            Some(recipe()),
+        )
+        .unwrap();
+    let clock = Instant::now();
+    for _ in 0..2 {
+        let lease = registry.lease(clock).unwrap();
+        drain_fully(&mut registry, &lease, 3, clock);
+    }
+    let metrics = registry.metrics();
+    assert!(
+        metrics.gauge(GaugeId::WalLogBytes) > 0,
+        "appends grew the log"
+    );
+
+    registry.compact_store().unwrap();
+    let log = std::fs::metadata(dir.join("wal.log")).unwrap().len();
+    assert_eq!(log, 0, "compaction empties the log");
+    assert_eq!(metrics.gauge(GaugeId::WalLogBytes), log);
+    drop(registry);
     let _ = std::fs::remove_dir_all(&dir);
 }

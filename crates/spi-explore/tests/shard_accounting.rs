@@ -21,7 +21,8 @@ use std::time::{Duration, Instant};
 
 use spi_explore::{
     drain_lease, DrainOutcome, Evaluation, Evaluator, ExplorationService, FlushResponse,
-    FnEvaluator, JobRegistry, JobSpec, JobState, Lease, ServiceConfig, ShardReport,
+    FnEvaluator, JobRegistry, JobSpec, JobState, Lease, MetricsRegistry, ServiceConfig,
+    ShardReport, SpanSink,
 };
 use spi_workloads::scaling_system;
 
@@ -133,6 +134,8 @@ fn drain_fully(registry: &mut JobRegistry, lease: &Lease, batch: usize, clock: I
     let outcome = drain_lease(
         lease,
         batch,
+        &MetricsRegistry::disabled(),
+        &SpanSink::disabled(),
         || false,
         |delta, is_final| {
             flushes.push((delta, is_final));
@@ -158,6 +161,8 @@ fn crash_after_one_batch(registry: &mut JobRegistry, lease: &Lease, batch: usize
     let _ = drain_lease(
         lease,
         batch,
+        &MetricsRegistry::disabled(),
+        &SpanSink::disabled(),
         || false,
         |delta, is_final| {
             if first.is_none() && !is_final {

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use spi_chaos::{AppendFault, FaultScript, FaultSink};
 use spi_explore::{
     drain_lease, rebuild_from_recipe, DrainOutcome, ExploreError, FlushResponse, JobRegistry,
-    JobSpec, JobState, Lease, MemoryStore, ShardReport,
+    JobSpec, JobState, Lease, MemoryStore, MetricsRegistry, ShardReport, SpanSink,
 };
 use spi_model::json::JsonValue;
 
@@ -81,6 +81,8 @@ impl Rig {
         let outcome = drain_lease(
             lease,
             COMBINATIONS,
+            &MetricsRegistry::disabled(),
+            &SpanSink::disabled(),
             || false,
             |delta, _is_final| {
                 merged.merge(&delta, COMBINATIONS);

@@ -30,6 +30,8 @@ use std::sync::{Arc, Mutex};
 
 use spi_model::json::JsonValue;
 
+use crate::trace::TraceEvent;
+
 /// Sub-buckets per octave; the histogram's relative-error denominator.
 pub const GROUPS: u64 = 32;
 /// log2([`GROUPS`]).
@@ -466,6 +468,35 @@ impl MetricsRegistry {
         }
     }
 
+    /// Adds the counters a scheduler decision implies. This is the one
+    /// mapping from [`TraceEvent`]s to counters: a service that records each
+    /// decision through it counts exactly what its trace holds. The match
+    /// names every event kind, so a new kind does not compile without its
+    /// counters.
+    pub fn count(&self, event: &TraceEvent) {
+        match event {
+            TraceEvent::WfqEnqueue { .. } => self.add(CounterId::WfqEnqueues, 1),
+            TraceEvent::WfqDequeue { .. } => self.add(CounterId::WfqDequeues, 1),
+            TraceEvent::LeaseGrant { hedged, .. } => {
+                self.add(CounterId::LeaseGrants, 1);
+                if *hedged {
+                    self.add(CounterId::HedgesIssued, 1);
+                }
+            }
+            TraceEvent::LeaseRenew { .. } => self.add(CounterId::LeaseRenews, 1),
+            TraceEvent::LeaseExpire { .. } => self.add(CounterId::LeaseExpiries, 1),
+            TraceEvent::LeaseAbandon { .. } => self.add(CounterId::LeaseAbandons, 1),
+            TraceEvent::HedgeWin { .. } => self.add(CounterId::HedgeWins, 1),
+            TraceEvent::ShardCommit { evaluated, .. } => {
+                self.add(CounterId::ShardCommits, 1);
+                self.add(CounterId::EvalVariants, *evaluated);
+            }
+            TraceEvent::CacheHit { .. } => self.add(CounterId::CacheHits, 1),
+            TraceEvent::CacheEvict { evicted } => self.add(CounterId::CacheEvictions, *evicted),
+            TraceEvent::WalCompact { .. } => self.add(CounterId::WalCompactions, 1),
+        }
+    }
+
     /// The current value of a static counter.
     pub fn counter(&self, id: CounterId) -> u64 {
         self.counters[id as usize].get()
@@ -631,6 +662,99 @@ mod tests {
         assert_eq!(registry.histogram(HistogramId::ShardEvalNs).count(), 0);
         assert_eq!(tenant.service(), 0);
         assert_eq!(tenant.backlog(), 0);
+    }
+
+    /// `count` adds exactly the counters of each event kind and leaves every
+    /// other counter at zero; a disabled registry counts nothing.
+    #[test]
+    fn count_maps_every_event_kind_to_its_counters() {
+        let (job, shard, lease) = (3, 1, 7);
+        let grant = |hedged| TraceEvent::LeaseGrant {
+            job,
+            shard,
+            lease,
+            worker: "w0".to_string(),
+            hedged,
+        };
+        let cases: [(TraceEvent, &[(CounterId, u64)]); 12] = [
+            (
+                TraceEvent::WfqEnqueue {
+                    tenant: "t".to_string(),
+                    weight: 2,
+                    job,
+                    shard,
+                },
+                &[(CounterId::WfqEnqueues, 1)],
+            ),
+            (
+                TraceEvent::WfqDequeue {
+                    tenant: "t".to_string(),
+                    weight: 2,
+                    job,
+                    shard,
+                    vtime: 9,
+                },
+                &[(CounterId::WfqDequeues, 1)],
+            ),
+            (grant(false), &[(CounterId::LeaseGrants, 1)]),
+            (
+                grant(true),
+                &[(CounterId::LeaseGrants, 1), (CounterId::HedgesIssued, 1)],
+            ),
+            (
+                TraceEvent::LeaseRenew { job, shard, lease },
+                &[(CounterId::LeaseRenews, 1)],
+            ),
+            (
+                TraceEvent::LeaseExpire { job, shard, lease },
+                &[(CounterId::LeaseExpiries, 1)],
+            ),
+            (
+                TraceEvent::LeaseAbandon { job, shard, lease },
+                &[(CounterId::LeaseAbandons, 1)],
+            ),
+            (
+                TraceEvent::HedgeWin { job, shard, lease },
+                &[(CounterId::HedgeWins, 1)],
+            ),
+            (
+                TraceEvent::ShardCommit {
+                    job,
+                    shard,
+                    lease,
+                    evaluated: 40,
+                },
+                &[(CounterId::ShardCommits, 1), (CounterId::EvalVariants, 40)],
+            ),
+            (TraceEvent::CacheHit { job }, &[(CounterId::CacheHits, 1)]),
+            (
+                TraceEvent::CacheEvict { evicted: 3 },
+                &[(CounterId::CacheEvictions, 3)],
+            ),
+            (
+                TraceEvent::WalCompact { log_bytes: 512 },
+                &[(CounterId::WalCompactions, 1)],
+            ),
+        ];
+        let kinds: std::collections::BTreeSet<&str> =
+            cases.iter().map(|(event, _)| event.kind()).collect();
+        assert_eq!(kinds.len(), 11, "every event kind has a case");
+        for (event, expected) in &cases {
+            let registry = MetricsRegistry::new();
+            registry.count(event);
+            for id in CounterId::ALL {
+                let want = expected
+                    .iter()
+                    .find(|(counted, _)| *counted == id)
+                    .map_or(0, |(_, delta)| *delta);
+                assert_eq!(registry.counter(id), want, "{} on {event:?}", id.name());
+            }
+            let disabled = MetricsRegistry::disabled();
+            disabled.count(event);
+            for id in CounterId::ALL {
+                assert_eq!(disabled.counter(id), 0, "{} on {event:?}", id.name());
+            }
+        }
     }
 
     #[test]

@@ -564,16 +564,29 @@ impl SpanSink {
         state.stack.push(open);
     }
 
-    /// Closes the innermost open span under the phase it was entered as.
+    /// Closes the innermost open span.
     pub fn exit(&self) {
-        self.finish(None);
-    }
-
-    /// Closes the innermost open span, recording it as `phase` instead of
-    /// the phase it was entered as — for stages whose identity is only known
-    /// at exit (a flatten classified as patch vs rebuild, say).
-    pub fn exit_as(&self, phase: PhaseId) {
-        self.finish(Some(phase));
+        let Some(shared) = &self.shared else {
+            return;
+        };
+        let mut state = self.state.borrow_mut();
+        let Some(open) = state.stack.pop() else {
+            debug_assert!(false, "span exit without a matching enter");
+            return;
+        };
+        let span = StoredSpan {
+            seq: 0,
+            id: open.id,
+            parent: None,
+            phase: open.phase,
+            start_ns: open.start_ns,
+            end_ns: shared.recorder.now_ns(),
+            child_ns: open.child_ns,
+            trace_first: open.trace_first,
+            trace_last: shared.recorder.trace_watermark(),
+            ids: Arc::clone(&state.context),
+        };
+        state.complete(shared, span);
     }
 
     /// The recorder's monotonic clock and trace watermark right now — a
@@ -609,30 +622,6 @@ impl SpanSink {
             child_ns: 0,
             trace_first: start.trace_seq,
             trace_last: end.trace_seq,
-            ids: Arc::clone(&state.context),
-        };
-        state.complete(shared, span);
-    }
-
-    fn finish(&self, phase: Option<PhaseId>) {
-        let Some(shared) = &self.shared else {
-            return;
-        };
-        let mut state = self.state.borrow_mut();
-        let Some(open) = state.stack.pop() else {
-            debug_assert!(false, "span exit without a matching enter");
-            return;
-        };
-        let span = StoredSpan {
-            seq: 0,
-            id: open.id,
-            parent: None,
-            phase: phase.unwrap_or(open.phase),
-            start_ns: open.start_ns,
-            end_ns: shared.recorder.now_ns(),
-            child_ns: open.child_ns,
-            trace_first: open.trace_first,
-            trace_last: shared.recorder.trace_watermark(),
             ids: Arc::clone(&state.context),
         };
         state.complete(shared, span);
@@ -1152,15 +1141,6 @@ mod tests {
         let spans = recorder.spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].phase, PhaseId::FlattenRebuild);
-    }
-
-    #[test]
-    fn exit_as_reclassifies_the_open_phase() {
-        let recorder = recorder(8);
-        let sink = recorder.sink("w0");
-        sink.enter(PhaseId::FlattenRebuild);
-        sink.exit_as(PhaseId::FlattenPatch);
-        assert_eq!(recorder.spans()[0].phase, PhaseId::FlattenPatch);
     }
 
     /// LCG-driven random nesting: every recorded span must exit at or after

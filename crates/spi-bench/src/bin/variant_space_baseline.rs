@@ -35,7 +35,12 @@
 //!   interleaved pairwise so machine drift hits both sides equally: one
 //!   pair toggles the metrics plane (`overhead_pct`), one toggles the span
 //!   recorder (`span_overhead_pct`); each reported number is the median
-//!   paired ratio. CI gates both at ≤5%.
+//!   paired ratio. CI gates both at ≤5%. Back-to-back jobs of the same
+//!   system then fill the span rings and the decision trace, and the ring
+//!   gauges divided by the ringed records give the packed bytes per span
+//!   (`span_bytes_per_span`) and per decision (`trace_bytes_per_event`);
+//!   CI gates them at ≤24 and ≤16 (as structs they took 88, and 64 plus a
+//!   heap string).
 //!
 //! Run with `cargo run --release -p spi-bench --bin variant_space_baseline`; CI runs
 //! it as a regression gate and fails when keys go missing, when branch-and-bound
@@ -45,7 +50,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use spi_explore::{Evaluator, ExplorationService, JobSpec, PartitionEvaluator, ServiceConfig};
+use spi_explore::{
+    Evaluator, ExplorationService, GaugeId, JobSpec, PartitionEvaluator, ServiceConfig,
+};
 use spi_model::SpiGraph;
 use spi_synth::partition::{optimize, FeasibilityMode, SearchStrategy};
 use spi_variants::{DeltaFlattener, Flattener};
@@ -697,6 +704,62 @@ struct ObsSection {
     span_instrumented_ns: u128,
     span_stubbed_ns: u128,
     span_overhead_pct: f64,
+    rings: RingSection,
+}
+
+struct RingSection {
+    ringed_spans: usize,
+    span_ring_bytes: u64,
+    ringed_events: usize,
+    trace_ring_bytes: u64,
+}
+
+/// Rings are measured once they hold this many records per ring, so the one
+/// partly filled chunk of each weighs little.
+const RING_FILL: usize = 10_000;
+
+/// Runs back-to-back jobs of `system` on a 4-worker service until every
+/// worker's span ring holds [`RING_FILL`] spans on average and the decision
+/// trace [`RING_FILL`] events, then reads the `spans.ring_bytes` and
+/// `trace.ring_bytes` gauges against the records the rings hold.
+fn measure_rings(
+    system: &spi_variants::VariantSystem,
+    evaluator: &PartitionEvaluator,
+) -> RingSection {
+    const WORKERS: usize = 4;
+    let service = ExplorationService::start(ServiceConfig {
+        workers: WORKERS,
+        watchdog_interval: None,
+        ..ServiceConfig::default()
+    });
+    loop {
+        let job = service
+            .submit(
+                system,
+                JobSpec {
+                    name: "ring-fill".to_string(),
+                    shard_count: 16,
+                    top_k: 8,
+                    use_cache: false,
+                    ..JobSpec::default()
+                },
+                Arc::new(evaluator.clone()),
+            )
+            .expect("job submits");
+        service.wait(job).expect("job completes");
+        let ringed_spans = service.span_recorder().spans().len();
+        let ringed_events = service.read_trace_since(0).events.len();
+        if ringed_spans >= WORKERS * RING_FILL && ringed_events >= RING_FILL {
+            service.metrics_snapshot();
+            let metrics = service.metrics();
+            return RingSection {
+                ringed_spans,
+                span_ring_bytes: metrics.gauge(GaugeId::SpansRingBytes),
+                ringed_events,
+                trace_ring_bytes: metrics.gauge(GaugeId::TraceRingBytes),
+            };
+        }
+    }
 }
 
 /// Times identical 4-worker service runs with an observability plane
@@ -774,6 +837,7 @@ fn measure_obs(interfaces: usize) -> ObsSection {
         paired(&|| run(true, false), &|| run(false, false));
     let (span_instrumented_ns, span_stubbed_ns, span_overhead_pct) =
         paired(&|| run(true, true), &|| run(true, false));
+    let rings = measure_rings(&system, &evaluator);
     ObsSection {
         interfaces,
         variants,
@@ -784,6 +848,7 @@ fn measure_obs(interfaces: usize) -> ObsSection {
         span_instrumented_ns,
         span_stubbed_ns,
         span_overhead_pct,
+        rings,
     }
 }
 
@@ -1034,8 +1099,30 @@ fn main() {
         obs.span_stubbed_ns
     ));
     json.push_str(&format!(
-        "    \"span_overhead_pct\": {:.2}\n",
+        "    \"span_overhead_pct\": {:.2},\n",
         obs.span_overhead_pct
+    ));
+    let rings = &obs.rings;
+    json.push_str(&format!("    \"ringed_spans\": {},\n", rings.ringed_spans));
+    json.push_str(&format!(
+        "    \"span_ring_bytes\": {},\n",
+        rings.span_ring_bytes
+    ));
+    json.push_str(&format!(
+        "    \"span_bytes_per_span\": {:.2},\n",
+        rings.span_ring_bytes as f64 / rings.ringed_spans as f64
+    ));
+    json.push_str(&format!(
+        "    \"ringed_events\": {},\n",
+        rings.ringed_events
+    ));
+    json.push_str(&format!(
+        "    \"trace_ring_bytes\": {},\n",
+        rings.trace_ring_bytes
+    ));
+    json.push_str(&format!(
+        "    \"trace_bytes_per_event\": {:.2}\n",
+        rings.trace_ring_bytes as f64 / rings.ringed_events as f64
     ));
     json.push_str("  }\n}\n");
 

@@ -1475,6 +1475,12 @@ impl JobRegistry {
         self.events.trace.next_seq()
     }
 
+    /// The bytes the trace ring has allocated; see
+    /// [`TraceCapture::ring_bytes`].
+    pub fn trace_ring_bytes(&self) -> usize {
+        self.events.trace.ring_bytes()
+    }
+
     /// Registers a bounded live subscription fed every subsequent trace
     /// event; see [`TraceCapture::subscribe`].
     pub fn subscribe_trace(&mut self, queue: usize) -> TraceSubscription {

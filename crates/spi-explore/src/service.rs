@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use spi_store::sched::HedgeConfig;
 use spi_store::span::{self, Profile, SpanDrain, SpanIds, SpanRecorder, SpanSink};
 use spi_store::trace::TraceSubscription;
-use spi_store::{CacheLimit, MetricsRegistry, Wal};
+use spi_store::{CacheLimit, GaugeId, MetricsRegistry, Wal};
 use spi_variants::VariantSystem;
 
 use crate::clock::{Clock, SystemClock};
@@ -41,7 +41,7 @@ use crate::registry::{
 use crate::wire::rebuild_from_recipe;
 use crate::worker::{drain_lease, DrainOutcome, FlushResponse};
 use crate::{ExploreError, Result};
-use spi_model::json::JsonValue;
+use spi_model::json::{JsonText, JsonValue};
 
 /// Tunables of an [`ExplorationService`].
 #[derive(Debug, Clone)]
@@ -374,9 +374,20 @@ impl ExplorationService {
     }
 
     /// The full metrics plane as one canonical JSON value — what the
-    /// `metrics` op returns and quiesce writes to `metrics.json`.
+    /// `metrics` op returns and quiesce writes to `metrics.json`. Sets the
+    /// ring gauges first: `spans.ring_bytes` and `trace.ring_bytes` are the
+    /// bytes the span rings and the decision trace have allocated.
     pub fn metrics_snapshot(&self) -> JsonValue {
-        self.inner.metrics.snapshot()
+        let metrics = &self.inner.metrics;
+        metrics.set_gauge(
+            GaugeId::SpansRingBytes,
+            self.inner.spans.ring_bytes() as u64,
+        );
+        metrics.set_gauge(
+            GaugeId::TraceRingBytes,
+            self.registry().trace_ring_bytes() as u64,
+        );
+        metrics.snapshot()
     }
 
     /// [`metrics_snapshot`](Self::metrics_snapshot) with a capture header
@@ -385,7 +396,7 @@ impl ExplorationService {
     /// carry — the raw snapshot stays deliberately time-free so identical
     /// runs stay byte-identical.
     pub fn metrics_snapshot_stamped(&self) -> JsonValue {
-        self.stamp(self.inner.metrics.snapshot())
+        self.stamp(self.metrics_snapshot())
     }
 
     /// The span recorder behind the profiling plane; cheap to clone, safe to
@@ -418,9 +429,19 @@ impl ExplorationService {
     /// Every recorded span as Chrome trace-event JSON (`ph:"X"` complete
     /// events, one process per tenant, one thread per worker) — load it at
     /// `ui.perfetto.dev` or `chrome://tracing`.
-    pub fn chrome_trace(&self) -> JsonValue {
-        let drain = self.inner.spans.read_since(0);
-        span::chrome_trace(&drain.spans)
+    pub fn chrome_trace(&self) -> JsonText {
+        span::chrome_trace(&self.inner.spans.spans())
+    }
+
+    /// Writes [`chrome_trace`](Self::chrome_trace)'s JSON to `out` event by
+    /// event, without holding the document in memory — how the `spans` op
+    /// answers.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `out` reports.
+    pub fn write_chrome_trace(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
+        span::write_chrome_trace(&self.inner.spans.spans(), out)
     }
 
     /// Prepends the capture header to a snapshot object.

@@ -434,10 +434,16 @@ fn dispatch(service: &ExplorationService, request: &JsonValue) -> Result<JsonVal
             ("op", JsonValue::string("profile")),
             ("profile", service.profile_snapshot()),
         ])),
+        // `serve` streams this answer as text (see `write_spans`); here the
+        // same document comes back as a tree.
         "spans" => Ok(JsonValue::object([
             ("ok", JsonValue::Bool(true)),
             ("op", JsonValue::string("spans")),
-            ("trace", service.chrome_trace()),
+            (
+                "trace",
+                JsonValue::parse(service.chrome_trace().as_str())
+                    .expect("the Chrome trace is valid JSON"),
+            ),
         ])),
         "health" => {
             let report = service.health();
@@ -696,6 +702,18 @@ fn run_watch<W: Write>(
     }
 }
 
+/// Answers the `spans` op straight onto `output`. The Chrome trace of full
+/// span rings runs to tens of megabytes, so it is written event by event
+/// rather than built as a [`JsonValue`] tree and serialized; the line is the
+/// one [`handle_request`] would render.
+fn write_spans<W: Write>(service: &ExplorationService, output: &mut W) -> std::io::Result<()> {
+    let mut out = std::io::BufWriter::with_capacity(1 << 16, output);
+    out.write_all(b"{\"ok\":true,\"op\":\"spans\",\"trace\":")?;
+    service.write_chrome_trace(&mut out)?;
+    out.write_all(b"}\n")?;
+    out.flush()
+}
+
 /// Runs the ndjson loop: one request per input line, one response per output
 /// line, until `shutdown` or EOF. Empty lines are skipped; parse errors
 /// produce an `ok:false` response and the loop continues.
@@ -715,13 +733,17 @@ pub fn serve<R: BufRead, W: Write>(
             continue;
         }
         let response = match JsonValue::parse(trimmed) {
-            Ok(request) => {
-                if request.get("op").and_then(JsonValue::as_str) == Some("watch") {
+            Ok(request) => match request.get("op").and_then(JsonValue::as_str) {
+                Some("watch") => {
                     run_watch(service, &request, output)?;
                     continue;
                 }
-                handle_request(service, &request)
-            }
+                Some("spans") => {
+                    write_spans(service, output)?;
+                    continue;
+                }
+                _ => handle_request(service, &request),
+            },
             Err(error) => error_response(&ExploreError::Protocol(error.to_string())),
         };
         writeln!(output, "{}", response.to_line())?;
@@ -1349,6 +1371,36 @@ mod tests {
         assert!(metrics.get("captured_unix_ms").unwrap().as_u64().unwrap() > 0);
         assert!(metrics.get("uptime_ns").unwrap().as_u64().is_some());
         assert!(metrics.get("counters").is_some(), "snapshot body intact");
+    }
+
+    /// `serve` streams the `spans` answer as text; the line is the one
+    /// `handle_request` answers as a tree for the same recorded spans.
+    #[test]
+    fn streamed_spans_line_matches_the_tree_answer() {
+        let service = ExplorationService::start(ServiceConfig::with_workers(2));
+        run_lines(
+            &service,
+            concat!(
+                "{\"op\":\"submit\",\"tenant\":\"team \\\"a\\\"\",\
+                 \"system\":{\"scaling\":{\"interfaces\":4,\"clusters\":2}},\"shards\":4}\n",
+                "{\"op\":\"wait\",\"job\":0}\n",
+            ),
+        );
+        // The last drain span exits moments after `wait` returns.
+        let recorder = service.span_recorder();
+        let mut seen = recorder.next_seq();
+        loop {
+            std::thread::sleep(Duration::from_millis(20));
+            if recorder.next_seq() == seen {
+                break;
+            }
+            seen = recorder.next_seq();
+        }
+        let mut streamed = Vec::new();
+        serve(&service, "{\"op\":\"spans\"}\n".as_bytes(), &mut streamed).unwrap();
+        let tree = handle_request(&service, &JsonValue::parse("{\"op\":\"spans\"}").unwrap());
+        assert_eq!(String::from_utf8(streamed).unwrap(), tree.to_line() + "\n");
+        assert!(tree.to_line().contains("tenant:team \\\"a\\\""));
     }
 
     /// `"spans":true` upgrades a watch session with span frames: completed

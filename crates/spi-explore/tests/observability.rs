@@ -237,3 +237,49 @@ fn bounded_subscription_lags_without_blocking_the_scheduler() {
     }
     assert!(service.is_idle());
 }
+
+/// The metrics snapshot carries the bytes the span rings and the decision
+/// trace have allocated, and reads 0 for a ring that is switched off.
+#[test]
+fn metrics_report_the_bytes_each_ring_holds() {
+    let ring_gauges = |config: ServiceConfig| {
+        let service = ExplorationService::start(config);
+        let spec = JobSpec {
+            name: "ringed".to_string(),
+            shard_count: 8,
+            use_cache: false,
+            ..JobSpec::default()
+        };
+        let job = service
+            .submit(
+                &scaling_system(6, 2).unwrap(),
+                spec,
+                slow_evaluator(Duration::ZERO),
+            )
+            .unwrap();
+        service.wait(job).unwrap();
+        let snapshot = service.metrics_snapshot_stamped();
+        let gauge = |name: &str| {
+            snapshot
+                .get("gauges")
+                .and_then(|gauges| gauges.get(name))
+                .and_then(JsonValue::as_u64)
+                .unwrap()
+        };
+        (gauge("spans.ring_bytes"), gauge("trace.ring_bytes"))
+    };
+    let (spans, trace) = ring_gauges(ServiceConfig::with_workers(2));
+    assert!(spans > 0 && trace > 0, "spans {spans}, trace {trace}");
+    let (spans, trace) = ring_gauges(ServiceConfig {
+        spans_enabled: false,
+        ..ServiceConfig::with_workers(2)
+    });
+    assert_eq!(spans, 0);
+    assert!(trace > 0);
+    let (spans, trace) = ring_gauges(ServiceConfig {
+        trace_capacity: 0,
+        ..ServiceConfig::with_workers(2)
+    });
+    assert!(spans > 0);
+    assert_eq!(trace, 0);
+}

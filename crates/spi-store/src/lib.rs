@@ -62,6 +62,7 @@
 pub mod cache;
 pub mod error;
 pub mod metrics;
+mod packed;
 pub mod sched;
 pub mod span;
 pub mod trace;

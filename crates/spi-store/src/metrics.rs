@@ -298,14 +298,18 @@ pub enum GaugeId {
     WalLogBytes,
     CacheEntries,
     CacheBytes,
+    SpansRingBytes,
+    TraceRingBytes,
 }
 
 impl GaugeId {
     /// Every gauge id, in canonical (declaration) order.
-    pub const ALL: [GaugeId; 3] = [
+    pub const ALL: [GaugeId; 5] = [
         GaugeId::WalLogBytes,
         GaugeId::CacheEntries,
         GaugeId::CacheBytes,
+        GaugeId::SpansRingBytes,
+        GaugeId::TraceRingBytes,
     ];
 
     /// The stable wire name of this gauge.
@@ -314,6 +318,8 @@ impl GaugeId {
             GaugeId::WalLogBytes => "wal.log_bytes",
             GaugeId::CacheEntries => "cache.entries",
             GaugeId::CacheBytes => "cache.bytes",
+            GaugeId::SpansRingBytes => "spans.ring_bytes",
+            GaugeId::TraceRingBytes => "trace.ring_bytes",
         }
     }
 }

@@ -25,7 +25,10 @@
 //! one: a disabled recorder hands out no-op sinks, and every record site
 //! collapses to a single `enabled` branch. Rings drop **oldest-first** on
 //! overflow and count what they forgot, so a slow reader costs history,
-//! never throughput.
+//! never throughput. A ring holds its spans packed (see the crate's `packed`
+//! module): about 13 bytes a span instead of an 88-byte struct, each span
+//! written as its difference from the one before and its context as an
+//! index into a per-chunk table.
 //!
 //! On top of the raw spans this module derives the served views:
 //! [`Profile::from_spans`] (per-phase totals + log-linear histograms +
@@ -33,14 +36,17 @@
 //! (Chrome trace-event JSON loadable in Perfetto / `chrome://tracing`).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use spi_model::json::JsonValue;
+use spi_model::json::{self, JsonText, JsonValue};
 
 use crate::metrics::Histogram;
+use crate::packed::{Codec, PackedRing, Reader, Writer};
 
 /// Default per-worker span ring capacity.
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
@@ -224,13 +230,12 @@ pub struct SpanDrain {
     pub dropped: u64,
 }
 
-/// A completed span as a sink queues it and a ring holds it: a [`Span`]
-/// whose attribution context is shared with every other span completed under
-/// it, so recording one bumps a reference count instead of cloning a
-/// [`SpanIds`]. `seq` is assigned when the span is published.
+/// A completed span as a sink queues it and a ring packs it: a [`Span`]
+/// without its `seq` (assigned at publication) whose attribution context is
+/// shared with every other span completed under it, so recording one bumps a
+/// reference count instead of cloning a [`SpanIds`].
 #[derive(Debug)]
 struct StoredSpan {
-    seq: u64,
     id: u64,
     parent: Option<u64>,
     phase: PhaseId,
@@ -243,9 +248,9 @@ struct StoredSpan {
 }
 
 impl StoredSpan {
-    fn to_span(&self) -> Span {
+    fn to_span(&self, seq: u64) -> Span {
         Span {
-            seq: self.seq,
+            seq,
             id: self.id,
             parent: self.parent,
             phase: self.phase,
@@ -259,36 +264,124 @@ impl StoredSpan {
     }
 }
 
+/// Head-byte flags above the three bits of the phase.
+const HAS_PARENT: u8 = 1 << 3;
+const HAS_GAP: u8 = 1 << 4;
+
+/// Packs a span against the previous one in its chunk: a head byte (phase,
+/// whether a parent and a seq gap follow), the gap, the id as a signed
+/// delta, the parent as `id - parent`, `start_ns` and `trace_first` as
+/// signed deltas (a parent is published after its children), the duration,
+/// `child_ns` and `trace_last - trace_first` as they are, and the context as
+/// an index into the chunk's table. All differences wrap, so every field
+/// value round-trips.
 #[derive(Debug, Default)]
+struct SpanCodec {
+    id: u64,
+    start_ns: u64,
+    trace_first: u64,
+}
+
+impl Codec for SpanCodec {
+    type Record = StoredSpan;
+    type Shared = Arc<SpanIds>;
+    // The head byte, eight varints and a table index below 2^14.
+    const MAX_RECORD_BYTES: usize = 1 + 8 * 10 + 2;
+
+    fn encode(&mut self, gap: u64, span: &StoredSpan, out: &mut Writer<'_, Arc<SpanIds>>) {
+        let mut head = span.phase as u8;
+        if span.parent.is_some() {
+            head |= HAS_PARENT;
+        }
+        if gap > 0 {
+            head |= HAS_GAP;
+        }
+        out.byte(head);
+        if gap > 0 {
+            out.varint(gap);
+        }
+        out.delta(&mut self.id, span.id);
+        if let Some(parent) = span.parent {
+            out.varint(span.id.wrapping_sub(parent));
+        }
+        out.delta(&mut self.start_ns, span.start_ns);
+        out.varint(span.end_ns.wrapping_sub(span.start_ns));
+        out.varint(span.child_ns);
+        out.delta(&mut self.trace_first, span.trace_first);
+        out.varint(span.trace_last.wrapping_sub(span.trace_first));
+        // A lease's spans share one `Arc`: the pointer test settles most
+        // lookups without comparing fields.
+        out.shared(
+            |ids| Arc::ptr_eq(ids, &span.ids) || **ids == *span.ids,
+            || Arc::clone(&span.ids),
+        );
+    }
+
+    fn decode(&mut self, input: &mut Reader<'_, Arc<SpanIds>>) -> (u64, StoredSpan) {
+        let head = input.byte();
+        let gap = if head & HAS_GAP != 0 {
+            input.varint()
+        } else {
+            0
+        };
+        let id = input.delta(&mut self.id);
+        let parent = (head & HAS_PARENT != 0).then(|| id.wrapping_sub(input.varint()));
+        let start_ns = input.delta(&mut self.start_ns);
+        let end_ns = start_ns.wrapping_add(input.varint());
+        let child_ns = input.varint();
+        let trace_first = input.delta(&mut self.trace_first);
+        let trace_last = trace_first.wrapping_add(input.varint());
+        let span = StoredSpan {
+            id,
+            parent,
+            phase: PhaseId::ALL[usize::from(head & 0b111)],
+            start_ns,
+            end_ns,
+            child_ns,
+            trace_first,
+            trace_last,
+            ids: Arc::clone(input.shared()),
+        };
+        (gap, span)
+    }
+}
+
+#[derive(Debug)]
 struct RingInner {
-    ring: VecDeque<StoredSpan>,
+    ring: PackedRing<SpanCodec>,
     dropped: u64,
 }
 
 /// One worker's bounded ring of completed spans. Only the owning sink
 /// pushes; readers merge across rings through
 /// [`SpanRecorder::read_since`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct WorkerRing {
     inner: Mutex<RingInner>,
 }
 
 impl WorkerRing {
-    /// Moves `spans` into the ring under one lock, numbering them from the
+    fn new(capacity: usize) -> WorkerRing {
+        WorkerRing {
+            inner: Mutex::new(RingInner {
+                ring: PackedRing::new(capacity),
+                dropped: 0,
+            }),
+        }
+    }
+
+    /// Packs `spans` into the ring under one lock, numbering them from the
     /// recorder's global completion sequence and dropping oldest-first past
-    /// the recorder's capacity.
+    /// the ring's capacity.
     fn publish(&self, recorder: &SpanRecorder, spans: &mut Vec<StoredSpan>) {
         let mut inner = self.inner.lock().expect("span ring lock");
         let first_seq = recorder
             .next_seq
             .fetch_add(spans.len() as u64, Ordering::Relaxed);
-        for (seq, mut span) in (first_seq..).zip(spans.drain(..)) {
-            span.seq = seq;
-            if inner.ring.len() == recorder.capacity {
-                inner.ring.pop_front();
+        for (seq, span) in (first_seq..).zip(spans.drain(..)) {
+            if inner.ring.push(seq, &span) {
                 inner.dropped += 1;
             }
-            inner.ring.push_back(span);
         }
     }
 }
@@ -392,7 +485,7 @@ impl SpanRecorder {
                 .lock()
                 .expect("span rings lock")
                 .entry(worker.to_string())
-                .or_default(),
+                .or_insert_with(|| Arc::new(WorkerRing::new(self.capacity))),
         );
         SpanSink {
             shared: Some(SinkShared {
@@ -413,30 +506,59 @@ impl SpanRecorder {
     /// `seq >= since`, sorted by completion `seq`. `dropped` is the
     /// recorder-lifetime overflow total — a reader whose cursor observes it
     /// growing knows its window has gaps.
+    ///
+    /// The read stops at the [`next_seq`](Self::next_seq) it saw before
+    /// locking the first ring. A publisher numbers its spans inside its own
+    /// ring's lock, so every span below that bound is in its ring by the
+    /// time the scan gets there; a span above it may land in a ring the scan
+    /// has already passed, and a cursor moved past it would skip it for good.
     pub fn read_since(&self, since: u64) -> SpanDrain {
-        let mut spans = Vec::new();
+        let end = self.next_seq();
+        let rings = self.rings.lock().expect("span rings lock");
+        let held = rings
+            .values()
+            .map(|ring| {
+                ring.inner
+                    .lock()
+                    .expect("span ring lock")
+                    .ring
+                    .len_since(since)
+            })
+            .sum();
+        let mut spans = Vec::with_capacity(held);
         let mut dropped = 0;
-        {
-            let rings = self.rings.lock().expect("span rings lock");
-            for ring in rings.values() {
-                let inner = ring.inner.lock().expect("span ring lock");
-                dropped += inner.dropped;
-                spans.extend(
-                    inner
-                        .ring
-                        .iter()
-                        .filter(|span| span.seq >= since)
-                        .map(StoredSpan::to_span),
-                );
-            }
+        for ring in rings.values() {
+            let inner = ring.inner.lock().expect("span ring lock");
+            dropped += inner.dropped;
+            inner
+                .ring
+                .read(since..end, |seq, span| spans.push(span.to_span(seq)));
         }
-        spans.sort_by_key(|span| span.seq);
+        drop(rings);
+        spans.sort_unstable_by_key(|span| span.seq);
         SpanDrain { spans, dropped }
     }
 
     /// Every buffered span, sorted by completion `seq`.
     pub fn spans(&self) -> Vec<Span> {
         self.read_since(0).spans
+    }
+
+    /// The bytes the span rings have allocated: chunk buffers, chunk tables
+    /// and chunk lists. 0 on a disabled recorder.
+    pub fn ring_bytes(&self) -> usize {
+        self.rings
+            .lock()
+            .expect("span rings lock")
+            .values()
+            .map(|ring| {
+                ring.inner
+                    .lock()
+                    .expect("span ring lock")
+                    .ring
+                    .allocated_bytes()
+            })
+            .sum()
     }
 }
 
@@ -575,7 +697,6 @@ impl SpanSink {
             return;
         };
         let span = StoredSpan {
-            seq: 0,
             id: open.id,
             parent: None,
             phase: open.phase,
@@ -613,7 +734,6 @@ impl SpanSink {
         };
         let mut state = self.state.borrow_mut();
         let span = StoredSpan {
-            seq: 0,
             id: state.next_id(&shared.recorder),
             parent: None,
             phase,
@@ -875,136 +995,141 @@ impl Profile {
 /// Each event's `args` carries the span's waitgraph node ids
 /// (`job:{j}`, `shard:{j}/{s}`, `lease:{l}`, ...) and its
 /// `trace_first`/`trace_last` scheduler-trace window.
-pub fn chrome_trace(spans: &[Span]) -> JsonValue {
+pub fn chrome_trace(spans: &[Span]) -> JsonText {
+    let mut bytes = Vec::new();
+    write_chrome_trace(spans, &mut bytes).expect("writing to a Vec cannot fail");
+    JsonText::new(String::from_utf8(bytes).expect("the trace is UTF-8"))
+}
+
+/// Writes [`chrome_trace`]'s JSON to `out` as one line without a newline,
+/// one event at a time: a large trace never exists as a tree or as one
+/// string.
+///
+/// # Errors
+///
+/// Returns the first error `out` reports.
+pub fn write_chrome_trace<W: io::Write>(spans: &[Span], out: &mut W) -> io::Result<()> {
     // Stable small integer ids: tenants (pids) and workers (tids) in sorted
     // name order, 0 reserved for "no attribution" (registry-side spans).
-    let mut tenants: Vec<&str> = spans
-        .iter()
-        .filter_map(|span| span.ids.tenant.as_deref())
-        .collect();
-    tenants.sort_unstable();
-    tenants.dedup();
-    let mut workers: Vec<&str> = spans
-        .iter()
-        .filter_map(|span| span.ids.worker.as_deref())
-        .collect();
-    workers.sort_unstable();
-    workers.dedup();
-    let pid_of = |tenant: Option<&str>| {
-        tenant.map_or(0, |name| {
-            tenants
-                .iter()
-                .position(|t| *t == name)
-                .expect("tenant indexed") as i128
-                + 1
-        })
+    let sorted = |name: fn(&SpanIds) -> Option<&str>| -> Vec<&str> {
+        let names: BTreeSet<&str> = spans.iter().filter_map(|span| name(&span.ids)).collect();
+        names.into_iter().collect()
     };
-    let tid_of = |worker: Option<&str>| {
-        worker.map_or(0, |name| {
-            workers
-                .iter()
-                .position(|w| *w == name)
-                .expect("worker indexed") as i128
-                + 1
+    let tenants = sorted(|ids| ids.tenant.as_deref());
+    let workers = sorted(|ids| ids.worker.as_deref());
+    let index = |names: &[&str], name: Option<&str>| {
+        name.map_or(0, |name| {
+            names.binary_search(&name).expect("name indexed") + 1
         })
     };
 
-    let mut events = Vec::new();
-    let mut named: Vec<(i128, i128)> = Vec::new();
-    let meta = |name: &str, pid: i128, tid: i128, label: String| {
-        JsonValue::object([
-            ("name", JsonValue::string(name)),
-            ("ph", JsonValue::string("M")),
-            ("pid", JsonValue::Int(pid)),
-            ("tid", JsonValue::Int(tid)),
-            (
-                "args",
-                JsonValue::object([("name", JsonValue::string(label))]),
-            ),
-        ])
-    };
-    events.push(meta("process_name", 0, 0, "store".to_string()));
-    for (index, tenant) in tenants.iter().enumerate() {
-        events.push(meta(
-            "process_name",
-            index as i128 + 1,
-            0,
-            format!("tenant:{tenant}"),
-        ));
+    let mut event = String::with_capacity(512);
+    let mut label = String::new();
+    out.write_all(b"{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")?;
+    push_meta(&mut event, "process_name", 0, 0, "store");
+    for (at, tenant) in tenants.iter().enumerate() {
+        label.clear();
+        let _ = write!(label, "tenant:{tenant}");
+        event.push(',');
+        push_meta(&mut event, "process_name", at + 1, 0, &label);
     }
+    out.write_all(event.as_bytes())?;
+
+    let mut named = BTreeSet::new();
     for span in spans {
-        let pid = pid_of(span.ids.tenant.as_deref());
-        let tid = tid_of(span.ids.worker.as_deref());
-        if !named.contains(&(pid, tid)) {
-            named.push((pid, tid));
-            let label = span
-                .ids
-                .worker
-                .as_deref()
-                .map_or("registry".to_string(), |worker| format!("worker:{worker}"));
-            events.push(meta("thread_name", pid, tid, label));
+        event.clear();
+        let pid = index(&tenants, span.ids.tenant.as_deref());
+        let tid = index(&workers, span.ids.worker.as_deref());
+        if named.insert((pid, tid)) {
+            label.clear();
+            match span.ids.worker.as_deref() {
+                Some(worker) => {
+                    let _ = write!(label, "worker:{worker}");
+                }
+                None => label.push_str("registry"),
+            }
+            event.push(',');
+            push_meta(&mut event, "thread_name", pid, tid, &label);
         }
-        let args = JsonValue::object([
-            ("span", JsonValue::Int(i128::from(span.id))),
-            ("parent", SpanIds::json_num(span.parent)),
-            (
-                "job",
-                span.ids.job.map_or(JsonValue::Null, |job| {
-                    JsonValue::string(format!("job:{job}"))
-                }),
-            ),
-            (
-                "shard",
-                match (span.ids.job, span.ids.shard) {
-                    (Some(job), Some(shard)) => JsonValue::string(format!("shard:{job}/{shard}")),
-                    _ => JsonValue::Null,
-                },
-            ),
-            (
-                "lease",
-                span.ids.lease.map_or(JsonValue::Null, |lease| {
-                    JsonValue::string(format!("lease:{lease}"))
-                }),
-            ),
-            (
-                "tenant",
-                span.ids.tenant.as_deref().map_or(JsonValue::Null, |t| {
-                    JsonValue::string(format!("tenant:{t}"))
-                }),
-            ),
-            (
-                "worker",
-                span.ids.worker.as_deref().map_or(JsonValue::Null, |w| {
-                    JsonValue::string(format!("worker:{w}"))
-                }),
-            ),
-            ("dur_ns", JsonValue::Int(i128::from(span.duration_ns()))),
-            ("self_ns", JsonValue::Int(i128::from(span.self_ns()))),
-            ("trace_first", JsonValue::Int(i128::from(span.trace_first))),
-            ("trace_last", JsonValue::Int(i128::from(span.trace_last))),
-        ]);
-        events.push(JsonValue::object([
-            ("name", JsonValue::string(span.phase.name())),
-            ("cat", JsonValue::string("spi")),
-            ("ph", JsonValue::string("X")),
-            ("pid", JsonValue::Int(pid)),
-            ("tid", JsonValue::Int(tid)),
-            ("ts", JsonValue::Int(i128::from(span.start_ns / 1_000))),
-            (
-                "dur",
-                JsonValue::Int(i128::from(span.duration_ns() / 1_000)),
-            ),
-            ("args", args),
-        ]));
+        let _ = write!(
+            event,
+            ",{{\"name\":\"{}\",\"cat\":\"spi\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\
+             \"ts\":{},\"dur\":{},\"args\":{{\"span\":{},\"parent\":",
+            span.phase.name(),
+            span.start_ns / 1_000,
+            span.duration_ns() / 1_000,
+            span.id,
+        );
+        match span.parent {
+            Some(parent) => {
+                let _ = write!(event, "{parent}");
+            }
+            None => event.push_str("null"),
+        }
+        let ids = &span.ids;
+        event.push_str(",\"job\":");
+        match ids.job {
+            Some(job) => {
+                let _ = write!(event, "\"job:{job}\"");
+            }
+            None => event.push_str("null"),
+        }
+        event.push_str(",\"shard\":");
+        match (ids.job, ids.shard) {
+            (Some(job), Some(shard)) => {
+                let _ = write!(event, "\"shard:{job}/{shard}\"");
+            }
+            _ => event.push_str("null"),
+        }
+        event.push_str(",\"lease\":");
+        match ids.lease {
+            Some(lease) => {
+                let _ = write!(event, "\"lease:{lease}\"");
+            }
+            None => event.push_str("null"),
+        }
+        for (key, prefix, name) in [
+            ("tenant", "tenant:", ids.tenant.as_deref()),
+            ("worker", "worker:", ids.worker.as_deref()),
+        ] {
+            let _ = write!(event, ",\"{key}\":");
+            match name {
+                Some(name) => {
+                    label.clear();
+                    label.push_str(prefix);
+                    label.push_str(name);
+                    json::write_string(&label, &mut event);
+                }
+                None => event.push_str("null"),
+            }
+        }
+        let _ = write!(
+            event,
+            ",\"dur_ns\":{},\"self_ns\":{},\"trace_first\":{},\"trace_last\":{}}}}}",
+            span.duration_ns(),
+            span.self_ns(),
+            span.trace_first,
+            span.trace_last,
+        );
+        out.write_all(event.as_bytes())?;
     }
-    JsonValue::object([
-        ("displayTimeUnit", JsonValue::string("ns")),
-        ("traceEvents", JsonValue::Array(events)),
-    ])
+    out.write_all(b"]}")
+}
+
+/// Appends one `ph:"M"` metadata event naming a pid or tid.
+fn push_meta(out: &mut String, name: &str, pid: usize, tid: usize, label: &str) {
+    let _ = write!(
+        out,
+        "{{\"name\":\"{name}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":"
+    );
+    json::write_string(label, out);
+    out.push_str("}}");
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
 
     fn recorder(capacity: usize) -> Arc<SpanRecorder> {
@@ -1454,5 +1579,226 @@ mod tests {
             .collect();
         assert!(names.contains(&"tenant:team-a"));
         assert!(names.contains(&"worker:w0"));
+    }
+
+    /// Spans covering every attribution shape the Chrome trace renders:
+    /// full lease context, a registry span with none, a tenant without a
+    /// worker, a job without a shard, a shard without a job, and names that
+    /// need escaping or are not ASCII, over three tenants and three workers.
+    fn chrome_fixture() -> Vec<Span> {
+        let ids = |job, shard, lease, tenant: Option<&str>, worker: Option<&str>| SpanIds {
+            job,
+            shard,
+            lease,
+            tenant: tenant.map(Arc::from),
+            worker: worker.map(Arc::from),
+        };
+        let span = |seq, id, parent, phase, start_ns, end_ns, child_ns, ids| Span {
+            seq,
+            id,
+            parent,
+            phase,
+            start_ns,
+            end_ns,
+            child_ns,
+            trace_first: seq * 3,
+            trace_last: seq * 3 + id % 4,
+            ids,
+        };
+        let lease_b = ids(Some(0), Some(1), Some(7), Some("team-b"), Some("w1"));
+        let lease_a = ids(Some(1), Some(0), Some(8), Some("team \"a\""), Some("w0"));
+        vec![
+            span(
+                0,
+                5,
+                Some(4),
+                PhaseId::FlattenPatch,
+                1_500,
+                4_250,
+                0,
+                lease_b.clone(),
+            ),
+            span(
+                1,
+                4,
+                None,
+                PhaseId::DrainShard,
+                1_000,
+                9_999,
+                2_750,
+                lease_b,
+            ),
+            span(
+                2,
+                9,
+                None,
+                PhaseId::WalAppend,
+                10_000,
+                12_345,
+                0,
+                SpanIds::default(),
+            ),
+            span(
+                3,
+                12,
+                None,
+                PhaseId::ShardCommit,
+                12_000,
+                13_001,
+                0,
+                ids(Some(1), None, Some(8), Some("team \"a\""), None),
+            ),
+            span(
+                4,
+                20,
+                Some(19),
+                PhaseId::PartitionSearch,
+                20_000,
+                20_999,
+                0,
+                lease_a.clone(),
+            ),
+            span(
+                5,
+                19,
+                None,
+                PhaseId::DrainShard,
+                19_000,
+                21_000,
+                999,
+                lease_a,
+            ),
+            span(
+                6,
+                30,
+                None,
+                PhaseId::LeaseRenew,
+                u64::MAX - 5_000,
+                u64::MAX,
+                7_000,
+                ids(None, Some(3), None, Some("équipe"), Some("wörker\n2")),
+            ),
+        ]
+    }
+
+    /// The line the `JsonValue` tree that the text renderer replaced wrote
+    /// for [`chrome_fixture`].
+    const CHROME_FIXTURE_LINE: &str = r#"{"displayTimeUnit":"ns","traceEvents":[{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"store"}},{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"tenant:team \"a\""}},{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"tenant:team-b"}},{"name":"process_name","ph":"M","pid":3,"tid":0,"args":{"name":"tenant:équipe"}},{"name":"thread_name","ph":"M","pid":2,"tid":2,"args":{"name":"worker:w1"}},{"name":"flatten_patch","cat":"spi","ph":"X","pid":2,"tid":2,"ts":1,"dur":2,"args":{"span":5,"parent":4,"job":"job:0","shard":"shard:0/1","lease":"lease:7","tenant":"tenant:team-b","worker":"worker:w1","dur_ns":2750,"self_ns":2750,"trace_first":0,"trace_last":1}},{"name":"drain_shard","cat":"spi","ph":"X","pid":2,"tid":2,"ts":1,"dur":8,"args":{"span":4,"parent":null,"job":"job:0","shard":"shard:0/1","lease":"lease:7","tenant":"tenant:team-b","worker":"worker:w1","dur_ns":8999,"self_ns":6249,"trace_first":3,"trace_last":3}},{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"registry"}},{"name":"wal_append","cat":"spi","ph":"X","pid":0,"tid":0,"ts":10,"dur":2,"args":{"span":9,"parent":null,"job":null,"shard":null,"lease":null,"tenant":null,"worker":null,"dur_ns":2345,"self_ns":2345,"trace_first":6,"trace_last":7}},{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"registry"}},{"name":"shard_commit","cat":"spi","ph":"X","pid":1,"tid":0,"ts":12,"dur":1,"args":{"span":12,"parent":null,"job":"job:1","shard":null,"lease":"lease:8","tenant":"tenant:team \"a\"","worker":null,"dur_ns":1001,"self_ns":1001,"trace_first":9,"trace_last":9}},{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"worker:w0"}},{"name":"partition_search","cat":"spi","ph":"X","pid":1,"tid":1,"ts":20,"dur":0,"args":{"span":20,"parent":19,"job":"job:1","shard":"shard:1/0","lease":"lease:8","tenant":"tenant:team \"a\"","worker":"worker:w0","dur_ns":999,"self_ns":999,"trace_first":12,"trace_last":12}},{"name":"drain_shard","cat":"spi","ph":"X","pid":1,"tid":1,"ts":19,"dur":2,"args":{"span":19,"parent":null,"job":"job:1","shard":"shard:1/0","lease":"lease:8","tenant":"tenant:team \"a\"","worker":"worker:w0","dur_ns":2000,"self_ns":1001,"trace_first":15,"trace_last":18}},{"name":"thread_name","ph":"M","pid":3,"tid":3,"args":{"name":"worker:wörker\n2"}},{"name":"lease_renew","cat":"spi","ph":"X","pid":3,"tid":3,"ts":18446744073709546,"dur":5,"args":{"span":30,"parent":null,"job":null,"shard":null,"lease":null,"tenant":"tenant:équipe","worker":"worker:wörker\n2","dur_ns":5000,"self_ns":0,"trace_first":18,"trace_last":20}}]}"#;
+
+    #[test]
+    fn chrome_trace_text_matches_the_tree_rendering_byte_for_byte() {
+        let line = chrome_trace(&chrome_fixture()).to_line();
+        assert_eq!(line, CHROME_FIXTURE_LINE);
+        let mut streamed = Vec::new();
+        write_chrome_trace(&chrome_fixture(), &mut streamed).unwrap();
+        assert_eq!(streamed, line.as_bytes());
+    }
+
+    /// A field value: one of the extremes, or a value near `around`.
+    fn field(lcg: &mut spi_testutil::Lcg, around: u64) -> u64 {
+        const EXTREMES: [u64; 6] = [0, 1, 1 << 32, u64::MAX / 2, u64::MAX - 1, u64::MAX];
+        match lcg.below(4) {
+            0 => EXTREMES[lcg.below(EXTREMES.len() as u64) as usize],
+            1 => around.wrapping_sub(lcg.below(1 << 20)),
+            _ => around.wrapping_add(lcg.below(1 << 12)),
+        }
+    }
+
+    /// A span with arbitrary fields: ids, parents older or newer than the
+    /// span or missing, times and trace watermarks that may run backwards,
+    /// `child_ns` that may exceed the duration, and — on most spans — a
+    /// context of its own.
+    fn arbitrary_span(lcg: &mut spi_testutil::Lcg, previous: &mut Arc<SpanIds>) -> StoredSpan {
+        let id = field(lcg, 1000);
+        let parent = match lcg.below(4) {
+            0 => None,
+            1 => Some(id.wrapping_sub(1 + lcg.below(100))),
+            2 => Some(id.wrapping_add(lcg.below(100))),
+            _ => Some(field(lcg, id)),
+        };
+        let start_ns = field(lcg, 1 << 40);
+        let end_ns = field(lcg, start_ns);
+        let trace_first = field(lcg, 50);
+        let maybe = |lcg: &mut spi_testutil::Lcg, around: u64| {
+            let value = field(lcg, around);
+            lcg.chance(2, 3).then_some(value)
+        };
+        if !lcg.chance(1, 5) {
+            *previous = Arc::new(SpanIds {
+                job: maybe(lcg, 3),
+                shard: maybe(lcg, 7),
+                lease: maybe(lcg, 11),
+                tenant: lcg
+                    .chance(1, 2)
+                    .then(|| format!("t{}", lcg.below(3)).into()),
+                worker: lcg
+                    .chance(1, 2)
+                    .then(|| format!("w{}", lcg.below(3)).into()),
+            });
+        }
+        StoredSpan {
+            id,
+            parent,
+            phase: PhaseId::ALL[lcg.below(8) as usize],
+            start_ns,
+            end_ns,
+            child_ns: field(lcg, end_ns.wrapping_sub(start_ns)),
+            trace_first,
+            trace_last: field(lcg, trace_first),
+            ids: Arc::clone(previous),
+        }
+    }
+
+    /// Differential test of the packed rings against the ring they replaced:
+    /// per worker a `VecDeque<Span>` that pushes at the back and pops the
+    /// front once full. Two workers publish interleaved batches of 1..=64
+    /// arbitrary spans, so each ring's seqs have gaps; after every publish,
+    /// `read_since` at every cursor, `spans()` and `dropped()` must agree
+    /// with the model. Capacities run from 1 to 300, most not aligned with
+    /// a chunk.
+    #[test]
+    fn packed_span_rings_match_the_deque_model() {
+        let mut lcg = spi_testutil::Lcg::new(18);
+        for capacity in [1usize, 2, 3, 7, 64, 65, 130, 251, 300] {
+            let recorder = recorder(capacity);
+            let sinks = [recorder.sink("a"), recorder.sink("b")];
+            let mut models: [VecDeque<Span>; 2] = Default::default();
+            let mut model_dropped = 0u64;
+            let mut next_seq = 0u64;
+            let mut context = Arc::new(SpanIds::default());
+            while next_seq < 2 * capacity as u64 + 150 {
+                let worker = lcg.below(2) as usize;
+                let mut batch: Vec<StoredSpan> = (0..lcg.range(1, 64))
+                    .map(|_| arbitrary_span(&mut lcg, &mut context))
+                    .collect();
+                for stored in &batch {
+                    let model = &mut models[worker];
+                    if model.len() == capacity {
+                        model.pop_front();
+                        model_dropped += 1;
+                    }
+                    model.push_back(stored.to_span(next_seq));
+                    next_seq += 1;
+                }
+                let shared = sinks[worker].shared.as_ref().unwrap();
+                shared.ring.publish(&recorder, &mut batch);
+
+                let mut all: Vec<Span> = models.iter().flatten().cloned().collect();
+                all.sort_by_key(|span| span.seq);
+                assert_eq!(recorder.spans(), all, "capacity {capacity}");
+                assert_eq!(recorder.dropped(), model_dropped);
+                assert_eq!(recorder.next_seq(), next_seq);
+                for cursor in (all[0].seq.saturating_sub(1)..=next_seq + 1).chain([0, u64::MAX]) {
+                    let read = recorder.read_since(cursor);
+                    let held = all.iter().filter(|span| span.seq >= cursor);
+                    assert!(
+                        read.spans.iter().eq(held),
+                        "capacity {capacity}, cursor {cursor}"
+                    );
+                    assert_eq!(read.dropped, model_dropped);
+                }
+            }
+            assert!(model_dropped > 0, "capacity {capacity} overflowed");
+        }
     }
 }

@@ -4,9 +4,10 @@
 //! virtual-time tag, lease grant/renew/expiry, hedge issue/win, cache hit,
 //! WAL compaction — is recorded as a [`TraceEvent`] in a fixed-capacity ring
 //! ([`TraceCapture`]). The ring is cheap enough to leave on in production:
-//! recording is a `VecDeque` push under the registry lock the decision
-//! already holds, and a full ring drops the *oldest* events (counting them)
-//! instead of blocking the scheduler.
+//! recording packs the event into 5–6.5 bytes (see the crate's `packed`
+//! module) under the registry lock the decision already holds, and a full
+//! ring drops the *oldest* events (counting them) instead of blocking the
+//! scheduler.
 //!
 //! Drained events are plain data with a stable JSON form, so a trace can
 //! cross the wire (`{"op":"trace"}` in `spi-explored`), land in a file, and
@@ -29,7 +30,7 @@
 //! capture reports how many events it dropped, so a caller knows when to
 //! raise `--trace-capacity` instead of trusting a truncated replay.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -37,6 +38,7 @@ use std::time::Duration;
 
 use spi_model::json::{FromJson, JsonError, JsonResult, JsonValue, ToJson};
 
+use crate::packed::{Codec, PackedRing, Reader, Writer};
 use crate::sched::SCALE;
 
 /// Default ring capacity: a few thousand shards' worth of decisions.
@@ -417,14 +419,191 @@ impl TraceSubscription {
     }
 }
 
+/// Packs a decision against the previous one in its chunk: one kind byte
+/// with `hedged` folded in, job, lease and vtime as signed deltas from the
+/// last ones written, tenant and worker as indices into the chunk's name
+/// table, and every other field as it is. Kind codes follow the declaration
+/// order of [`TraceEvent`]. A capture's sequence numbers are gap-free, so
+/// an event stores none.
+#[derive(Debug, Default)]
+struct EventCodec {
+    job: u64,
+    lease: u64,
+    vtime: u64,
+}
+
+impl EventCodec {
+    fn lease(&mut self, out: &mut Writer<'_, Box<str>>, job: u64, shard: usize, lease: u64) {
+        out.delta(&mut self.job, job);
+        out.varint(shard as u64);
+        out.delta(&mut self.lease, lease);
+    }
+}
+
+fn name(out: &mut Writer<'_, Box<str>>, name: &str) {
+    out.shared(|held| **held == *name, || name.into());
+}
+
+impl Codec for EventCodec {
+    type Record = TraceEvent;
+    type Shared = Box<str>;
+    // The kind byte and five varints.
+    const MAX_RECORD_BYTES: usize = 1 + 5 * 10;
+
+    fn encode(&mut self, gap: u64, event: &TraceEvent, out: &mut Writer<'_, Box<str>>) {
+        debug_assert_eq!(gap, 0, "a capture numbers its events without gaps");
+        match event {
+            TraceEvent::WfqEnqueue {
+                tenant,
+                weight,
+                job,
+                shard,
+            } => {
+                out.byte(0);
+                name(out, tenant);
+                out.varint(u64::from(*weight));
+                out.delta(&mut self.job, *job);
+                out.varint(*shard as u64);
+            }
+            TraceEvent::WfqDequeue {
+                tenant,
+                weight,
+                job,
+                shard,
+                vtime,
+            } => {
+                out.byte(1 << 1);
+                name(out, tenant);
+                out.varint(u64::from(*weight));
+                out.delta(&mut self.job, *job);
+                out.varint(*shard as u64);
+                out.delta(&mut self.vtime, *vtime);
+            }
+            TraceEvent::LeaseGrant {
+                job,
+                shard,
+                lease,
+                worker,
+                hedged,
+            } => {
+                out.byte(2 << 1 | u8::from(*hedged));
+                self.lease(out, *job, *shard, *lease);
+                name(out, worker);
+            }
+            TraceEvent::LeaseRenew { job, shard, lease } => {
+                out.byte(3 << 1);
+                self.lease(out, *job, *shard, *lease);
+            }
+            TraceEvent::LeaseExpire { job, shard, lease } => {
+                out.byte(4 << 1);
+                self.lease(out, *job, *shard, *lease);
+            }
+            TraceEvent::LeaseAbandon { job, shard, lease } => {
+                out.byte(5 << 1);
+                self.lease(out, *job, *shard, *lease);
+            }
+            TraceEvent::HedgeWin { job, shard, lease } => {
+                out.byte(6 << 1);
+                self.lease(out, *job, *shard, *lease);
+            }
+            TraceEvent::ShardCommit {
+                job,
+                shard,
+                lease,
+                evaluated,
+            } => {
+                out.byte(7 << 1);
+                self.lease(out, *job, *shard, *lease);
+                out.varint(*evaluated);
+            }
+            TraceEvent::CacheHit { job } => {
+                out.byte(8 << 1);
+                out.delta(&mut self.job, *job);
+            }
+            TraceEvent::CacheEvict { evicted } => {
+                out.byte(9 << 1);
+                out.varint(*evicted);
+            }
+            TraceEvent::WalCompact { log_bytes } => {
+                out.byte(10 << 1);
+                out.varint(*log_bytes);
+            }
+        }
+    }
+
+    fn decode(&mut self, input: &mut Reader<'_, Box<str>>) -> (u64, TraceEvent) {
+        let kind = input.byte();
+        // Struct fields are evaluated in the order written, which is the
+        // order `encode` wrote them.
+        let event = match kind >> 1 {
+            0 => TraceEvent::WfqEnqueue {
+                tenant: input.shared().to_string(),
+                weight: input.varint() as u32,
+                job: input.delta(&mut self.job),
+                shard: input.varint() as usize,
+            },
+            1 => TraceEvent::WfqDequeue {
+                tenant: input.shared().to_string(),
+                weight: input.varint() as u32,
+                job: input.delta(&mut self.job),
+                shard: input.varint() as usize,
+                vtime: input.delta(&mut self.vtime),
+            },
+            2 => TraceEvent::LeaseGrant {
+                job: input.delta(&mut self.job),
+                shard: input.varint() as usize,
+                lease: input.delta(&mut self.lease),
+                worker: input.shared().to_string(),
+                hedged: kind & 1 == 1,
+            },
+            3 => TraceEvent::LeaseRenew {
+                job: input.delta(&mut self.job),
+                shard: input.varint() as usize,
+                lease: input.delta(&mut self.lease),
+            },
+            4 => TraceEvent::LeaseExpire {
+                job: input.delta(&mut self.job),
+                shard: input.varint() as usize,
+                lease: input.delta(&mut self.lease),
+            },
+            5 => TraceEvent::LeaseAbandon {
+                job: input.delta(&mut self.job),
+                shard: input.varint() as usize,
+                lease: input.delta(&mut self.lease),
+            },
+            6 => TraceEvent::HedgeWin {
+                job: input.delta(&mut self.job),
+                shard: input.varint() as usize,
+                lease: input.delta(&mut self.lease),
+            },
+            7 => TraceEvent::ShardCommit {
+                job: input.delta(&mut self.job),
+                shard: input.varint() as usize,
+                lease: input.delta(&mut self.lease),
+                evaluated: input.varint(),
+            },
+            8 => TraceEvent::CacheHit {
+                job: input.delta(&mut self.job),
+            },
+            9 => TraceEvent::CacheEvict {
+                evicted: input.varint(),
+            },
+            10 => TraceEvent::WalCompact {
+                log_bytes: input.varint(),
+            },
+            other => unreachable!("trace kind code {other} was never written"),
+        };
+        (0, event)
+    }
+}
+
 /// Fixed-capacity ring of scheduler decisions.
 ///
 /// Capacity `0` disables capture entirely (recording becomes a no-op); any
 /// other capacity keeps the newest events and counts what it had to drop.
 #[derive(Debug, Default)]
 pub struct TraceCapture {
-    ring: VecDeque<TracedEvent>,
-    capacity: usize,
+    ring: PackedRing<EventCodec>,
     next_seq: u64,
     dropped: u64,
     subscribers: Vec<TraceFanout>,
@@ -437,8 +616,7 @@ impl TraceCapture {
     /// A capture ring holding at most `capacity` events.
     pub fn new(capacity: usize) -> Self {
         TraceCapture {
-            ring: VecDeque::with_capacity(capacity.min(DEFAULT_TRACE_CAPACITY)),
-            capacity,
+            ring: PackedRing::new(capacity),
             next_seq: 0,
             dropped: 0,
             subscribers: Vec::new(),
@@ -453,12 +631,12 @@ impl TraceCapture {
 
     /// True when recording is enabled (capacity > 0).
     pub fn enabled(&self) -> bool {
-        self.capacity > 0
+        self.capacity() > 0
     }
 
     /// The configured ring capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.capacity()
     }
 
     /// Events currently buffered.
@@ -468,7 +646,7 @@ impl TraceCapture {
 
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.ring.len() == 0
     }
 
     /// Events dropped (overwritten) since the last [`drain`](Self::drain).
@@ -481,7 +659,7 @@ impl TraceCapture {
     /// subscriber queue counts one lagged event for that subscriber and the
     /// recorder moves on; a hung-up subscriber is unregistered.
     pub fn record(&mut self, event: TraceEvent) {
-        if self.capacity == 0 && self.subscribers.is_empty() {
+        if !self.enabled() && self.subscribers.is_empty() {
             return;
         }
         let traced = TracedEvent {
@@ -499,14 +677,15 @@ impl TraceCapture {
                 }
                 Err(TrySendError::Disconnected(_)) => false,
             });
-        if self.capacity == 0 {
-            return;
-        }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
+        if self.enabled() && self.ring.push(traced.seq, &traced.event) {
             self.dropped += 1;
         }
-        self.ring.push_back(traced);
+    }
+
+    /// The bytes the ring has allocated: chunk buffers, chunk tables and the
+    /// chunk list. 0 while it holds nothing.
+    pub fn ring_bytes(&self) -> usize {
+        self.ring.allocated_bytes()
     }
 
     /// The sequence number the *next* recorded event will get.
@@ -544,9 +723,13 @@ impl TraceCapture {
     /// `since` that the ring has already overwritten.
     pub fn read_since(&self, since: u64) -> TraceDrain {
         let front_seq = self.next_seq - self.ring.len() as u64;
-        let skip = since.saturating_sub(front_seq) as usize;
+        let mut events =
+            Vec::with_capacity(self.next_seq.saturating_sub(since.max(front_seq)) as usize);
+        self.ring.read(since..self.next_seq, |seq, event| {
+            events.push(TracedEvent { seq, event });
+        });
         TraceDrain {
-            events: self.ring.iter().skip(skip).cloned().collect(),
+            events,
             dropped: front_seq.saturating_sub(since),
         }
     }
@@ -556,8 +739,10 @@ impl TraceCapture {
     /// across drains, so concatenated drains of a never-full ring form one
     /// gap-free trace.
     pub fn drain(&mut self) -> TraceDrain {
+        let events = self.read_since(0).events;
+        self.ring.clear();
         TraceDrain {
-            events: self.ring.drain(..).collect(),
+            events,
             dropped: std::mem::take(&mut self.dropped),
         }
     }
@@ -893,6 +1078,8 @@ impl TraceReplay {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
     use crate::sched::FairScheduler;
 
@@ -1186,5 +1373,122 @@ mod tests {
         gappy[1].seq = 5;
         let report = TraceReplay::check(&gappy);
         assert!(report.violations.iter().any(|v| v.contains("incomplete")));
+    }
+
+    /// An event of a random kind with extreme or nearby field values and
+    /// names that are long, empty or not ASCII.
+    fn arbitrary_event(lcg: &mut spi_testutil::Lcg) -> TraceEvent {
+        const NAMES: [&str; 5] = [
+            "",
+            "a",
+            "équipe-ß-東京",
+            "spi-explore-worker-12",
+            "\u{1F980}\n\"q\"",
+        ];
+        let value = |lcg: &mut spi_testutil::Lcg| match lcg.below(3) {
+            0 => [0, 1, u64::MAX - 1, u64::MAX][lcg.below(4) as usize],
+            1 => lcg.below(1 << 40),
+            _ => lcg.below(300),
+        };
+        let name = |lcg: &mut spi_testutil::Lcg| match lcg.below(6) {
+            5 => "long-name-".repeat(1 + lcg.below(40) as usize),
+            n => NAMES[n as usize].to_string(),
+        };
+        let (job, shard, lease) = (value(lcg), value(lcg) as usize, value(lcg));
+        match lcg.below(11) {
+            0 => TraceEvent::WfqEnqueue {
+                tenant: name(lcg),
+                weight: value(lcg) as u32,
+                job,
+                shard,
+            },
+            1 => TraceEvent::WfqDequeue {
+                tenant: name(lcg),
+                weight: [1, u32::MAX][lcg.below(2) as usize],
+                job,
+                shard,
+                vtime: value(lcg),
+            },
+            2 => TraceEvent::LeaseGrant {
+                job,
+                shard,
+                lease,
+                worker: name(lcg),
+                hedged: lcg.chance(1, 2),
+            },
+            3 => TraceEvent::LeaseRenew { job, shard, lease },
+            4 => TraceEvent::LeaseExpire { job, shard, lease },
+            5 => TraceEvent::LeaseAbandon { job, shard, lease },
+            6 => TraceEvent::HedgeWin { job, shard, lease },
+            7 => TraceEvent::ShardCommit {
+                job,
+                shard,
+                lease,
+                evaluated: value(lcg),
+            },
+            8 => TraceEvent::CacheHit { job },
+            9 => TraceEvent::CacheEvict {
+                evicted: value(lcg),
+            },
+            _ => TraceEvent::WalCompact {
+                log_bytes: value(lcg),
+            },
+        }
+    }
+
+    /// Differential test of the packed capture against the ring it replaced:
+    /// a `VecDeque<TracedEvent>` that pushes at the back and pops the front
+    /// once full, with a drop count that `drain` resets. After every record
+    /// and every drain, `read_since` at every cursor, `len`, `dropped` and
+    /// `next_seq` must agree with the model, and a subscriber must see every
+    /// event — also at capacity 0.
+    #[test]
+    fn packed_capture_matches_the_deque_model() {
+        let mut lcg = spi_testutil::Lcg::new(18);
+        for capacity in [0usize, 1, 2, 3, 50, 127, 300] {
+            let mut capture = TraceCapture::new(capacity);
+            let subscription = capture.subscribe(1 << 12);
+            let mut model: VecDeque<TracedEvent> = VecDeque::new();
+            let mut dropped = 0u64;
+            let mut next_seq = 0u64;
+            while next_seq < 2 * capacity as u64 + 150 {
+                if lcg.chance(1, 40) {
+                    let drained = capture.drain();
+                    assert_eq!(drained.events, Vec::from(std::mem::take(&mut model)));
+                    assert_eq!(drained.dropped, std::mem::take(&mut dropped));
+                } else {
+                    let event = arbitrary_event(&mut lcg);
+                    let traced = TracedEvent {
+                        seq: next_seq,
+                        event: event.clone(),
+                    };
+                    capture.record(event);
+                    assert_eq!(subscription.try_next(), Some(traced.clone()));
+                    next_seq += 1;
+                    if capacity > 0 {
+                        if model.len() == capacity {
+                            model.pop_front();
+                            dropped += 1;
+                        }
+                        model.push_back(traced);
+                    }
+                }
+                assert_eq!(capture.len(), model.len(), "capacity {capacity}");
+                assert_eq!(capture.is_empty(), model.is_empty());
+                assert_eq!(capture.dropped(), dropped);
+                assert_eq!(capture.next_seq(), next_seq);
+                let front = next_seq - model.len() as u64;
+                for cursor in (front.saturating_sub(2)..=next_seq + 1).chain([0, u64::MAX]) {
+                    let read = capture.read_since(cursor);
+                    let held = model.iter().filter(|traced| traced.seq >= cursor);
+                    assert!(
+                        read.events.iter().eq(held),
+                        "capacity {capacity}, cursor {cursor}"
+                    );
+                    assert_eq!(read.dropped, front.saturating_sub(cursor));
+                }
+            }
+            assert_eq!(capture.ring_bytes() == 0, capacity == 0 || model.is_empty());
+        }
     }
 }

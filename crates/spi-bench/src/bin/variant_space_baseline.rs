@@ -765,7 +765,8 @@ fn measure_rings(
 /// Times identical 4-worker service runs with an observability plane
 /// enabled vs its disabled stub (every record site behind a single `false`
 /// branch): the metrics pair toggles `metrics_enabled` with spans off on
-/// both sides, the span pair toggles `spans_enabled` with metrics on, so
+/// both sides (`span_capacity` 0), the span pair toggles `span_capacity`
+/// between 0 and its default with metrics on, so
 /// each overhead is attributed to exactly one plane. Rounds are paired and
 /// interleaved so frequency scaling and cache state drift hit both sides
 /// equally; each overhead is the **median of the per-round ratios**
@@ -782,11 +783,12 @@ fn measure_obs(interfaces: usize) -> ObsSection {
     let evaluator = PartitionEvaluator::default();
     const ROUNDS: usize = 201;
 
-    let run = |metrics_enabled: bool, spans_enabled: bool| -> u128 {
+    let spans_on = ServiceConfig::default().span_capacity;
+    let run = |metrics_enabled: bool, span_capacity: usize| -> u128 {
         let service = ExplorationService::start(ServiceConfig {
             workers: 4,
             metrics_enabled,
-            spans_enabled,
+            span_capacity,
             watchdog_interval: None,
             ..ServiceConfig::default()
         });
@@ -833,10 +835,9 @@ fn measure_obs(interfaces: usize) -> ObsSection {
         (instrumented[ROUNDS / 2], stubbed[ROUNDS / 2], pct)
     };
 
-    let (instrumented_ns, stubbed_ns, overhead_pct) =
-        paired(&|| run(true, false), &|| run(false, false));
+    let (instrumented_ns, stubbed_ns, overhead_pct) = paired(&|| run(true, 0), &|| run(false, 0));
     let (span_instrumented_ns, span_stubbed_ns, span_overhead_pct) =
-        paired(&|| run(true, true), &|| run(true, false));
+        paired(&|| run(true, spans_on), &|| run(true, 0));
     let rings = measure_rings(&system, &evaluator);
     ObsSection {
         interfaces,

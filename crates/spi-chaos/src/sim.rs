@@ -417,11 +417,11 @@ impl Sim {
         self.segments += 1;
     }
 
-    /// Closes one registry incarnation: drains its decision trace and runs
-    /// the replay, conservation and waitgraph oracles over it. `drained`
+    /// Closes one registry incarnation: reads its whole decision trace and
+    /// runs the replay, conservation and waitgraph oracles over it. `drained`
     /// asserts the stronger terminal laws (empty queue, no live leases).
     fn end_segment(&mut self, drained: bool) {
-        let drain = self.registry.drain_trace();
+        let drain = self.registry.read_trace_since(0);
         if drain.dropped > 0 {
             self.violations.push(format!(
                 "replay: trace ring dropped {} events (raise trace_capacity)",

@@ -17,12 +17,12 @@
 //! `--compact-log-bytes N` (compact the WAL whenever the log outgrows N
 //! bytes, not only at quiesce), `--no-hedge` (disable speculative
 //! re-leases), `--trace-capacity N` (size of the scheduler-decision trace
-//! ring drained by the `trace` op; 0 disables capture), `--no-metrics`
-//! (disable the metrics plane: counters, histograms, the `metrics` op and
-//! the watchdog), `--no-spans` (disable the profiling plane: phase spans,
-//! the `profile`/`spans` ops, span watch frames and the quiesce
-//! `profile.json`), `--span-capacity N` (per-worker span ring capacity,
-//! default 65536; 0 disables recording), `--watchdog-interval MS`
+//! ring that the `trace` op and `watch` read by cursor; 0 disables capture),
+//! `--no-metrics` (disable the metrics plane: counters, histograms, the
+//! `metrics` op and the watchdog), `--span-capacity N` (per-worker span ring
+//! capacity, default 65536; 0 disables the profiling plane: phase spans, the
+//! `profile`/`spans` ops, span watch frames and the quiesce `profile.json`),
+//! `--watchdog-interval MS`
 //! (background stall-sweep period for the `health` op; 0 disables the
 //! sweeper thread, default 1000).
 //! Diagnostics go to stderr; stdout carries exactly one JSON response line
@@ -63,10 +63,12 @@ fn main() {
         eprintln!(
             "usage: spi-explored [--workers N] [--batch N] [--lease-ms N] [--store DIR]\n\
                     [--cache-limit N] [--compact-log-bytes N] [--no-hedge] [--trace-capacity N]\n\
-                    [--no-metrics] [--no-spans] [--span-capacity N] [--watchdog-interval MS]\n\
+                    [--no-metrics] [--span-capacity N] [--watchdog-interval MS]\n\
              ndjson requests on stdin, one JSON response per line on stdout;\n\
              ops: submit | poll | wait | top | jobs | cancel | graph | trace |\n\
                   metrics | profile | spans | health | watch | shutdown\n\
+             --span-capacity 0 turns the profiling plane off, --trace-capacity 0 the\n\
+             decision trace (then `trace` and `watch` carry no decisions).\n\
              EOF on stdin quiesces cleanly: in-flight shards commit, the store compacts."
         );
         return;
@@ -98,9 +100,6 @@ fn main() {
     }
     if args.iter().any(|arg| arg == "--no-metrics") {
         config.metrics_enabled = false;
-    }
-    if args.iter().any(|arg| arg == "--no-spans") {
-        config.spans_enabled = false;
     }
     if let Some(capacity) = parse_flag(&args, "--span-capacity") {
         config.span_capacity = capacity as usize;

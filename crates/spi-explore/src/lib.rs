@@ -19,8 +19,8 @@
 //! Two frontends expose it:
 //!
 //! * **in-process** — [`ExplorationService::submit`] / [`poll`] / [`cancel`] /
-//!   [`wait`] plus an event stream over `std::sync::mpsc` channels
-//!   ([`ExplorationService::subscribe`]);
+//!   [`wait`]: a client polls for progress, and `wait` blocks on the
+//!   service's own condition variable until the job is terminal;
 //! * **cross-process** — the `spi-explored` binary speaking newline-delimited
 //!   JSON over stdin/stdout ([`wire::serve`]), with every symbol resolved to
 //!   its string on the way out and re-interned on the way in.
@@ -43,6 +43,13 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! Observers read, and the registry pushes nothing: the scheduler-decision
+//! trace and the span rings are followed by cursor
+//! ([`ExplorationService::read_trace_since`],
+//! [`ExplorationService::spans_since`]), the metrics are read as snapshots.
+//! The registry's effects are its WAL records, those rings and the metrics;
+//! it holds no channel to any client.
 //!
 //! [`poll`]: ExplorationService::poll
 //! [`cancel`]: ExplorationService::cancel
@@ -70,7 +77,7 @@ pub use health::{
     HealthFinding, HealthObservation, HealthReport, LeaseHealth, TenantHealth, Watchdog,
 };
 pub use registry::{
-    JobEvent, JobId, JobRegistry, JobSpec, JobState, JobStatus, LatencyQuantiles, Lease, LeaseId,
+    JobId, JobRegistry, JobSpec, JobState, JobStatus, LatencyQuantiles, Lease, LeaseId,
     RegistryConfig, RestoreStats,
 };
 pub use report::{BestVariant, ShardReport};
@@ -80,9 +87,7 @@ pub use spi_store::sched::HedgeConfig;
 pub use spi_store::span::{
     CriticalPath, PhaseId, Profile, Span, SpanDrain, SpanIds, SpanRecorder, SpanSink,
 };
-pub use spi_store::trace::{
-    ReplayReport, TraceDrain, TraceEvent, TraceReplay, TraceSubscription, TracedEvent,
-};
+pub use spi_store::trace::{ReplayReport, TraceDrain, TraceEvent, TraceReplay, TracedEvent};
 pub use spi_store::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use wire::{
     handle_request, rebuild_from_recipe, run_session, serve, status_from_json, WireStatus,

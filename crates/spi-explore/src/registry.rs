@@ -74,7 +74,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spi_model::digest::{digest_json, Digest};
@@ -83,9 +83,7 @@ use spi_model::json::{FromJson, JsonValue, ToJson};
 use spi_store::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 use spi_store::sched::{FairScheduler, HedgeConfig, LatencyTracker};
 use spi_store::span::{PhaseId, SpanIds, SpanSink};
-use spi_store::trace::{
-    TraceCapture, TraceDrain, TraceEvent, TraceSubscription, DEFAULT_TRACE_CAPACITY,
-};
+use spi_store::trace::{TraceCapture, TraceDrain, TraceEvent, DEFAULT_TRACE_CAPACITY};
 use spi_store::{CacheLimit, ResultCache};
 use spi_variants::{Flattener, VariantSystem};
 
@@ -283,30 +281,6 @@ pub struct Lease {
     pub hedged: bool,
 }
 
-/// Progress events streamed to [`JobRegistry::subscribe`]rs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobEvent {
-    /// A batch improved the job-wide best variant.
-    Improved {
-        /// The new best.
-        best: BestVariant,
-    },
-    /// A shard's staged report was committed.
-    ShardCompleted {
-        /// Which shard completed.
-        shard: usize,
-        /// Committed shards so far.
-        shards_done: usize,
-        /// Total shards of the job.
-        shard_count: usize,
-    },
-    /// The job reached a terminal state; no further events follow.
-    Finished {
-        /// The terminal snapshot.
-        status: JobStatus,
-    },
-}
-
 /// Completed-shard latency quantiles of one job, for operators watching the
 /// `jobs` op: where the shard-duration distribution sits and how long its
 /// tail is. Quantiles are `None` until the first shard of the job commits.
@@ -446,9 +420,6 @@ struct Job {
     staged: HashMap<LeaseId, ShardReport>,
     /// Aggregate of completed shards only; exact by construction.
     committed: ShardReport,
-    /// Best across committed *and* staged, for `Improved` events.
-    best_seen: Option<BestVariant>,
-    subscribers: Vec<mpsc::Sender<JobEvent>>,
     /// Content address of `(system recipe, space, evaluator spec)`, when the
     /// submission was cacheable.
     digest: Option<Digest>,
@@ -487,11 +458,6 @@ impl Job {
             latency: LatencyQuantiles::of(&self.latencies),
             report,
         }
-    }
-
-    fn emit(&mut self, event: JobEvent) {
-        self.subscribers
-            .retain(|subscriber| subscriber.send(event.clone()).is_ok());
     }
 
     fn is_live(&self) -> bool {
@@ -559,7 +525,8 @@ pub struct RestoreStats {
 /// the trace ring and adds the counters [`MetricsRegistry::count`] derives
 /// from it, through one [`emit`](Self::emit).
 struct Events {
-    /// Bounded ring of scheduler decisions; drained over the `trace` op.
+    /// Bounded ring of scheduler decisions; read by cursor over the `trace`
+    /// and `watch` ops.
     trace: TraceCapture,
     /// Aggregate counters/gauges/histograms next to the event-level trace;
     /// shared with the service layer (and with benches, which may hand in a
@@ -841,8 +808,6 @@ impl JobRegistry {
             shards_done: 0,
             staged: HashMap::new(),
             committed,
-            best_seen: None,
-            subscribers: Vec::new(),
             digest,
             recipe,
             cache_hit,
@@ -1119,19 +1084,7 @@ impl JobRegistry {
             );
         }
         let top_k = job.top_k;
-        let staged = job.staged.entry(lease).or_default();
-        staged.merge(&delta, top_k);
-        if let Some(best) = delta.best() {
-            let improved = job
-                .best_seen
-                .as_ref()
-                .is_none_or(|seen| best.key() < seen.key());
-            if improved {
-                job.best_seen = Some(best.clone());
-                let best = best.clone();
-                job.emit(JobEvent::Improved { best });
-            }
-        }
+        job.staged.entry(lease).or_default().merge(&delta, top_k);
         if spanning {
             self.spans.exit();
         }
@@ -1240,22 +1193,12 @@ impl JobRegistry {
             }
         }
 
-        let done = job.shards_done;
-        let total = job.shard_count;
-        job.emit(JobEvent::ShardCompleted {
-            shard,
-            shards_done: done,
-            shard_count: total,
-        });
-        if done == total {
+        if job.shards_done == job.shard_count {
             job.state = JobState::Completed;
             job.engine = JobEngine::Archived;
             self.running.remove(&job_id);
-            let cache_entry = job.digest.map(|digest| (digest, job.committed.to_json()));
-            let status = job.status(job_id);
-            job.emit(JobEvent::Finished { status });
-            if let Some((digest, result)) = cache_entry {
-                let evicted = self.cache.insert(digest, result);
+            if let Some(digest) = job.digest {
+                let evicted = self.cache.insert(digest, job.committed.to_json());
                 if evicted > 0 {
                     self.events.emit(TraceEvent::CacheEvict { evicted });
                 }
@@ -1409,11 +1352,7 @@ impl JobRegistry {
                 *slot = ShardSlot::Pending;
             }
         }
-        let status = job.status(job_id);
-        job.emit(JobEvent::Finished {
-            status: status.clone(),
-        });
-        Ok(status)
+        Ok(job.status(job_id))
     }
 
     /// A point-in-time snapshot of the job.
@@ -1429,42 +1368,15 @@ impl JobRegistry {
         Ok(job.status(job_id))
     }
 
-    /// Subscribes to the job's event stream. Events already in the past are
-    /// not replayed; a terminal job yields an immediate `Finished` event.
-    ///
-    /// # Errors
-    ///
-    /// [`ExploreError::UnknownJob`] for an unknown id.
-    pub fn subscribe(&mut self, job_id: JobId) -> Result<mpsc::Receiver<JobEvent>> {
-        let job = self
-            .jobs
-            .get_mut(&job_id)
-            .ok_or(ExploreError::UnknownJob(job_id))?;
-        let (sender, receiver) = mpsc::channel();
-        if job.state.is_terminal() {
-            let status = job.status(job_id);
-            let _ = sender.send(JobEvent::Finished { status });
-        } else {
-            job.subscribers.push(sender);
-        }
-        Ok(receiver)
-    }
-
     /// Ids of every registered job, in submission order.
     pub fn job_ids(&self) -> Vec<JobId> {
         self.jobs.keys().copied().collect()
     }
 
-    /// Takes every buffered scheduler-decision trace event (plus the count of
-    /// events the ring had to drop since the previous drain). Concatenated
-    /// drains of a never-full ring form one gap-free, replayable trace.
-    pub fn drain_trace(&mut self) -> TraceDrain {
-        self.events.trace.drain()
-    }
-
-    /// Reads trace events at or after the `since` cursor **without**
-    /// consuming them — the cursor-style counterpart of
-    /// [`drain_trace`](Self::drain_trace); see [`TraceCapture::read_since`].
+    /// Reads the buffered scheduler-decision trace events at or after the
+    /// `since` cursor, with the `next` cursor read under the same borrow; see
+    /// [`TraceCapture::read_since`]. A read from 0 of a ring that never
+    /// dropped is one gap-free, replayable trace.
     pub fn read_trace_since(&self, since: u64) -> TraceDrain {
         self.events.trace.read_since(since)
     }
@@ -1479,12 +1391,6 @@ impl JobRegistry {
     /// [`TraceCapture::ring_bytes`].
     pub fn trace_ring_bytes(&self) -> usize {
         self.events.trace.ring_bytes()
-    }
-
-    /// Registers a bounded live subscription fed every subsequent trace
-    /// event; see [`TraceCapture::subscribe`].
-    pub fn subscribe_trace(&mut self, queue: usize) -> TraceSubscription {
-        self.events.trace.subscribe(queue)
     }
 
     /// A point-in-time health observation for the stall watchdog: every live
@@ -1853,8 +1759,6 @@ impl JobRegistry {
                     shards_done: job.done.len(),
                     staged: HashMap::new(),
                     committed: job.committed,
-                    best_seen: None,
-                    subscribers: Vec::new(),
                     digest: job.digest,
                     recipe: job.recipe,
                     cache_hit: job.cache_hit,
@@ -2174,39 +2078,6 @@ mod tests {
     }
 
     #[test]
-    fn events_report_improvements_and_completion() {
-        let (mut registry, id) = registry_with_job(2);
-        let events = registry.subscribe(id).unwrap();
-        let now = Instant::now();
-        let a = registry.lease(now).unwrap();
-        let b = registry.lease(now).unwrap();
-        registry
-            .complete_shard(a.lease, report_with(3, 20), now)
-            .unwrap();
-        registry
-            .complete_shard(b.lease, report_with(5, 10), now)
-            .unwrap();
-        let collected: Vec<JobEvent> = events.try_iter().collect();
-        assert!(matches!(
-            collected[0],
-            JobEvent::Improved { ref best } if best.cost == 20
-        ));
-        assert!(collected
-            .iter()
-            .any(|e| matches!(e, JobEvent::Improved { best } if best.cost == 10)));
-        assert!(matches!(
-            collected.last().unwrap(),
-            JobEvent::Finished { status } if status.state == JobState::Completed
-        ));
-        // Subscribing to a terminal job yields an immediate Finished.
-        let late = registry.subscribe(id).unwrap();
-        assert!(matches!(
-            late.try_iter().next(),
-            Some(JobEvent::Finished { .. })
-        ));
-    }
-
-    #[test]
     fn terminal_jobs_release_their_engine() {
         use crate::evaluator::PartitionEvaluator;
         use crate::worker::{drain_lease, FlushResponse};
@@ -2223,10 +2094,10 @@ mod tests {
         let id = registry
             .submit(&system, spec.clone(), Arc::clone(&evaluator))
             .unwrap();
-        let events = registry.subscribe(id).unwrap();
         assert!(Arc::strong_count(&evaluator) > 1, "a running job holds it");
 
         let now = Instant::now();
+        let mut finished = None;
         while let Some(lease) = registry.lease(now) {
             drain_lease(
                 &lease,
@@ -2235,12 +2106,18 @@ mod tests {
                 &SpanSink::disabled(),
                 || false,
                 |delta, last| {
-                    let flushed = if last {
-                        registry.complete_shard(lease.lease, delta, now).map(|_| ())
+                    if last {
+                        let terminal = registry
+                            .complete_shard(lease.lease, delta, now)
+                            .expect("the only lease of its shard");
+                        if terminal {
+                            finished = Some(registry.poll(id).unwrap());
+                        }
                     } else {
-                        registry.report_batch(lease.lease, delta, now)
-                    };
-                    flushed.expect("the only lease of its shard");
+                        registry
+                            .report_batch(lease.lease, delta, now)
+                            .expect("the only lease of its shard");
+                    }
                     FlushResponse::Continue
                 },
             );
@@ -2250,13 +2127,7 @@ mod tests {
             1,
             "a completed job keeps no clone of its evaluator"
         );
-        let finished = events
-            .try_iter()
-            .find_map(|event| match event {
-                JobEvent::Finished { status } => Some(status),
-                _ => None,
-            })
-            .expect("the job finished");
+        let finished = finished.expect("the job finished");
         let status = registry.poll(id).unwrap();
         assert_eq!(status, finished, "poll answers what the job finished with");
         assert_eq!(status.state, JobState::Completed);
@@ -2346,10 +2217,6 @@ mod tests {
         ));
         assert!(matches!(
             registry.cancel(ghost),
-            Err(ExploreError::UnknownJob(_))
-        ));
-        assert!(matches!(
-            registry.subscribe(ghost),
             Err(ExploreError::UnknownJob(_))
         ));
     }
@@ -3141,7 +3008,7 @@ mod tests {
                 .unwrap();
         }
 
-        let drained = registry.drain_trace();
+        let drained = registry.read_trace_since(0);
         assert_eq!(drained.dropped, 0, "default ring holds a small run");
         let report = TraceReplay::check(&drained.events);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
@@ -3208,7 +3075,7 @@ mod tests {
         registry.abandon(returned.lease);
         assert_eq!(registry.expire(t0 + Duration::from_secs(61)), 1);
 
-        let drained = registry.drain_trace();
+        let drained = registry.read_trace_since(0);
         let kinds: Vec<&str> = drained
             .events
             .iter()

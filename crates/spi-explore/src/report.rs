@@ -1,8 +1,7 @@
 //! Batched, incrementally-merged exploration results.
 //!
 //! Workers do not stream one result per variant — at service scale that would
-//! turn the registry lock into a contention point and the subscribers into a
-//! firehose. Instead each worker accumulates a [`ShardReport`] *delta* and
+//! turn the registry lock into a contention point. Instead each worker accumulates a [`ShardReport`] *delta* and
 //! flushes it every batch: deltas merge into the shard's staged report, staged
 //! reports merge into the job's committed aggregate when the shard completes,
 //! and every merge is the same associative, commutative [`ShardReport::merge`]

@@ -4,10 +4,12 @@
 //! repeatedly lease strided shards from the [`JobRegistry`], drain them
 //! ([`crate::worker::drain_lease`]) and feed batched results back. Clients
 //! talk to the service in-process through the methods here — submit, poll,
-//! cancel, blocking wait, and an event subscription over `std::sync::mpsc`
-//! channels (the offline environment has no async runtime; channels plus a
-//! blocking `wait` cover the same call patterns) — or across processes via
-//! the ndjson frontend in [`crate::wire`].
+//! cancel and a blocking wait (the offline environment has no async runtime;
+//! `poll` for progress plus a `wait` that blocks on the service's own
+//! condition variable cover the same call patterns) — or across processes via
+//! the ndjson frontend in [`crate::wire`]. Observers read the service: the
+//! decision trace and the span rings by cursor, the metrics as snapshots;
+//! nothing is pushed to them.
 //!
 //! With a [`ServiceConfig::store_dir`], the service becomes **durable**: the
 //! registry write-ahead logs every submit / shard commit / cancel to a
@@ -21,13 +23,12 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use spi_store::sched::HedgeConfig;
 use spi_store::span::{self, Profile, SpanDrain, SpanIds, SpanRecorder, SpanSink};
-use spi_store::trace::TraceSubscription;
 use spi_store::{CacheLimit, GaugeId, MetricsRegistry, Wal};
 use spi_variants::VariantSystem;
 
@@ -36,12 +37,12 @@ use crate::durability::WalSink;
 use crate::evaluator::Evaluator;
 use crate::health::{HealthReport, Watchdog};
 use crate::registry::{
-    JobEvent, JobId, JobRegistry, JobSpec, JobStatus, Lease, RegistryConfig, RestoreStats,
+    JobId, JobRegistry, JobSpec, JobStatus, Lease, RegistryConfig, RestoreStats,
 };
 use crate::wire::rebuild_from_recipe;
 use crate::worker::{drain_lease, DrainOutcome, FlushResponse};
 use crate::{ExploreError, Result};
-use spi_model::json::{JsonText, JsonValue};
+use spi_model::json::JsonValue;
 
 /// Tunables of an [`ExplorationService`].
 #[derive(Debug, Clone)]
@@ -69,8 +70,8 @@ pub struct ServiceConfig {
     /// Compact the WAL once its log exceeds this many bytes (checked after
     /// committed completions); `None` compacts only at quiesce.
     pub compact_log_bytes: Option<u64>,
-    /// Capacity of the scheduler-decision trace ring drained over the
-    /// `trace` op; `0` disables capture.
+    /// Capacity of the scheduler-decision trace ring read over the `trace`
+    /// and `watch` ops; `0` disables capture.
     pub trace_capacity: usize,
     /// Whether the metrics plane records anything. `false` swaps in
     /// [`MetricsRegistry::disabled`] — every instrumentation site collapses
@@ -81,11 +82,9 @@ pub struct ServiceConfig {
     /// leases, starved tenants and a stalled WAL; `None` disables the thread
     /// (the `health` op still sweeps inline on demand).
     pub watchdog_interval: Option<Duration>,
-    /// Whether the span recorder captures anything. `false` swaps in
-    /// [`SpanRecorder::disabled`] — every instrumentation site collapses to
-    /// one branch, same discipline as `metrics_enabled`.
-    pub spans_enabled: bool,
-    /// Per-worker span ring capacity; `0` disables recording outright.
+    /// Per-worker span ring capacity. `0` swaps in
+    /// [`SpanRecorder::disabled`]: every instrumentation site collapses to
+    /// one branch, the same discipline as `metrics_enabled`.
     pub span_capacity: usize,
 }
 
@@ -103,7 +102,6 @@ impl Default for ServiceConfig {
             trace_capacity: spi_store::trace::DEFAULT_TRACE_CAPACITY,
             metrics_enabled: true,
             watchdog_interval: Some(Duration::from_secs(1)),
-            spans_enabled: true,
             span_capacity: span::DEFAULT_SPAN_CAPACITY,
         }
     }
@@ -193,7 +191,7 @@ impl ExplorationService {
             MetricsRegistry::disabled()
         });
         registry.set_metrics(Arc::clone(&metrics));
-        let spans = Arc::new(if config.spans_enabled && config.span_capacity > 0 {
+        let spans = Arc::new(if config.span_capacity > 0 {
             SpanRecorder::new(config.span_capacity)
         } else {
             SpanRecorder::disabled()
@@ -341,14 +339,8 @@ impl ExplorationService {
         self.registry().waitgraph()
     }
 
-    /// Drains the buffered scheduler-decision trace (see
-    /// [`JobRegistry::drain_trace`]).
-    pub fn drain_trace(&self) -> spi_store::TraceDrain {
-        self.registry().drain_trace()
-    }
-
-    /// Reads trace events at or after `since` without consuming them (see
-    /// [`JobRegistry::read_trace_since`]).
+    /// Reads trace events at or after `since`, with the `next` cursor read
+    /// under the same lock (see [`JobRegistry::read_trace_since`]).
     pub fn read_trace_since(&self, since: u64) -> spi_store::TraceDrain {
         self.registry().read_trace_since(since)
     }
@@ -356,14 +348,6 @@ impl ExplorationService {
     /// The sequence number the next trace event will get.
     pub fn trace_next_seq(&self) -> u64 {
         self.registry().trace_next_seq()
-    }
-
-    /// Registers a bounded live trace subscription (see
-    /// [`JobRegistry::subscribe_trace`]): every subsequent scheduler decision
-    /// streams to the returned handle, slow consumers lag instead of ever
-    /// blocking the scheduler.
-    pub fn subscribe_trace(&self, queue: usize) -> TraceSubscription {
-        self.registry().subscribe_trace(queue)
     }
 
     /// The service-wide metrics registry (counters, gauges, histograms,
@@ -426,16 +410,11 @@ impl ExplorationService {
         self.stamp(self.profile().to_json())
     }
 
-    /// Every recorded span as Chrome trace-event JSON (`ph:"X"` complete
-    /// events, one process per tenant, one thread per worker) — load it at
-    /// `ui.perfetto.dev` or `chrome://tracing`.
-    pub fn chrome_trace(&self) -> JsonText {
-        span::chrome_trace(&self.inner.spans.spans())
-    }
-
-    /// Writes [`chrome_trace`](Self::chrome_trace)'s JSON to `out` event by
-    /// event, without holding the document in memory — how the `spans` op
-    /// answers.
+    /// Writes every recorded span to `out` as Chrome trace-event JSON
+    /// (`ph:"X"` complete events, one process per tenant, one thread per
+    /// worker) — load it at `ui.perfetto.dev` or `chrome://tracing`. The
+    /// JSON is written event by event, never held as one document; this is
+    /// how the `spans` op answers.
     ///
     /// # Errors
     ///
@@ -479,16 +458,6 @@ impl ExplorationService {
     pub fn is_idle(&self) -> bool {
         let registry = self.registry();
         registry.running_jobs() == 0 && registry.live_lease_count() == 0
-    }
-
-    /// Subscribes to the job's event stream (improvements, shard completions,
-    /// termination) over an `mpsc` channel.
-    ///
-    /// # Errors
-    ///
-    /// As [`JobRegistry::subscribe`].
-    pub fn subscribe(&self, job: JobId) -> Result<mpsc::Receiver<JobEvent>> {
-        self.registry().subscribe(job)
     }
 
     /// Blocks until the job reaches a terminal state and returns its final,

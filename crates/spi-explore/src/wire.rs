@@ -18,18 +18,20 @@
 //! `submit` also takes `tenant` (fair-queuing bucket), `weight` (its WFQ
 //! share) and `no_cache` (bypass the result cache); responses carry
 //! `cache_hit` so a client can tell a served-from-cache job (`evaluated` is
-//! then 0 and `top` is the cached optimum). `trace` with a `since` cursor
-//! reads non-destructively from that sequence number (without `since` it
-//! drains, as before). `metrics` returns the full
+//! then 0 and `top` is the cached optimum). `trace` reads the decision ring
+//! from a `since` cursor (default 0) without consuming anything, and answers
+//! the `next` cursor read with the events. `metrics` returns the full
 //! [`MetricsRegistry`](spi_store::MetricsRegistry) snapshot under a
 //! `captured_unix_ms`/`uptime_ns` capture header, `profile` returns the
 //! span-derived per-phase profile (counts, total/self time, latency
 //! histograms, folded flamegraph stacks, per-job critical paths), `spans`
 //! exports every recorded span as Chrome trace-event JSON (load it in
 //! Perfetto), `health` runs a stall-watchdog sweep, and `watch` upgrades the
-//! session to a **streaming subscription** — multiple response lines
-//! (`frame`: `trace` / `metrics` / `spans` / `lagged` / `end`) until the
-//! service goes idle; see [`serve`]. Malformed
+//! session to a **stream** — multiple response lines (`frame`: `trace` /
+//! `metrics` / `spans` / `lagged` / `end`) until the service goes idle; see
+//! [`serve`]. `trace`, `spans` and `watch` are written by [`serve`] as they
+//! are read, never held as one tree, so [`handle_request`] refuses them.
+//! Malformed
 //! requests answer `{"ok":false,"error":...}` and the stream continues; only
 //! `shutdown` (or EOF) ends [`serve`] — [`run_session`] then quiesces the
 //! service, so a closed stdin is a clean shutdown (in-flight shards commit,
@@ -405,25 +407,6 @@ fn dispatch(service: &ExplorationService, request: &JsonValue) -> Result<JsonVal
                 ("graph", snapshot.to_json()),
             ]))
         }
-        "trace" => {
-            // With a `since` cursor the read is non-destructive: the same
-            // window can be re-read, and `next` is the cursor to pass for the
-            // following window. Without one the ring is drained, as before.
-            let drained = match request.get("since").and_then(JsonValue::as_u64) {
-                Some(since) => service.read_trace_since(since),
-                None => service.drain_trace(),
-            };
-            Ok(JsonValue::object([
-                ("ok", JsonValue::Bool(true)),
-                ("op", JsonValue::string("trace")),
-                ("dropped", drained.dropped.to_json()),
-                ("next", service.trace_next_seq().to_json()),
-                (
-                    "events",
-                    JsonValue::Array(drained.events.iter().map(ToJson::to_json).collect()),
-                ),
-            ]))
-        }
         "metrics" => Ok(JsonValue::object([
             ("ok", JsonValue::Bool(true)),
             ("op", JsonValue::string("metrics")),
@@ -433,17 +416,6 @@ fn dispatch(service: &ExplorationService, request: &JsonValue) -> Result<JsonVal
             ("ok", JsonValue::Bool(true)),
             ("op", JsonValue::string("profile")),
             ("profile", service.profile_snapshot()),
-        ])),
-        // `serve` streams this answer as text (see `write_spans`); here the
-        // same document comes back as a tree.
-        "spans" => Ok(JsonValue::object([
-            ("ok", JsonValue::Bool(true)),
-            ("op", JsonValue::string("spans")),
-            (
-                "trace",
-                JsonValue::parse(service.chrome_trace().as_str())
-                    .expect("the Chrome trace is valid JSON"),
-            ),
         ])),
         "health" => {
             let report = service.health();
@@ -459,11 +431,10 @@ fn dispatch(service: &ExplorationService, request: &JsonValue) -> Result<JsonVal
             ("ok", JsonValue::Bool(true)),
             ("op", JsonValue::string("shutdown")),
         ])),
-        "watch" => Err(ExploreError::Protocol(
-            "`watch` is a streaming op; drive it through `serve` (it answers \
-             with multiple lines)"
-                .into(),
-        )),
+        "trace" | "spans" | "watch" => Err(ExploreError::Protocol(format!(
+            "`{op}` is a streaming op; drive it through `serve` (it writes the \
+             answer as it reads it)"
+        ))),
         other => Err(ExploreError::Protocol(format!("unknown op `{other}`"))),
     }
 }
@@ -515,7 +486,7 @@ fn tenant_rollups(statuses: &[JobStatus]) -> JsonValue {
 }
 
 /// Writes one `watch` frame: `{"ok":true,"op":"watch","frame":kind,"seq":N,
-/// ...extras}`, flushed immediately. `seq` is per-subscription and strictly
+/// ...extras}`, flushed immediately. `seq` is per-watch and strictly
 /// monotone across frame kinds — the client's ordering check.
 fn write_frame<W: Write>(
     output: &mut W,
@@ -535,36 +506,43 @@ fn write_frame<W: Write>(
     output.flush()
 }
 
-/// The `watch` op: upgrades the session to a live subscription that streams
-/// until the service goes **idle** (no running job, no live lease), then
-/// yields a final `end` frame and hands the line loop back to [`serve`].
+/// How often a `watch` re-reads the trace ring: the longest a frame waits
+/// to be written, and the bound on how often a watcher takes the registry
+/// lock.
+const WATCH_POLL: Duration = Duration::from_millis(10);
+
+/// The `watch` op: streams the service's activity until it goes **idle**
+/// (no running job, no live lease), then yields a final `end` frame and
+/// hands the line loop back to [`serve`].
 ///
 /// Frames, one JSON object per line, all carrying `ok`, `op:"watch"` and a
 /// strictly monotone `seq`:
 ///
-/// * `trace` — one scheduler decision (`event`), as it happened;
+/// * `trace` — one scheduler decision (`event`), read from the trace ring
+///   by cursor; there are none with `--trace-capacity 0`;
 /// * `metrics` — periodic counter **deltas** since the previous metrics
 ///   frame (`counters`, zero-delta entries omitted), every `metrics_ms`
 ///   (default 500);
 /// * `spans` — one completed phase span (`span`), opt-in via `"spans":true`
-///   in the request; spans ride the same per-subscription `seq` and the
-///   stream's bounded-queue/lagged semantics are unchanged (spans are read
-///   by cursor from the recorder's rings, never queued);
-/// * `lagged` — the subscriber fell behind its bounded queue and `missed`
-///   events were dropped rather than blocking the scheduler; a fresh
-///   `metrics` frame follows immediately as the resync point;
-/// * `end` — the service is idle, the subscription is closed.
+///   in the request, read by cursor from the recorder's rings;
+/// * `lagged` — the watcher fell behind and `missed` live decisions were
+///   skipped (more than `queue` unread, or overwritten in the ring before
+///   the watcher read them); a fresh `metrics` frame follows immediately as
+///   the resync point, then the decisions after the gap;
+/// * `end` — the service is idle, the watch is closed.
 ///
-/// The stream opens with a **backfill**: every event still buffered in the
-/// trace ring with `seq >= since` (default 0) is replayed as `trace` frames
-/// before live events follow, `tail -f` style. The subscription is opened
-/// *before* the backfill is read and live events already replayed are
-/// deduplicated by `seq`, so the hand-off is gap-free.
+/// The stream opens with a **backfill**: every event still in the trace
+/// ring with `seq >= since` (default 0), up to the `next` cursor read with
+/// them, is replayed as `trace` frames, `tail -f` style. Live decisions are
+/// read from that cursor on, so the hand-off is gap-free. Nothing is pushed
+/// to a watcher: it reads the ring every [`WATCH_POLL`], so a slow watcher
+/// loses history but never slows the scheduler.
 ///
-/// Request knobs: `since` sets the backfill cursor, `queue` bounds the
-/// subscription (default 1024), `spans` turns on span frames, and `slow_ms`
-/// injects a per-iteration consumer delay — a test knob that makes lag
-/// deterministic in CI.
+/// Request knobs: `since` sets the backfill cursor, `queue` bounds how many
+/// unread live decisions the watcher keeps (default 1024; older ones are
+/// skipped), `spans` turns on span frames, and `slow_ms` injects a
+/// per-iteration consumer delay — a test knob that makes lag deterministic
+/// in CI.
 fn run_watch<W: Write>(
     service: &ExplorationService,
     request: &JsonValue,
@@ -572,7 +550,7 @@ fn run_watch<W: Write>(
 ) -> std::io::Result<()> {
     let queue = request
         .get("queue")
-        .and_then(JsonValue::as_usize)
+        .and_then(JsonValue::as_u64)
         .unwrap_or(1024)
         .max(1);
     let metrics_interval = Duration::from_millis(
@@ -593,12 +571,9 @@ fn run_watch<W: Write>(
         .and_then(JsonValue::as_bool)
         .unwrap_or(false);
     let metrics = service.metrics();
-    // Subscribe before reading the backfill so nothing falls in between;
-    // events present in both are deduplicated by their trace `seq` below.
-    let subscription = service.subscribe_trace(queue);
-    // Span frames poll the recorder's rings by completion-order cursor, so
-    // they can never lag the subscription queue; the cursor starts at zero
-    // and backfills every span still ringed, mirroring the trace backfill.
+    // Span frames poll the recorder's rings by completion-order cursor; the
+    // cursor starts at zero and backfills every span still ringed, mirroring
+    // the trace backfill.
     let mut span_cursor = 0u64;
     let span_frames = |output: &mut W, seq: &mut u64, cursor: &mut u64| -> std::io::Result<()> {
         if !want_spans {
@@ -615,21 +590,24 @@ fn run_watch<W: Write>(
         }
         Ok(())
     };
+    let trace_frame = |output: &mut W, seq: &mut u64, traced: &spi_store::TracedEvent| {
+        write_frame(
+            output,
+            "trace",
+            seq,
+            vec![("event".to_string(), traced.to_json())],
+        )
+    };
     let since = request
         .get("since")
         .and_then(JsonValue::as_u64)
         .unwrap_or(0);
     let mut seq = 0u64;
-    let mut last_traced: Option<u64> = None;
-    for traced in service.read_trace_since(since).events {
-        last_traced = Some(traced.seq);
-        write_frame(
-            output,
-            "trace",
-            &mut seq,
-            vec![("event".to_string(), traced.to_json())],
-        )?;
+    let backfill = service.read_trace_since(since);
+    for traced in &backfill.events {
+        trace_frame(output, &mut seq, traced)?;
     }
+    let mut cursor = backfill.next;
     // Deltas start from zero, so the first metrics frame is the cumulative
     // baseline — the counter analogue of the trace backfill above.
     let mut prev = [0u64; CounterId::ALL.len()];
@@ -647,24 +625,19 @@ fn run_watch<W: Write>(
         vec![("counters".to_string(), JsonValue::Object(deltas))]
     };
     let mut last_metrics = Instant::now();
+    // Set once the service was seen idle: one more read flushes whatever
+    // raced in between the previous read and the idle check, then the
+    // stream closes.
+    let mut closing = false;
     loop {
-        if !slow.is_zero() {
-            std::thread::sleep(slow);
+        if !closing {
+            std::thread::sleep(WATCH_POLL + slow);
         }
-        let mut saw_event = false;
-        if let Some(event) = subscription.next_timeout(Duration::from_millis(10)) {
-            saw_event = true;
-            if last_traced.is_none_or(|last| event.seq > last) {
-                last_traced = Some(event.seq);
-                write_frame(
-                    output,
-                    "trace",
-                    &mut seq,
-                    vec![("event".to_string(), event.to_json())],
-                )?;
-            }
-        }
-        let missed = subscription.take_lagged();
+        let read = service.read_trace_since(cursor);
+        // Keep the newest `queue` unread decisions that the ring still holds.
+        let keep_from = read.next.saturating_sub(queue).max(cursor + read.dropped);
+        let missed = keep_from - cursor;
+        cursor = read.next;
         if missed > 0 {
             write_frame(
                 output,
@@ -672,40 +645,62 @@ fn run_watch<W: Write>(
                 &mut seq,
                 vec![("missed".to_string(), missed.to_json())],
             )?;
-        }
-        if missed > 0 || last_metrics.elapsed() >= metrics_interval {
             let deltas = counter_deltas(&mut prev);
             write_frame(output, "metrics", &mut seq, deltas)?;
             last_metrics = Instant::now();
         }
+        for traced in read.events.iter().filter(|traced| traced.seq >= keep_from) {
+            trace_frame(output, &mut seq, traced)?;
+        }
         span_frames(output, &mut seq, &mut span_cursor)?;
-        if !saw_event && service.is_idle() {
-            // Flush whatever raced in between the last read and the idle
-            // check, then close the stream.
-            while let Some(event) = subscription.try_next() {
-                if last_traced.is_none_or(|last| event.seq > last) {
-                    last_traced = Some(event.seq);
-                    write_frame(
-                        output,
-                        "trace",
-                        &mut seq,
-                        vec![("event".to_string(), event.to_json())],
-                    )?;
-                }
-            }
-            span_frames(output, &mut seq, &mut span_cursor)?;
+        if closing || last_metrics.elapsed() >= metrics_interval {
             let deltas = counter_deltas(&mut prev);
             write_frame(output, "metrics", &mut seq, deltas)?;
+            last_metrics = Instant::now();
+        }
+        if closing {
             write_frame(output, "end", &mut seq, Vec::new())?;
             return Ok(());
         }
+        closing = read.events.is_empty() && service.is_idle();
     }
+}
+
+/// Answers the `trace` op straight onto `output`: the events from the
+/// request's `since` cursor (default 0) are read under one registry lock,
+/// together with the `next` cursor, then written one event at a time, so a
+/// full ring never exists as one [`JsonValue`] tree. The line is the one the
+/// tree `{"ok":true,"op":"trace","dropped":D,"next":N,"events":[...]}` would
+/// render.
+fn write_trace<W: Write>(
+    service: &ExplorationService,
+    request: &JsonValue,
+    output: &mut W,
+) -> std::io::Result<()> {
+    let since = request
+        .get("since")
+        .and_then(JsonValue::as_u64)
+        .unwrap_or(0);
+    let read = service.read_trace_since(since);
+    let mut out = std::io::BufWriter::with_capacity(1 << 16, output);
+    write!(
+        out,
+        "{{\"ok\":true,\"op\":\"trace\",\"dropped\":{},\"next\":{},\"events\":[",
+        read.dropped, read.next
+    )?;
+    for (at, traced) in read.events.iter().enumerate() {
+        if at > 0 {
+            out.write_all(b",")?;
+        }
+        out.write_all(traced.to_json().to_line().as_bytes())?;
+    }
+    out.write_all(b"]}\n")?;
+    out.flush()
 }
 
 /// Answers the `spans` op straight onto `output`. The Chrome trace of full
 /// span rings runs to tens of megabytes, so it is written event by event
-/// rather than built as a [`JsonValue`] tree and serialized; the line is the
-/// one [`handle_request`] would render.
+/// rather than built as a [`JsonValue`] tree and serialized.
 fn write_spans<W: Write>(service: &ExplorationService, output: &mut W) -> std::io::Result<()> {
     let mut out = std::io::BufWriter::with_capacity(1 << 16, output);
     out.write_all(b"{\"ok\":true,\"op\":\"spans\",\"trace\":")?;
@@ -736,6 +731,10 @@ pub fn serve<R: BufRead, W: Write>(
             Ok(request) => match request.get("op").and_then(JsonValue::as_str) {
                 Some("watch") => {
                     run_watch(service, &request, output)?;
+                    continue;
+                }
+                Some("trace") => {
+                    write_trace(service, &request, output)?;
                     continue;
                 }
                 Some("spans") => {
@@ -999,17 +998,6 @@ mod tests {
         let report = TraceReplay::check(&events);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         assert_eq!(report.committed_shards, 4);
-        // A second drain hands back an empty, still-ok window.
-        let responses = run_lines(&service, "{\"op\":\"trace\"}\n");
-        assert_eq!(
-            responses[0]
-                .get("events")
-                .unwrap()
-                .as_array()
-                .unwrap()
-                .len(),
-            0
-        );
     }
 
     /// `trace` with a `since` cursor is non-destructive: the same window can
@@ -1048,20 +1036,87 @@ mod tests {
             resumed[0].get("events").unwrap().as_array().unwrap().len(),
             0
         );
-        // And the destructive drain still works afterwards.
-        let drained = run_lines(&service, "{\"op\":\"trace\"}\n{\"op\":\"trace\"}\n");
-        assert!(!drained[0]
-            .get("events")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .is_empty());
-        assert!(drained[1]
-            .get("events")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .is_empty());
+    }
+
+    /// Without a cursor, `trace` reads the whole ring from 0 and consumes
+    /// nothing: asked twice of an idle service, it answers the same events.
+    #[test]
+    fn trace_without_since_answers_the_same_events_twice() {
+        let service = ExplorationService::start(ServiceConfig::with_workers(2));
+        let mut answers = Vec::new();
+        serve(
+            &service,
+            concat!(
+                "{\"op\":\"submit\",\"system\":{\"scaling\":{\"interfaces\":3,\"clusters\":2}},\
+                 \"shards\":4}\n",
+                "{\"op\":\"wait\",\"job\":0}\n",
+                "{\"op\":\"trace\"}\n",
+                "{\"op\":\"trace\"}\n",
+            )
+            .as_bytes(),
+            &mut answers,
+        )
+        .unwrap();
+        let answers = String::from_utf8(answers).unwrap();
+        let lines: Vec<&str> = answers.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert_eq!(lines[2], lines[3], "a read consumes nothing");
+        let answer = JsonValue::parse(lines[2]).unwrap();
+        let events = answer.get("events").unwrap().as_array().unwrap();
+        assert!(!events.is_empty());
+        assert_eq!(events[0].get("seq").unwrap().as_u64(), Some(0));
+        assert_eq!(
+            answer.get("next").unwrap().as_u64(),
+            Some(events.last().unwrap().get("seq").unwrap().as_u64().unwrap() + 1)
+        );
+    }
+
+    /// `serve` streams the `trace` answer event by event; the line is the one
+    /// the `JsonValue` tree of the same window renders, byte for byte — here
+    /// over a ring that dropped events, with escaped and non-ASCII names, and
+    /// from a cursor inside the ring. `handle_request` refuses the op.
+    #[test]
+    fn streamed_trace_line_matches_the_tree_rendering() {
+        let service = ExplorationService::start(ServiceConfig {
+            trace_capacity: 40,
+            ..ServiceConfig::with_workers(2)
+        });
+        run_lines(
+            &service,
+            concat!(
+                "{\"op\":\"submit\",\"tenant\":\"équipe \\\"a\\\"\\n\",\
+                 \"system\":{\"scaling\":{\"interfaces\":4,\"clusters\":2}},\"shards\":16}\n",
+                "{\"op\":\"wait\",\"job\":0}\n",
+            ),
+        );
+        let full = service.read_trace_since(0);
+        assert!(full.dropped > 0 && full.events.len() == 40);
+        assert!(full
+            .events
+            .iter()
+            .any(|traced| traced.to_json().to_line().contains("équipe \\\"a\\\"\\n")));
+        for since in [None, Some(full.next - 30)] {
+            let request = match since {
+                Some(since) => format!("{{\"op\":\"trace\",\"since\":{since}}}\n"),
+                None => "{\"op\":\"trace\"}\n".to_string(),
+            };
+            let mut streamed = Vec::new();
+            serve(&service, request.as_bytes(), &mut streamed).unwrap();
+            let window = service.read_trace_since(since.unwrap_or(0));
+            let tree = JsonValue::object([
+                ("ok", JsonValue::Bool(true)),
+                ("op", JsonValue::string("trace")),
+                ("dropped", window.dropped.to_json()),
+                ("next", window.next.to_json()),
+                (
+                    "events",
+                    JsonValue::Array(window.events.iter().map(ToJson::to_json).collect()),
+                ),
+            ]);
+            assert_eq!(String::from_utf8(streamed).unwrap(), tree.to_line() + "\n");
+        }
+        let refused = handle_request(&service, &JsonValue::parse("{\"op\":\"trace\"}").unwrap());
+        assert_eq!(refused.get("ok").unwrap().as_bool(), Some(false));
     }
 
     /// The `jobs` listing carries per-tenant rollups whose shard totals agree
@@ -1252,6 +1307,131 @@ mod tests {
         );
     }
 
+    /// The `watch` frames of one session, in order.
+    fn watch_frames(responses: &[JsonValue]) -> Vec<&JsonValue> {
+        responses
+            .iter()
+            .filter(|r| r.get("op").and_then(JsonValue::as_str) == Some("watch"))
+            .collect()
+    }
+
+    fn frame_kind(frame: &JsonValue) -> &str {
+        frame.get("frame").unwrap().as_str().unwrap()
+    }
+
+    /// A watch replays the whole backfill whatever its `queue` is, then keeps
+    /// at most `queue` unread live decisions: every decision of the run is
+    /// either streamed as a `trace` frame, in order, or counted as `missed`
+    /// by a `lagged` frame, which the metrics resync follows.
+    #[test]
+    fn watch_replays_the_backfill_and_accounts_for_every_live_decision() {
+        use crate::evaluator::{Evaluation, FnEvaluator};
+        use crate::registry::JobSpec;
+        use std::sync::Arc;
+
+        let service = ExplorationService::start(ServiceConfig::with_workers(2));
+        run_lines(
+            &service,
+            concat!(
+                "{\"op\":\"submit\",\"system\":{\"scaling\":{\"interfaces\":4,\"clusters\":2}},\
+                 \"shards\":8}\n",
+                "{\"op\":\"wait\",\"job\":0}\n",
+            ),
+        );
+        let finished = service.trace_next_seq();
+        let queue = 4;
+        assert!(finished > queue, "the backfill outnumbers the queue");
+        let system = spi_workloads::scaling_system(6, 2).expect("system builds");
+        let evaluator = Arc::new(FnEvaluator::new(|index, _choice, _graph| {
+            std::thread::sleep(Duration::from_millis(1));
+            Ok(Evaluation {
+                cost: index as u64,
+                feasible: true,
+                detail: String::new(),
+            })
+        }));
+        service
+            .submit(
+                &system,
+                JobSpec {
+                    name: "live".into(),
+                    shard_count: 64,
+                    ..JobSpec::default()
+                },
+                evaluator,
+            )
+            .expect("submit");
+        let responses = run_lines(
+            &service,
+            &format!("{{\"op\":\"watch\",\"queue\":{queue},\"slow_ms\":5}}\n"),
+        );
+        let frames = watch_frames(&responses);
+        assert_eq!(frame_kind(frames.last().unwrap()), "end");
+        let backfill = frames
+            .iter()
+            .take_while(|frame| frame_kind(frame) == "trace")
+            .count() as u64;
+        assert!(backfill >= finished, "the backfill is replayed in full");
+        let traced: Vec<u64> = frames
+            .iter()
+            .filter(|frame| frame_kind(frame) == "trace")
+            .map(|frame| {
+                frame
+                    .get("event")
+                    .unwrap()
+                    .get("seq")
+                    .unwrap()
+                    .as_u64()
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(
+            traced[..backfill as usize],
+            (0..backfill).collect::<Vec<_>>()
+        );
+        assert!(traced.windows(2).all(|pair| pair[0] < pair[1]));
+        let mut missed = 0;
+        for (at, frame) in frames.iter().enumerate() {
+            if frame_kind(frame) == "lagged" {
+                missed += frame.get("missed").unwrap().as_u64().unwrap();
+                assert_eq!(frame_kind(frames[at + 1]), "metrics", "the resync follows");
+            }
+        }
+        assert!(
+            missed > 0,
+            "a queue of {queue} with a slow consumer skips decisions"
+        );
+        assert_eq!(traced.len() as u64 + missed, service.trace_next_seq());
+    }
+
+    /// With the trace ring off there is nothing to read: a watch streams no
+    /// `trace` frames, while its metrics frames still count the run.
+    #[test]
+    fn watch_streams_no_trace_frames_with_the_ring_off() {
+        let service = ExplorationService::start(ServiceConfig {
+            trace_capacity: 0,
+            ..ServiceConfig::with_workers(2)
+        });
+        let responses = run_lines(
+            &service,
+            concat!(
+                "{\"op\":\"submit\",\"system\":{\"scaling\":{\"interfaces\":4,\"clusters\":2}},\
+                 \"shards\":8}\n",
+                "{\"op\":\"watch\",\"metrics_ms\":20}\n",
+            ),
+        );
+        let frames = watch_frames(&responses);
+        assert_eq!(frame_kind(frames.last().unwrap()), "end");
+        assert!(frames.iter().all(|frame| frame_kind(frame) != "trace"));
+        let commits: u64 = frames
+            .iter()
+            .filter(|frame| frame_kind(frame) == "metrics")
+            .filter_map(|frame| frame.get("counters").unwrap().get("shard.commits"))
+            .filter_map(JsonValue::as_u64)
+            .sum();
+        assert_eq!(commits, 8);
+    }
+
     /// The profiling ops round-trip through the strict parser: `profile`
     /// answers a stamped per-phase profile with folded stacks and a critical
     /// path, `spans` answers Chrome trace-event JSON whose `X` events carry
@@ -1371,36 +1551,6 @@ mod tests {
         assert!(metrics.get("captured_unix_ms").unwrap().as_u64().unwrap() > 0);
         assert!(metrics.get("uptime_ns").unwrap().as_u64().is_some());
         assert!(metrics.get("counters").is_some(), "snapshot body intact");
-    }
-
-    /// `serve` streams the `spans` answer as text; the line is the one
-    /// `handle_request` answers as a tree for the same recorded spans.
-    #[test]
-    fn streamed_spans_line_matches_the_tree_answer() {
-        let service = ExplorationService::start(ServiceConfig::with_workers(2));
-        run_lines(
-            &service,
-            concat!(
-                "{\"op\":\"submit\",\"tenant\":\"team \\\"a\\\"\",\
-                 \"system\":{\"scaling\":{\"interfaces\":4,\"clusters\":2}},\"shards\":4}\n",
-                "{\"op\":\"wait\",\"job\":0}\n",
-            ),
-        );
-        // The last drain span exits moments after `wait` returns.
-        let recorder = service.span_recorder();
-        let mut seen = recorder.next_seq();
-        loop {
-            std::thread::sleep(Duration::from_millis(20));
-            if recorder.next_seq() == seen {
-                break;
-            }
-            seen = recorder.next_seq();
-        }
-        let mut streamed = Vec::new();
-        serve(&service, "{\"op\":\"spans\"}\n".as_bytes(), &mut streamed).unwrap();
-        let tree = handle_request(&service, &JsonValue::parse("{\"op\":\"spans\"}").unwrap());
-        assert_eq!(String::from_utf8(streamed).unwrap(), tree.to_line() + "\n");
-        assert!(tree.to_line().contains("tenant:team \\\"a\\\""));
     }
 
     /// `"spans":true` upgrades a watch session with span frames: completed

@@ -100,7 +100,7 @@ fn traced_multi_tenant_run_replays_clean_and_snapshots_truthfully() {
     assert_eq!(graph.nodes_of_kind("tenant").count(), 3);
 
     // --- The decision trace replays clean. ---
-    let drained = service.drain_trace();
+    let drained = service.read_trace_since(0);
     assert_eq!(
         drained.dropped, 0,
         "the default ring must hold a run this size"

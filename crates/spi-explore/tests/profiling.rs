@@ -12,7 +12,8 @@
 //!    `compile_lower`/`partition_search` spans;
 //! 3. **quiesce** persists `profile.json` beside `metrics.json` — both
 //!    stamped with the `captured_unix_ms`/`uptime_ns` capture header — and
-//!    a `--no-spans` service writes no profile and records nothing.
+//!    a service with `--span-capacity 0` writes no profile and records
+//!    nothing.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -176,8 +177,9 @@ fn chrome_trace_ids_resolve_against_the_waitgraph_model() {
 
     // Round-trip the export through the strict parser, then resolve every
     // span's ids against the waitgraph node-id model over the real run.
-    let raw = service.chrome_trace().to_line();
-    let trace = JsonValue::parse(&raw).unwrap();
+    let mut raw = Vec::new();
+    service.write_chrome_trace(&mut raw).unwrap();
+    let trace = JsonValue::parse(std::str::from_utf8(&raw).unwrap()).unwrap();
     let events = trace.get("traceEvents").unwrap().as_array().unwrap();
     let mut complete = 0usize;
     for event in events {
@@ -275,7 +277,8 @@ fn quiesce_persists_profile_json_beside_metrics_json() {
     assert!(metrics.get("uptime_ns").unwrap().as_u64().is_some());
     let _ = std::fs::remove_dir_all(&dir);
 
-    // A --no-spans service records nothing and writes no profile.
+    // A service with `--span-capacity 0` records nothing and writes no
+    // profile.
     let dir =
         std::env::temp_dir().join(format!("spi-explore-profiling-off-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -283,7 +286,7 @@ fn quiesce_persists_profile_json_beside_metrics_json() {
         let service = ExplorationService::try_start(ServiceConfig {
             workers: 2,
             store_dir: Some(dir.clone()),
-            spans_enabled: false,
+            span_capacity: 0,
             ..ServiceConfig::default()
         })
         .unwrap();

@@ -486,7 +486,7 @@ fn a_restarted_service_counts_the_shards_it_requeues() {
     let metrics = service.metrics();
     let enqueues = metrics.counter(CounterId::WfqEnqueues);
     let traced = service
-        .drain_trace()
+        .read_trace_since(0)
         .events
         .iter()
         .filter(|traced| matches!(traced.event, TraceEvent::WfqEnqueue { .. }))

@@ -249,30 +249,6 @@ impl fmt::Display for JsonValue {
     }
 }
 
-/// A JSON value already written as one line: for documents too large to
-/// hold as a [`JsonValue`] tree, rendered straight to text by their producer
-/// (with [`write_string`] for their strings) and passed on verbatim.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonText(String);
-
-impl JsonText {
-    /// Wraps `line`, which the caller guarantees is one JSON value without a
-    /// newline.
-    pub fn new(line: String) -> JsonText {
-        JsonText(line)
-    }
-
-    /// The text, as [`JsonValue::to_line`] would have written the value.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
-    /// A copy of the text, for callers written against [`JsonValue::to_line`].
-    pub fn to_line(&self) -> String {
-        self.0.clone()
-    }
-}
-
 /// Appends `value` to `out` as a quoted JSON string, escaped exactly as
 /// [`JsonValue::to_line`] escapes strings.
 pub fn write_string(value: &str, out: &mut String) {

@@ -18,9 +18,9 @@
 //! * [`trace`] — a bounded ring of every scheduler decision
 //!   ([`TraceCapture`]) plus an offline checker ([`TraceReplay`]) that
 //!   asserts WFQ's proportional-share bound and exactly-once lease
-//!   accounting over any captured run, and bounded live subscriptions
-//!   ([`TraceSubscription`]) that stream decisions as they happen without
-//!   ever blocking the scheduler.
+//!   accounting over any captured run. Observers follow the ring by cursor
+//!   ([`TraceCapture::read_since`]); nothing is pushed to them, so no
+//!   reader can slow the scheduler.
 //! * [`metrics`] — lock-free counters, gauges and log-linear bounded-error
 //!   histograms ([`Histogram`]), organized in a [`MetricsRegistry`] with
 //!   static metric ids and per-tenant label handles; the continuous
@@ -30,7 +30,7 @@
 //!   parent ids, static [`PhaseId`]s, waitgraph-compatible attribution and
 //!   the trace-seq window they overlapped; aggregated into per-phase
 //!   [`Profile`]s with folded flamegraph stacks and critical paths, or
-//!   exported as Chrome trace-event JSON ([`span::chrome_trace`]).
+//!   written as Chrome trace-event JSON ([`span::write_chrome_trace`]).
 //!
 //! The crate deliberately knows nothing about jobs, leases or evaluators:
 //! everything is expressed over raw ids and JSON payloads, so the store can
@@ -78,7 +78,5 @@ pub use span::{
     CriticalPath, PhaseId, Profile, Span, SpanDrain, SpanIds, SpanRecorder, SpanSink, SpanStamp,
     DEFAULT_SPAN_CAPACITY,
 };
-pub use trace::{
-    ReplayReport, TraceCapture, TraceDrain, TraceEvent, TraceReplay, TraceSubscription, TracedEvent,
-};
+pub use trace::{ReplayReport, TraceCapture, TraceDrain, TraceEvent, TraceReplay, TracedEvent};
 pub use wal::{Recovered, Wal};

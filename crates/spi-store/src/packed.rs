@@ -291,12 +291,6 @@ impl<C: Codec> PackedRing<C> {
             .sum()
     }
 
-    /// Drops every record and frees every chunk.
-    pub(crate) fn clear(&mut self) {
-        self.chunks = VecDeque::new();
-        self.len = 0;
-    }
-
     /// The bytes the ring has allocated: chunk buffers, chunk tables and the
     /// chunk list itself (not what the table entries point to).
     pub(crate) fn allocated_bytes(&self) -> usize {
@@ -388,9 +382,6 @@ mod tests {
         assert_eq!(held(&ring, 4990..4995).len(), 5);
         assert!(ring.len_since(4990) < 3000);
         assert!(held(&ring, 6000..u64::MAX).is_empty());
-        ring.clear();
-        assert_eq!(ring.len(), 0);
-        assert!(held(&ring, 0..u64::MAX).is_empty());
     }
 
     #[test]

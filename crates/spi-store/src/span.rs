@@ -32,8 +32,9 @@
 //!
 //! On top of the raw spans this module derives the served views:
 //! [`Profile::from_spans`] (per-phase totals + log-linear histograms +
-//! folded flamegraph stacks + per-job critical paths) and [`chrome_trace`]
-//! (Chrome trace-event JSON loadable in Perfetto / `chrome://tracing`).
+//! folded flamegraph stacks + per-job critical paths) and
+//! [`write_chrome_trace`] (Chrome trace-event JSON loadable in Perfetto /
+//! `chrome://tracing`).
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -43,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use spi_model::json::{self, JsonText, JsonValue};
+use spi_model::json::{self, JsonValue};
 
 use crate::metrics::Histogram;
 use crate::packed::{Codec, PackedRing, Reader, Writer};
@@ -988,22 +989,15 @@ impl Profile {
     }
 }
 
-/// Renders `spans` as Chrome trace-event JSON — an object with a
-/// `traceEvents` array of `ph:"X"` complete events (pid = tenant,
-/// tid = worker, ts/dur in microseconds) plus `ph:"M"` metadata events
-/// naming each pid/tid, loadable directly in Perfetto or `chrome://tracing`.
-/// Each event's `args` carries the span's waitgraph node ids
-/// (`job:{j}`, `shard:{j}/{s}`, `lease:{l}`, ...) and its
-/// `trace_first`/`trace_last` scheduler-trace window.
-pub fn chrome_trace(spans: &[Span]) -> JsonText {
-    let mut bytes = Vec::new();
-    write_chrome_trace(spans, &mut bytes).expect("writing to a Vec cannot fail");
-    JsonText::new(String::from_utf8(bytes).expect("the trace is UTF-8"))
-}
-
-/// Writes [`chrome_trace`]'s JSON to `out` as one line without a newline,
-/// one event at a time: a large trace never exists as a tree or as one
-/// string.
+/// Writes `spans` to `out` as Chrome trace-event JSON, one line without a
+/// newline: an object with a `traceEvents` array of `ph:"X"` complete events
+/// (pid = tenant, tid = worker, ts/dur in microseconds) plus `ph:"M"`
+/// metadata events naming each pid/tid, loadable directly in Perfetto or
+/// `chrome://tracing`. Each event's `args` carries the span's waitgraph node
+/// ids (`job:{j}`, `shard:{j}/{s}`, `lease:{l}`, ...) and its
+/// `trace_first`/`trace_last` scheduler-trace window. The document is
+/// written one event at a time: a large trace never exists as a tree or as
+/// one string.
 ///
 /// # Errors
 ///
@@ -1555,8 +1549,9 @@ mod tests {
         sink.enter(PhaseId::FlattenRebuild);
         sink.exit();
         sink.exit();
-        let trace = chrome_trace(&recorder.spans());
-        let parsed = JsonValue::parse(&trace.to_line()).unwrap();
+        let mut trace = Vec::new();
+        write_chrome_trace(&recorder.spans(), &mut trace).unwrap();
+        let parsed = JsonValue::parse(std::str::from_utf8(&trace).unwrap()).unwrap();
         let events = parsed.get("traceEvents").unwrap().as_array().unwrap();
         let complete: Vec<_> = events
             .iter()
@@ -1687,11 +1682,9 @@ mod tests {
 
     #[test]
     fn chrome_trace_text_matches_the_tree_rendering_byte_for_byte() {
-        let line = chrome_trace(&chrome_fixture()).to_line();
-        assert_eq!(line, CHROME_FIXTURE_LINE);
         let mut streamed = Vec::new();
         write_chrome_trace(&chrome_fixture(), &mut streamed).unwrap();
-        assert_eq!(streamed, line.as_bytes());
+        assert_eq!(String::from_utf8(streamed).unwrap(), CHROME_FIXTURE_LINE);
     }
 
     /// A field value: one of the extremes, or a value near `around`.

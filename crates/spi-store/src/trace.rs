@@ -9,9 +9,11 @@
 //! ring drops the *oldest* events (counting them) instead of blocking the
 //! scheduler.
 //!
-//! Drained events are plain data with a stable JSON form, so a trace can
-//! cross the wire (`{"op":"trace"}` in `spi-explored`), land in a file, and
-//! be replayed offline by [`TraceReplay`] — a checker that re-derives what
+//! Readers follow the ring by cursor ([`TraceCapture::read_since`]): a read
+//! consumes nothing, so any number of them can each keep their own place.
+//! Read events are plain data with a stable JSON form, so a trace can cross
+//! the wire (`{"op":"trace"}` in `spi-explored`), land in a file, and be
+//! replayed offline by [`TraceReplay`] — a checker that re-derives what
 //! *must* have been true of any correct run:
 //!
 //! * **WFQ proportional share** — over every maximal window in which a set
@@ -32,9 +34,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::time::Duration;
 
 use spi_model::json::{FromJson, JsonError, JsonResult, JsonValue, ToJson};
 
@@ -363,60 +363,17 @@ impl FromJson for TracedEvent {
     }
 }
 
-/// What one [`TraceCapture::drain`] handed back.
+/// What one [`TraceCapture::read_since`] read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceDrain {
-    /// The captured events, oldest first.
+    /// The events at or past the cursor, oldest first.
     pub events: Vec<TracedEvent>,
-    /// Events the ring dropped (overwrote) since the previous drain. A
-    /// nonzero count means the drained slice is *not* replay-complete.
+    /// Events at or past the cursor that the ring overwrote before the read.
+    /// A nonzero count means the window is *not* replay-complete.
     pub dropped: u64,
-}
-
-/// One live subscriber's sending side: a bounded channel plus a shared lag
-/// counter the recorder bumps instead of ever blocking on a full queue.
-#[derive(Debug)]
-struct TraceFanout {
-    tx: SyncSender<TracedEvent>,
-    lagged: Arc<AtomicU64>,
-}
-
-/// The receiving side of a live trace subscription
-/// ([`TraceCapture::subscribe`]).
-///
-/// Events arrive through a **bounded** queue: when the subscriber falls
-/// behind, the recorder drops the event for this subscriber and increments a
-/// lag counter instead of blocking the scheduler. [`take_lagged`] reads and
-/// resets that counter, so a consumer can emit a `lagged` marker and resync
-/// from the capture ring. Dropping the subscription unregisters it on the
-/// next recorded event.
-///
-/// [`take_lagged`]: TraceSubscription::take_lagged
-#[derive(Debug)]
-pub struct TraceSubscription {
-    rx: Receiver<TracedEvent>,
-    lagged: Arc<AtomicU64>,
-}
-
-impl TraceSubscription {
-    /// The next queued event, or `None` when the queue is currently empty
-    /// or the capture side has gone away.
-    pub fn try_next(&self) -> Option<TracedEvent> {
-        self.rx.try_recv().ok()
-    }
-
-    /// Waits up to `timeout` for the next event; `None` on timeout or when
-    /// the capture side has gone away.
-    pub fn next_timeout(&self, timeout: Duration) -> Option<TracedEvent> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Events dropped for this subscriber since the last call, resetting
-    /// the counter. Nonzero means the consumer lagged and the stream has a
-    /// gap; resync via [`TraceCapture::read_since`].
-    pub fn take_lagged(&self) -> u64 {
-        self.lagged.swap(0, Ordering::Relaxed)
-    }
+    /// The sequence number the next recorded event will get, read together
+    /// with `events`: the cursor that resumes right after this read.
+    pub next: u64,
 }
 
 /// Packs a decision against the previous one in its chunk: one kind byte
@@ -600,13 +557,12 @@ impl Codec for EventCodec {
 /// Fixed-capacity ring of scheduler decisions.
 ///
 /// Capacity `0` disables capture entirely (recording becomes a no-op); any
-/// other capacity keeps the newest events and counts what it had to drop.
+/// other capacity keeps the newest events, and what it had to drop is
+/// `next_seq − len`.
 #[derive(Debug, Default)]
 pub struct TraceCapture {
     ring: PackedRing<EventCodec>,
     next_seq: u64,
-    dropped: u64,
-    subscribers: Vec<TraceFanout>,
     /// Live mirror of `next_seq`, shared lock-free with readers that must
     /// not take the capture's lock (span recording on worker hot paths).
     seq_mirror: Arc<AtomicU64>,
@@ -618,8 +574,6 @@ impl TraceCapture {
         TraceCapture {
             ring: PackedRing::new(capacity),
             next_seq: 0,
-            dropped: 0,
-            subscribers: Vec::new(),
             seq_mirror: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -649,37 +603,20 @@ impl TraceCapture {
         self.ring.len() == 0
     }
 
-    /// Events dropped (overwritten) since the last [`drain`](Self::drain).
+    /// Events the ring has dropped (overwritten) since it was created.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.next_seq - self.ring.len() as u64
     }
 
-    /// Records one decision, assigning it the next sequence number, and
-    /// fans it out to every live subscriber. Fan-out never blocks: a full
-    /// subscriber queue counts one lagged event for that subscriber and the
-    /// recorder moves on; a hung-up subscriber is unregistered.
+    /// Records one decision, assigning it the next sequence number; a full
+    /// ring drops its oldest event.
     pub fn record(&mut self, event: TraceEvent) {
-        if !self.enabled() && self.subscribers.is_empty() {
+        if !self.enabled() {
             return;
         }
-        let traced = TracedEvent {
-            seq: self.next_seq,
-            event,
-        };
+        self.ring.push(self.next_seq, &event);
         self.next_seq += 1;
         self.seq_mirror.store(self.next_seq, Ordering::Relaxed);
-        self.subscribers
-            .retain(|sub| match sub.tx.try_send(traced.clone()) {
-                Ok(()) => true,
-                Err(TrySendError::Full(_)) => {
-                    sub.lagged.fetch_add(1, Ordering::Relaxed);
-                    true
-                }
-                Err(TrySendError::Disconnected(_)) => false,
-            });
-        if self.enabled() && self.ring.push(traced.seq, &traced.event) {
-            self.dropped += 1;
-        }
     }
 
     /// The bytes the ring has allocated: chunk buffers, chunk tables and the
@@ -701,28 +638,15 @@ impl TraceCapture {
         Arc::clone(&self.seq_mirror)
     }
 
-    /// Registers a live subscriber with a bounded queue of `queue` events
-    /// (clamped to ≥ 1) and returns its receiving side. Subscriptions see
-    /// every event recorded after this call — even when the ring itself is
-    /// disabled (`capacity == 0`) — subject to the queue bound.
-    pub fn subscribe(&mut self, queue: usize) -> TraceSubscription {
-        let (tx, rx) = std::sync::mpsc::sync_channel(queue.max(1));
-        let lagged = Arc::new(AtomicU64::new(0));
-        self.subscribers.push(TraceFanout {
-            tx,
-            lagged: Arc::clone(&lagged),
-        });
-        TraceSubscription { rx, lagged }
-    }
-
-    /// Non-destructive read of every buffered event with `seq >= since`,
-    /// oldest first. Unlike [`drain`](Self::drain) this leaves the ring (and
-    /// the drain-side drop counter) untouched, so multiple pollers can each
-    /// keep their own cursor. `dropped` here counts the events **this
-    /// cursor** can no longer see — those with sequence numbers at or past
-    /// `since` that the ring has already overwritten.
+    /// Every buffered event with `seq >= since`, oldest first, plus the
+    /// `next` cursor read with them. The read consumes nothing, so any
+    /// number of readers can each keep their own cursor. `dropped` counts
+    /// the events **this cursor** can no longer see — those with sequence
+    /// numbers at or past `since` that the ring has already overwritten.
     pub fn read_since(&self, since: u64) -> TraceDrain {
-        let front_seq = self.next_seq - self.ring.len() as u64;
+        // Sequence numbers are gap-free, so the oldest held one is the
+        // count of events dropped before it.
+        let front_seq = self.dropped();
         let mut events =
             Vec::with_capacity(self.next_seq.saturating_sub(since.max(front_seq)) as usize);
         self.ring.read(since..self.next_seq, |seq, event| {
@@ -731,19 +655,7 @@ impl TraceCapture {
         TraceDrain {
             events,
             dropped: front_seq.saturating_sub(since),
-        }
-    }
-
-    /// Takes every buffered event (oldest first) plus the drop count since
-    /// the previous drain, and resets both. Sequence numbers keep counting
-    /// across drains, so concatenated drains of a never-full ring form one
-    /// gap-free trace.
-    pub fn drain(&mut self) -> TraceDrain {
-        let events = self.read_since(0).events;
-        self.ring.clear();
-        TraceDrain {
-            events,
-            dropped: std::mem::take(&mut self.dropped),
+            next: self.next_seq,
         }
     }
 }
@@ -822,7 +734,7 @@ pub struct TraceReplay {
 }
 
 impl TraceReplay {
-    /// Replays `events` (as drained: oldest first) and reports every
+    /// Replays `events` (as read: oldest first) and reports every
     /// violation of the scheduler's contracts. The trace must be complete —
     /// sequence numbers contiguous from 0 — or the incompleteness itself is
     /// reported as a violation, because neither fairness nor a lease census
@@ -1129,11 +1041,12 @@ mod tests {
             capture.record(TraceEvent::CacheHit { job });
         }
         assert_eq!(capture.len(), 2);
-        let drained = capture.drain();
-        assert_eq!(drained.dropped, 3);
-        assert_eq!(drained.events[0].seq, 3);
-        assert_eq!(drained.events[1].seq, 4);
-        assert_eq!(capture.drain().dropped, 0, "drain resets the drop count");
+        assert_eq!(capture.dropped(), 3);
+        let read = capture.read_since(0);
+        assert_eq!(read.dropped, 3);
+        assert_eq!(read.events[0].seq, 3);
+        assert_eq!(read.events[1].seq, 4);
+        assert_eq!(read.next, 5);
     }
 
     #[test]
@@ -1142,7 +1055,8 @@ mod tests {
         assert!(!capture.enabled());
         capture.record(TraceEvent::CacheHit { job: 0 });
         assert!(capture.is_empty());
-        assert_eq!(capture.drain().dropped, 0);
+        assert_eq!(capture.read_since(0).next, 0);
+        assert_eq!(capture.dropped(), 0);
     }
 
     #[test]
@@ -1165,8 +1079,7 @@ mod tests {
         let future = capture.read_since(99);
         assert!(future.events.is_empty());
         assert_eq!(future.dropped, 0);
-        // The destructive drain still works afterwards and is unaffected.
-        assert_eq!(capture.drain().events.len(), 5);
+        assert_eq!(future.next, 5);
     }
 
     #[test]
@@ -1182,41 +1095,6 @@ mod tests {
             read.events.iter().map(|e| e.seq).collect::<Vec<_>>(),
             [3, 4]
         );
-    }
-
-    #[test]
-    fn subscription_streams_lags_and_unregisters() {
-        let mut capture = TraceCapture::new(8);
-        let subscription = capture.subscribe(2);
-        capture.record(TraceEvent::CacheHit { job: 0 });
-        capture.record(TraceEvent::CacheHit { job: 1 });
-        // Queue is full (bound 2): the next records lag, never block.
-        capture.record(TraceEvent::CacheHit { job: 2 });
-        capture.record(TraceEvent::CacheHit { job: 3 });
-        assert_eq!(subscription.try_next().unwrap().seq, 0);
-        assert_eq!(subscription.try_next().unwrap().seq, 1);
-        assert!(subscription.try_next().is_none());
-        assert_eq!(subscription.take_lagged(), 2);
-        assert_eq!(subscription.take_lagged(), 0, "take resets the lag count");
-        // After the lag, the subscriber resyncs from the ring by cursor.
-        let resync = capture.read_since(2);
-        assert_eq!(resync.events.len(), 2);
-        // Events keep flowing after a lag episode.
-        capture.record(TraceEvent::CacheHit { job: 4 });
-        assert_eq!(subscription.try_next().unwrap().seq, 4);
-        // Dropping the receiver unregisters the subscriber on next record.
-        drop(subscription);
-        capture.record(TraceEvent::CacheHit { job: 5 });
-        assert!(capture.subscribers.is_empty());
-    }
-
-    #[test]
-    fn subscription_works_with_capture_ring_disabled() {
-        let mut capture = TraceCapture::new(0);
-        let subscription = capture.subscribe(4);
-        capture.record(TraceEvent::CacheHit { job: 0 });
-        assert!(capture.is_empty(), "ring stays disabled");
-        assert_eq!(subscription.try_next().unwrap().seq, 0);
     }
 
     #[test]
@@ -1298,9 +1176,9 @@ mod tests {
             capture.record(commit(dispatch.entry.0, dispatch.entry.1, lease));
             lease += 1;
         }
-        let drained = capture.drain();
-        assert_eq!(drained.dropped, 0);
-        let report = TraceReplay::check(&drained.events);
+        let read = capture.read_since(0);
+        assert_eq!(read.dropped, 0);
+        let report = TraceReplay::check(&read.events);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         assert_eq!(report.dispatches, 120);
         assert_eq!(report.commits, 120);
@@ -1438,46 +1316,34 @@ mod tests {
 
     /// Differential test of the packed capture against the ring it replaced:
     /// a `VecDeque<TracedEvent>` that pushes at the back and pops the front
-    /// once full, with a drop count that `drain` resets. After every record
-    /// and every drain, `read_since` at every cursor, `len`, `dropped` and
-    /// `next_seq` must agree with the model, and a subscriber must see every
-    /// event — also at capacity 0.
+    /// once full. After every record, `read_since` at every cursor (with its
+    /// `next`), `len`, the lifetime `dropped` and `next_seq` must agree with
+    /// the model; at capacity 0 nothing is recorded at all.
     #[test]
     fn packed_capture_matches_the_deque_model() {
         let mut lcg = spi_testutil::Lcg::new(18);
         for capacity in [0usize, 1, 2, 3, 50, 127, 300] {
             let mut capture = TraceCapture::new(capacity);
-            let subscription = capture.subscribe(1 << 12);
             let mut model: VecDeque<TracedEvent> = VecDeque::new();
-            let mut dropped = 0u64;
             let mut next_seq = 0u64;
-            while next_seq < 2 * capacity as u64 + 150 {
-                if lcg.chance(1, 40) {
-                    let drained = capture.drain();
-                    assert_eq!(drained.events, Vec::from(std::mem::take(&mut model)));
-                    assert_eq!(drained.dropped, std::mem::take(&mut dropped));
-                } else {
-                    let event = arbitrary_event(&mut lcg);
-                    let traced = TracedEvent {
-                        seq: next_seq,
-                        event: event.clone(),
-                    };
-                    capture.record(event);
-                    assert_eq!(subscription.try_next(), Some(traced.clone()));
-                    next_seq += 1;
-                    if capacity > 0 {
-                        if model.len() == capacity {
-                            model.pop_front();
-                            dropped += 1;
-                        }
-                        model.push_back(traced);
+            for _ in 0..2 * capacity + 150 {
+                let event = arbitrary_event(&mut lcg);
+                capture.record(event.clone());
+                if capacity > 0 {
+                    if model.len() == capacity {
+                        model.pop_front();
                     }
+                    model.push_back(TracedEvent {
+                        seq: next_seq,
+                        event,
+                    });
+                    next_seq += 1;
                 }
                 assert_eq!(capture.len(), model.len(), "capacity {capacity}");
                 assert_eq!(capture.is_empty(), model.is_empty());
-                assert_eq!(capture.dropped(), dropped);
-                assert_eq!(capture.next_seq(), next_seq);
                 let front = next_seq - model.len() as u64;
+                assert_eq!(capture.dropped(), front);
+                assert_eq!(capture.next_seq(), next_seq);
                 for cursor in (front.saturating_sub(2)..=next_seq + 1).chain([0, u64::MAX]) {
                     let read = capture.read_since(cursor);
                     let held = model.iter().filter(|traced| traced.seq >= cursor);
@@ -1486,6 +1352,7 @@ mod tests {
                         "capacity {capacity}, cursor {cursor}"
                     );
                     assert_eq!(read.dropped, front.saturating_sub(cursor));
+                    assert_eq!(read.next, next_seq);
                 }
             }
             assert_eq!(capture.ring_bytes() == 0, capacity == 0 || model.is_empty());

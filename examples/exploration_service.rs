@@ -1,15 +1,14 @@
 //! The exploration service end to end: submit the scenario suite as jobs,
-//! stream progress events while a worker pool drains the variant spaces, and
+//! poll their progress while a worker pool drains the variant spaces, and
 //! print the per-scenario optimum — then drive the same flow once more over
 //! the ndjson wire protocol `spi-explored` speaks.
 //!
 //! Run with `cargo run --release --example exploration_service`.
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use spi_repro::explore::{
-    serve, ExplorationService, JobEvent, JobSpec, PartitionEvaluator, ServiceConfig,
-};
+use spi_repro::explore::{serve, ExplorationService, JobSpec, PartitionEvaluator, ServiceConfig};
 use spi_repro::model::json::JsonValue;
 use spi_repro::workloads::exploration_suite;
 
@@ -36,14 +35,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Arc::new(PartitionEvaluator::default()),
         )?;
 
-        // Progress arrives as events over a plain mpsc channel: improvements,
-        // shard completions, termination.
-        let events = service.subscribe(job)?;
-        let status = service.wait(job)?;
-        let improvements = events
-            .try_iter()
-            .filter(|event| matches!(event, JobEvent::Improved { .. }))
-            .count();
+        // Progress is read, never pushed: poll the job's live snapshot
+        // (committed plus staged results) until it is terminal. A client
+        // that only wants the answer calls `wait`, which blocks instead.
+        let mut improvements = 0;
+        let mut best_seen = None;
+        let status = loop {
+            let status = service.poll(job)?;
+            let best = status.best().map(|best| best.cost);
+            if best.is_some() && best != best_seen {
+                improvements += 1;
+                best_seen = best;
+            }
+            if status.state.is_terminal() {
+                break status;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
 
         let best = status
             .best()
@@ -53,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             status.shard_count
         );
         println!(
-            "  evaluated {} (pruned {}, improvements seen {})",
+            "  evaluated {} (pruned {}, improvements seen while polling {})",
             status.report.evaluated, status.report.pruned, improvements
         );
         println!(

@@ -1,7 +1,7 @@
 //! The observability plane end to end: a multi-tenant job mix on a live
-//! worker pool, watched while it runs — a bounded trace subscription
-//! streaming scheduler decisions, metrics and health polled mid-flight, and
-//! the final snapshot printed once the service drains.
+//! worker pool, watched while it runs — the scheduler-decision trace
+//! followed by cursor, metrics and health polled mid-flight, and the final
+//! snapshot printed once the service drains.
 //!
 //! Run with `cargo run --release --example observability`.
 
@@ -17,10 +17,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let service = ExplorationService::start(ServiceConfig::with_workers(4));
     println!("service up with {} workers\n", service.worker_count());
 
-    // A bounded live subscription, opened before the jobs so it sees every
-    // decision. The bound matters: a slow consumer costs trace
-    // completeness (counted, see below), never scheduler throughput.
-    let subscription = service.subscribe_trace(512);
+    // The decision trace is read by cursor: each read hands back the events
+    // at or past the cursor and the `next` cursor to resume from. Nothing is
+    // pushed to a reader, so a slow one costs trace completeness (counted in
+    // `dropped`, see below), never scheduler throughput.
+    let mut cursor = 0;
+    let (mut followed, mut dropped) = (0, 0);
 
     // Two tenants, different weights, mildly slow evaluation so the run is
     // long enough to observe mid-flight.
@@ -46,10 +48,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         jobs.push(service.submit(&system, spec, evaluator)?);
     }
 
-    // Poll the planes while the pool drains: counter deltas, per-tenant
-    // service, and the watchdog's verdict.
+    // Poll the planes while the pool drains: the trace since the last read,
+    // counter deltas, per-tenant service, and the watchdog's verdict.
     while !service.is_idle() {
         std::thread::sleep(Duration::from_millis(40));
+        let read = service.read_trace_since(cursor);
+        followed += read.events.len();
+        dropped += read.dropped;
+        cursor = read.next;
         let snapshot = service.metrics_snapshot();
         let counters = snapshot.get("counters").expect("counters section");
         let commits = counters
@@ -77,16 +83,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Drain what the subscription captured. `take_lagged` is the honesty
-    // counter: events the bounded queue dropped because this consumer was
-    // slower than the scheduler. Re-read any gap with read_trace_since.
-    let mut delivered = 0usize;
-    while subscription.try_next().is_some() {
-        delivered += 1;
-    }
+    // One last read picks up the decisions since the loop's final read.
+    // `dropped` is the honesty counter: events the ring overwrote before
+    // this reader got to them (raise `trace_capacity` if it is nonzero).
+    let read = service.read_trace_since(cursor);
+    followed += read.events.len();
+    dropped += read.dropped;
     println!(
-        "\nsubscription delivered {delivered} decisions, dropped {}",
-        subscription.take_lagged()
+        "\nfollowed {followed} decisions by cursor up to seq {}, dropped {dropped}",
+        read.next
     );
 
     // The final snapshot — the same JSON the `metrics` wire op answers and

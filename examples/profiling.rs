@@ -6,6 +6,7 @@
 //!
 //! Run with `cargo run --release --example profiling`.
 
+use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,8 +17,8 @@ use spi_repro::workloads::scaling_system;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Spans are on by default (span_capacity bounds each worker's ring);
-    // `--no-spans` / spans_enabled=false collapses every record site to one
-    // predicted branch.
+    // `--span-capacity 0` / span_capacity=0 collapses every record site to
+    // one predicted branch.
     let service = ExplorationService::start(ServiceConfig {
         workers: 8,
         ..ServiceConfig::default()
@@ -113,7 +114,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    worker. Open the file in https://ui.perfetto.dev (or
     //    chrome://tracing) and every span lands on its worker's track.
     let trace_path = std::env::temp_dir().join("spi-profiling-example.trace.json");
-    std::fs::write(&trace_path, service.chrome_trace().to_line())?;
+    let mut file = std::io::BufWriter::new(std::fs::File::create(&trace_path)?);
+    service.write_chrome_trace(&mut file)?;
+    file.flush()?;
     println!(
         "\nwrote Chrome trace to {} — load it in Perfetto",
         trace_path.display()

@@ -12,8 +12,9 @@
 //! `--batch N` (variants per result batch, default 256), `--lease-ms N`
 //! (lease timeout, default 30000), `--store DIR` (durable job state: WAL +
 //! snapshot + result cache; the process can be killed and restarted on the
-//! same directory and resumes its jobs), `--cache-limit N` (cap the result
-//! cache at N entries, LRU-evicted; default unbounded),
+//! same directory and resumes its jobs), `--cache-limit N` (also cap the
+//! result cache at N entries, LRU-evicted; the default bound is 16 MiB of
+//! cached lines, which applies either way),
 //! `--compact-log-bytes N` (compact the WAL whenever the log outgrows N
 //! bytes, not only at quiesce), `--no-hedge` (disable speculative
 //! re-leases), `--trace-capacity N` (size of the scheduler-decision trace
@@ -24,7 +25,9 @@
 //! `profile`/`spans` ops, span watch frames and the quiesce `profile.json`),
 //! `--watchdog-interval MS`
 //! (background stall-sweep period for the `health` op; 0 disables the
-//! sweeper thread, default 1000).
+//! sweeper thread, default 1000). An unknown flag, a flag without its value
+//! or a value that is not a non-negative integer prints the usage, names the
+//! argument, and exits with status 2.
 //! Diagnostics go to stderr; stdout carries exactly one JSON response line
 //! per request — except `watch`, which streams frames until the service
 //! goes idle.
@@ -43,74 +46,94 @@ use std::time::Duration;
 use spi_explore::{run_session, ExplorationService, HedgeConfig, ServiceConfig};
 use spi_store::CacheLimit;
 
-fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|arg| arg == flag)
-        .and_then(|at| args.get(at + 1))
-        .and_then(|value| value.parse().ok())
+const USAGE: &str = "\
+usage: spi-explored [--workers N] [--batch N] [--lease-ms N] [--store DIR]
+                    [--cache-limit N] [--compact-log-bytes N] [--no-hedge] [--trace-capacity N]
+                    [--no-metrics] [--span-capacity N] [--watchdog-interval MS]
+ndjson requests on stdin, one JSON response per line on stdout;
+ops: submit | poll | wait | top | jobs | cancel | graph | trace |
+     metrics | profile | spans | health | watch | shutdown
+--span-capacity 0 turns the profiling plane off, --trace-capacity 0 the
+decision trace (then `trace` and `watch` carry no decisions).
+EOF on stdin quiesces cleanly: in-flight shards commit, the store compacts.";
+
+/// The value following `flag`; a missing one, or another flag in its place,
+/// is an error.
+fn value_of(flag: &str, value: Option<String>) -> Result<String, String> {
+    value
+        .filter(|value| !value.starts_with("--"))
+        .ok_or_else(|| format!("`{flag}` needs a value"))
 }
 
-fn parse_text_flag<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|arg| arg == flag)
-        .and_then(|at| args.get(at + 1))
-        .map(String::as_str)
+fn number_of<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+    let value = value_of(flag, value)?;
+    value
+        .parse()
+        .map_err(|_| format!("`{flag}` takes a non-negative integer, not `{value}`"))
+}
+
+/// Parses the command line against the known flags; `Ok(None)` asks for the
+/// usage. Any argument that is not a known flag with a well-formed value is
+/// an error naming it.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<ServiceConfig>, String> {
+    let mut config = ServiceConfig::default();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--help" | "-h" => return Ok(None),
+            "--no-hedge" => config.hedge = HedgeConfig::disabled(),
+            "--no-metrics" => config.metrics_enabled = false,
+            "--store" => config.store_dir = Some(value_of(&flag, args.next())?.into()),
+            "--workers" => config.workers = number_of::<usize>(&flag, args.next())?.max(1),
+            "--batch" => config.batch_size = number_of::<usize>(&flag, args.next())?.max(1),
+            "--lease-ms" => {
+                config.lease_timeout =
+                    Duration::from_millis(number_of::<u64>(&flag, args.next())?.max(1));
+            }
+            "--cache-limit" => {
+                config.cache_limit.max_entries = Some(number_of(&flag, args.next())?);
+            }
+            "--compact-log-bytes" => {
+                config.compact_log_bytes = Some(number_of(&flag, args.next())?);
+            }
+            "--trace-capacity" => {
+                config.trace_capacity = number_of(&flag, args.next())?;
+            }
+            "--span-capacity" => config.span_capacity = number_of(&flag, args.next())?,
+            "--watchdog-interval" => {
+                let interval_ms: u64 = number_of(&flag, args.next())?;
+                config.watchdog_interval =
+                    (interval_ms > 0).then(|| Duration::from_millis(interval_ms));
+            }
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(Some(config))
+}
+
+/// Both bounds of the result cache, for the startup banner.
+fn describe(limit: CacheLimit) -> String {
+    let bound = |max: Option<usize>, unit: &str| {
+        max.map_or(format!("unbounded {unit}"), |max| format!("{max} {unit}"))
+    };
+    format!(
+        "{} / {}",
+        bound(limit.max_entries, "entries"),
+        bound(limit.max_bytes, "bytes")
+    )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
-        eprintln!(
-            "usage: spi-explored [--workers N] [--batch N] [--lease-ms N] [--store DIR]\n\
-                    [--cache-limit N] [--compact-log-bytes N] [--no-hedge] [--trace-capacity N]\n\
-                    [--no-metrics] [--span-capacity N] [--watchdog-interval MS]\n\
-             ndjson requests on stdin, one JSON response per line on stdout;\n\
-             ops: submit | poll | wait | top | jobs | cancel | graph | trace |\n\
-                  metrics | profile | spans | health | watch | shutdown\n\
-             --span-capacity 0 turns the profiling plane off, --trace-capacity 0 the\n\
-             decision trace (then `trace` and `watch` carry no decisions).\n\
-             EOF on stdin quiesces cleanly: in-flight shards commit, the store compacts."
-        );
-        return;
-    }
-    let mut config = ServiceConfig::default();
-    if let Some(workers) = parse_flag(&args, "--workers") {
-        config.workers = (workers as usize).max(1);
-    }
-    if let Some(batch) = parse_flag(&args, "--batch") {
-        config.batch_size = (batch as usize).max(1);
-    }
-    if let Some(lease_ms) = parse_flag(&args, "--lease-ms") {
-        config.lease_timeout = Duration::from_millis(lease_ms.max(1));
-    }
-    if let Some(store) = parse_text_flag(&args, "--store") {
-        config.store_dir = Some(store.into());
-    }
-    if let Some(entries) = parse_flag(&args, "--cache-limit") {
-        config.cache_limit = CacheLimit::entries(entries as usize);
-    }
-    if let Some(bytes) = parse_flag(&args, "--compact-log-bytes") {
-        config.compact_log_bytes = Some(bytes);
-    }
-    if args.iter().any(|arg| arg == "--no-hedge") {
-        config.hedge = HedgeConfig::disabled();
-    }
-    if let Some(capacity) = parse_flag(&args, "--trace-capacity") {
-        config.trace_capacity = capacity as usize;
-    }
-    if args.iter().any(|arg| arg == "--no-metrics") {
-        config.metrics_enabled = false;
-    }
-    if let Some(capacity) = parse_flag(&args, "--span-capacity") {
-        config.span_capacity = capacity as usize;
-    }
-    if let Some(interval_ms) = parse_flag(&args, "--watchdog-interval") {
-        config.watchdog_interval = if interval_ms == 0 {
-            None
-        } else {
-            Some(Duration::from_millis(interval_ms))
-        };
-    }
+    let config = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(config)) => config,
+        Ok(None) => {
+            eprintln!("{USAGE}");
+            return;
+        }
+        Err(error) => {
+            eprintln!("spi-explored: {error}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     eprintln!(
         "spi-explored: {} workers, batch {}, lease {:?}, store {}, cache limit {}",
@@ -121,10 +144,7 @@ fn main() {
             .store_dir
             .as_deref()
             .map_or("none".to_string(), |dir| dir.display().to_string()),
-        config
-            .cache_limit
-            .max_entries
-            .map_or("unbounded".to_string(), |n| format!("{n} entries")),
+        describe(config.cache_limit),
     );
     let service = match ExplorationService::try_start(config) {
         Ok(service) => service,

@@ -8,8 +8,11 @@ use crate::registry::{JobId, LeaseId};
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ExploreError {
-    /// The referenced job does not exist.
+    /// The referenced job was never submitted.
     UnknownJob(JobId),
+    /// The referenced job finished and has since been retired: more than
+    /// 1,024 jobs finished after it, so its status was evicted. Its answer is gone for good; asking again never blocks.
+    Retired(JobId),
     /// The lease is no longer valid: it expired and was re-queued, its job was
     /// cancelled, or it was already completed. Work reported under a stale
     /// lease is discarded — this is what makes re-leased shards count once.
@@ -34,6 +37,7 @@ impl fmt::Display for ExploreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExploreError::UnknownJob(job) => write!(f, "unknown job {job}"),
+            ExploreError::Retired(job) => write!(f, "job {} was retired", job.raw()),
             ExploreError::StaleLease(lease) => write!(f, "stale lease {lease}"),
             ExploreError::InvalidSpec(message) => write!(f, "invalid job spec: {message}"),
             ExploreError::Protocol(message) => write!(f, "protocol error: {message}"),
@@ -81,6 +85,8 @@ mod tests {
     fn errors_display_their_context() {
         let unknown = ExploreError::UnknownJob(JobId::from_raw(7));
         assert!(unknown.to_string().contains("job#7"));
+        let retired = ExploreError::Retired(JobId::from_raw(5));
+        assert_eq!(retired.to_string(), "job 5 was retired");
         let stale = ExploreError::StaleLease(LeaseId::from_raw(3));
         assert!(stale.to_string().contains("lease#3"));
         let synth: ExploreError = spi_synth::SynthError::NoApplications.into();

@@ -44,6 +44,14 @@
 //! # }
 //! ```
 //!
+//! A finished job costs a small, bounded amount: it leaves the running table
+//! as the status [`poll`] answers for it, at most 1,024 of those are kept
+//! (evicted in finish order), and a retired id answers
+//! [`ExploreError::Retired`] at once. The
+//! result cache holds each result as its canonical line, 16 MiB of them by
+//! default, and a job submitted with [`JobSpec::use_cache`] off neither reads
+//! nor writes it.
+//!
 //! Observers read, and the registry pushes nothing: the scheduler-decision
 //! trace and the span rings are followed by cursor
 //! ([`ExplorationService::read_trace_since`],

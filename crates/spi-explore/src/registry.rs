@@ -60,18 +60,35 @@
 //! merges into the committed aggregate, so replay after a crash reconstructs
 //! exactly the committed census — interrupted shards restart from zero.
 //!
+//! # Finished jobs
+//!
+//! The job table holds running jobs only. The moment a job turns terminal —
+//! its last shard commits, it is cancelled, it is answered from the cache or
+//! its space is empty at submit, or restore finds it finished — it leaves
+//! the table as the [`JobStatus`] its `poll` answers with (the counts, the
+//! committed report, the latency quantiles computed once), and nothing it
+//! needed to run (recipe, shard slots, staged reports, latency reservoir,
+//! flattener, evaluator). At most 1,024 finished jobs are kept; past that
+//! the job that finished earliest is evicted, whatever its id, and a
+//! running job never is. Asking for an evicted job answers
+//! [`ExploreError::Retired`] at once, so a daemon's memory no longer grows
+//! with every job it has run.
+//!
 //! # The result cache
 //!
 //! A submission that provides a *recipe* (the construction description of the
 //! system, as the ndjson frontend does) and whose evaluator exposes a
 //! canonical [`spec`](crate::Evaluator::spec) gets a content
 //! [`Digest`] over `{system recipe, variant space, evaluator spec}`. On
-//! completion the committed report is cached under that digest; a later
-//! identical submission is served from the cache at birth — state
-//! `Completed`, `evaluated == 0`, the cached optimum in `top` — without a
-//! single worker evaluation.
+//! completion the committed report is cached under that digest as its
+//! canonical line; a later identical submission is served from the cache at
+//! birth — state `Completed`, `evaluated == 0`, the cached optimum in `top` —
+//! without a single worker evaluation. A job submitted with
+//! [`JobSpec::use_cache`] off neither reads nor writes the cache: the digest
+//! is the address of a deterministic computation, so its write would only
+//! store what the next cacheable submission writes anyway.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -84,7 +101,7 @@ use spi_store::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 use spi_store::sched::{FairScheduler, HedgeConfig, LatencyTracker};
 use spi_store::span::{PhaseId, SpanIds, SpanSink};
 use spi_store::trace::{TraceCapture, TraceDrain, TraceEvent, DEFAULT_TRACE_CAPACITY};
-use spi_store::{CacheLimit, ResultCache};
+use spi_store::{CacheLimit, ResultCache, DEFAULT_CACHE_BYTES};
 use spi_variants::{Flattener, VariantSystem};
 
 use crate::durability::DurabilitySink;
@@ -196,8 +213,9 @@ pub struct JobSpec {
     /// `w` shard dispatches for every one a weight-1 tenant gets. The last
     /// submission's weight wins for the whole tenant.
     pub weight: u32,
-    /// Whether an identical cached result may satisfy this submission. When
-    /// `false` the job is recomputed (and refreshes the cache on completion).
+    /// Whether the job goes through the result cache. When `false` the job
+    /// is recomputed and its result is not cached: the job neither reads
+    /// nor writes the cache.
     pub use_cache: bool,
 }
 
@@ -221,8 +239,8 @@ pub struct RegistryConfig {
     pub lease_timeout: Duration,
     /// The speculative re-leasing policy.
     pub hedge: HedgeConfig,
-    /// Bound on the result cache (entries and/or serialized bytes); the
-    /// default is unbounded.
+    /// Bound on the result cache (entries and/or bytes of cached lines); the
+    /// default is [`DEFAULT_CACHE_BYTES`] of lines.
     pub cache_limit: CacheLimit,
     /// Compact the WAL whenever its log grows past this many bytes (checked
     /// after each committed completion); `None` compacts only at quiesce.
@@ -232,12 +250,17 @@ pub struct RegistryConfig {
     pub trace_capacity: usize,
 }
 
+/// How many finished jobs stay answerable. Past it, the job that finished
+/// earliest is evicted and answers [`ExploreError::Retired`]; running jobs
+/// are never evicted.
+const RETAIN_FINISHED: usize = 1024;
+
 impl Default for RegistryConfig {
     fn default() -> Self {
         RegistryConfig {
             lease_timeout: Duration::from_secs(30),
             hedge: HedgeConfig::default(),
-            cache_limit: CacheLimit::UNBOUNDED,
+            cache_limit: CacheLimit::bytes(DEFAULT_CACHE_BYTES),
             compact_log_bytes: None,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
         }
@@ -374,34 +397,16 @@ enum ShardSlot {
     Done,
 }
 
-/// What a job needs to hand out leases. A job drops it the moment it turns
-/// terminal (completed, cancelled, or answered from the cache at submit), so a
-/// long-lived daemon holds no flattener or evaluator for finished work;
-/// recovered terminal jobs (and running jobs whose recipe could not be
-/// rebuilt) are archived without one.
-enum JobEngine {
-    Live {
-        flattener: Arc<Flattener>,
-        /// The submitted evaluator as [`Evaluator::bind`] bound it to this
-        /// job (or as submitted, when it does not bind).
-        evaluator: Arc<dyn Evaluator>,
-    },
-    Archived,
+/// `evaluator` as [`Evaluator::bind`] binds it to the job over `flattener`
+/// (or as submitted, when it does not bind): the one place, at submit and at
+/// restore alike, where a job's evaluator gets its per-job state.
+fn bind(flattener: &Flattener, evaluator: Arc<dyn Evaluator>) -> Arc<dyn Evaluator> {
+    Arc::clone(&evaluator).bind(flattener).unwrap_or(evaluator)
 }
 
-impl JobEngine {
-    /// A live engine over `flattener`, with `evaluator` bound to it: the one
-    /// place, at submit and at restore alike, where a job's evaluator gets
-    /// its per-job state.
-    fn live(flattener: Arc<Flattener>, evaluator: Arc<dyn Evaluator>) -> JobEngine {
-        let evaluator = Arc::clone(&evaluator).bind(&flattener).unwrap_or(evaluator);
-        JobEngine::Live {
-            flattener,
-            evaluator,
-        }
-    }
-}
-
+/// A running job: everything it needs to hand out leases and account for
+/// them. It leaves the job table as its final [`JobStatus`] the moment it
+/// turns terminal, which drops its flattener and evaluator with the rest.
 struct Job {
     name: String,
     tenant: String,
@@ -410,10 +415,11 @@ struct Job {
     shard_count: usize,
     top_k: usize,
     combinations: usize,
-    engine: JobEngine,
+    flattener: Arc<Flattener>,
+    /// The submitted evaluator, bound to this job (see [`bind`]).
+    evaluator: Arc<dyn Evaluator>,
     incumbent: Arc<AtomicU64>,
     cancelled: Arc<AtomicBool>,
-    state: JobState,
     shards: Vec<ShardSlot>,
     shards_done: usize,
     /// Per-lease staged reports, discarded on expiry/abandon/cancel.
@@ -426,7 +432,6 @@ struct Job {
     /// The construction recipe, when supplied: what recovery rebuilds the
     /// flattener and evaluator from after a restart.
     recipe: Option<JsonValue>,
-    cache_hit: bool,
     hedges_issued: u64,
     hedge_wins: u64,
     latencies: LatencyTracker,
@@ -447,12 +452,12 @@ impl Job {
             job: id,
             name: self.name.clone(),
             tenant: self.tenant.clone(),
-            state: self.state,
+            state: JobState::Running,
             combinations: self.combinations,
             shard_count: self.shard_count,
             shards_done: self.shards_done,
             shards_in_flight: in_flight,
-            cache_hit: self.cache_hit,
+            cache_hit: false,
             hedges_issued: self.hedges_issued,
             hedge_wins: self.hedge_wins,
             latency: LatencyQuantiles::of(&self.latencies),
@@ -460,11 +465,19 @@ impl Job {
         }
     }
 
-    fn is_live(&self) -> bool {
-        matches!(self.engine, JobEngine::Live { .. })
+    /// The status the job leaves behind on turning `state`. Its report is
+    /// the committed one and nothing is in flight: staged reports and leases
+    /// (a cancelled job's work in flight) die with the job.
+    fn finish(mut self, id: JobId, state: JobState) -> JobStatus {
+        self.staged.clear();
+        self.shards.clear();
+        JobStatus {
+            state,
+            ..self.status(id)
+        }
     }
 
-    /// The durable summary of this job, used in snapshots.
+    /// The durable summary of this running job, used in snapshots.
     fn durable_summary(&self, id: JobId) -> JsonValue {
         let done: Vec<usize> = self
             .shards
@@ -482,22 +495,39 @@ impl Job {
             ("shards", self.shard_count.to_json()),
             ("top_k", self.top_k.to_json()),
             ("combinations", self.combinations.to_json()),
-            (
-                "digest",
-                self.digest
-                    .as_ref()
-                    .map(ToJson::to_json)
-                    .unwrap_or(JsonValue::Null),
-            ),
+            ("digest", digest_json_or_null(self.digest)),
             ("recipe", self.recipe.clone().unwrap_or(JsonValue::Null)),
-            ("cache_hit", JsonValue::Bool(self.cache_hit)),
-            ("state", JsonValue::string(self.state.as_wire())),
+            ("cache_hit", JsonValue::Bool(false)),
+            ("state", JsonValue::string(JobState::Running.as_wire())),
             ("done", done.to_json()),
             ("committed", self.committed.to_json()),
             ("hedges_issued", self.hedges_issued.to_json()),
             ("hedge_wins", self.hedge_wins.to_json()),
         ])
     }
+}
+
+/// The durable summary of a finished job, used in snapshots: no recipe, no
+/// `done` list, no weight, `top_k` or digest — restore needs none of them
+/// for a job that will never run again.
+fn finished_summary(status: &JobStatus) -> JsonValue {
+    JsonValue::object([
+        ("job", status.job.raw().to_json()),
+        ("name", status.name.to_json()),
+        ("tenant", status.tenant.to_json()),
+        ("shards", status.shard_count.to_json()),
+        ("shards_done", status.shards_done.to_json()),
+        ("combinations", status.combinations.to_json()),
+        ("cache_hit", JsonValue::Bool(status.cache_hit)),
+        ("state", JsonValue::string(status.state.as_wire())),
+        ("committed", status.report.to_json()),
+        ("hedges_issued", status.hedges_issued.to_json()),
+        ("hedge_wins", status.hedge_wins.to_json()),
+    ])
+}
+
+fn digest_json_or_null(digest: Option<Digest>) -> JsonValue {
+    digest.as_ref().map_or(JsonValue::Null, ToJson::to_json)
 }
 
 /// How to turn a stored recipe back into a live system + evaluator after a
@@ -508,14 +538,15 @@ pub type RebuildFn<'a> = dyn Fn(&JsonValue) -> Result<(VariantSystem, Arc<dyn Ev
 /// What [`JobRegistry::restore`] reconstructed, for logging/observability.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RestoreStats {
-    /// Jobs restored in any state.
+    /// Jobs held after the restore: the running ones plus the finished ones
+    /// still retained.
     pub jobs: usize,
     /// Running jobs whose engines were rebuilt and shards requeued.
     pub resumed: usize,
     /// Shards requeued across resumed jobs.
     pub requeued_shards: usize,
     /// Running jobs that could not be rebuilt and were cancelled (their
-    /// committed partial results are kept).
+    /// committed partial results are kept, as for any finished job).
     pub unrecoverable: usize,
     /// Result-cache entries available after the restore.
     pub cache_entries: usize,
@@ -582,11 +613,15 @@ pub struct JobRegistry {
     config: RegistryConfig,
     next_job: u64,
     next_lease: u64,
+    /// The running jobs: the only ones that can hold a lease, so the
+    /// per-wakeup scans (expiry, hedging) walk this table.
     jobs: BTreeMap<JobId, Job>,
-    /// The jobs in the `Running` state, in id order: the only ones that can
-    /// hold a lease, so the per-wakeup scans (expiry, hedging) walk these
-    /// instead of every job ever registered.
-    running: BTreeSet<JobId>,
+    /// The finished jobs still answerable, as their final status, at most
+    /// [`RETAIN_FINISHED`] of them.
+    finished: BTreeMap<JobId, JobStatus>,
+    /// The ids in `finished`, in the order the jobs finished: eviction takes
+    /// the front.
+    finish_order: VecDeque<JobId>,
     /// WFQ dispatcher of `(job, shard)` candidates. May contain entries for
     /// shards that were since leased/cancelled; `lease` skips those.
     scheduler: FairScheduler,
@@ -621,7 +656,8 @@ impl JobRegistry {
             next_job: 0,
             next_lease: 0,
             jobs: BTreeMap::new(),
-            running: BTreeSet::new(),
+            finished: BTreeMap::new(),
+            finish_order: VecDeque::new(),
             scheduler: FairScheduler::new(),
             leases: HashMap::new(),
             cache,
@@ -683,15 +719,41 @@ impl JobRegistry {
 
     /// Number of jobs currently in the `Running` state.
     pub fn running_jobs(&self) -> usize {
-        self.running.len()
+        self.jobs.len()
     }
 
-    /// The running jobs in id order, for the scans only running jobs can
-    /// answer (a terminal job holds no lease).
-    fn running(&self) -> impl Iterator<Item = (JobId, &Job)> + '_ {
-        self.running
-            .iter()
-            .map(|&id| (id, self.jobs.get(&id).expect("running jobs are registered")))
+    /// Holds a job that just finished, evicting the jobs that finished
+    /// earliest past the [`RETAIN_FINISHED`] cap.
+    fn keep_finished(&mut self, status: JobStatus) {
+        self.hold_finished(status);
+        self.evict_past_cap();
+    }
+
+    /// Holds a job that just finished, last in finish order, evicting none.
+    fn hold_finished(&mut self, status: JobStatus) {
+        self.finish_order.push_back(status.job);
+        self.finished.insert(status.job, status);
+    }
+
+    /// Evicts the jobs that finished earliest past the [`RETAIN_FINISHED`]
+    /// cap.
+    fn evict_past_cap(&mut self) {
+        while self.finish_order.len() > RETAIN_FINISHED {
+            let oldest = self
+                .finish_order
+                .pop_front()
+                .expect("over the cap implies a finished job");
+            self.finished.remove(&oldest);
+        }
+        self.events
+            .metrics
+            .set_gauge(GaugeId::JobsRetained, self.finished.len() as u64);
+    }
+
+    fn set_cache_gauges(&self) {
+        let metrics = &self.events.metrics;
+        metrics.set_gauge(GaugeId::CacheEntries, self.cache.len() as u64);
+        metrics.set_gauge(GaugeId::CacheBytes, self.cache.total_bytes() as u64);
     }
 
     /// Registers a job over `system`'s variant space; see
@@ -739,17 +801,23 @@ impl JobRegistry {
         }
         let flattener = Arc::new(Flattener::new(system)?);
         let combinations = flattener.space().count();
-        let digest = cache_digest(
-            recipe.as_ref(),
-            &flattener.space().to_json(),
-            evaluator.spec(),
-        );
+        // A `no_cache` job neither reads nor writes the cache, so it needs
+        // no content address.
+        let digest = if spec.use_cache {
+            cache_digest(
+                recipe.as_ref(),
+                &flattener.space().to_json(),
+                evaluator.spec(),
+            )
+        } else {
+            None
+        };
         let cached = match digest {
-            Some(digest) if spec.use_cache => {
+            Some(digest) => {
                 let hit = self
                     .cache
                     .lookup(digest)
-                    .map(ShardReport::from_json)
+                    .map(|line| ShardReport::from_json(&line))
                     .transpose()
                     .map_err(|e| ExploreError::Store(format!("corrupt cache entry: {e}")))?;
                 // A hit is counted when its job exists (the `CacheHit`
@@ -759,12 +827,16 @@ impl JobRegistry {
                 }
                 hit
             }
-            _ => None,
+            None => None,
         };
 
         let id = JobId(self.next_job);
+        let spec = JobSpec {
+            weight: spec.weight.max(1),
+            top_k: spec.top_k.max(1),
+            ..spec
+        };
         let cache_hit = cached.is_some();
-        let empty = combinations == 0;
         let shard_count = if cache_hit {
             0
         } else {
@@ -772,73 +844,86 @@ impl JobRegistry {
         };
         // A cache hit serves the cached optimum with zeroed counters: no
         // worker ran, so nothing was evaluated *for this job* — `top` carries
-        // the optimum, `evaluated == 0` proves the pool was never touched.
-        let committed = cached
-            .map(|full| ShardReport {
-                top: full.top,
-                ..ShardReport::default()
-            })
-            .unwrap_or_default();
-
-        let job = Job {
-            name: spec.name,
-            tenant: spec.tenant,
-            weight: spec.weight.max(1),
-            use_cache: spec.use_cache,
-            shard_count,
-            top_k: spec.top_k.max(1),
+        // the optimum, `evaluated == 0` proves the pool was never touched. A
+        // job over an empty space is finished at birth too.
+        let born_finished = (cache_hit || combinations == 0).then(|| JobStatus {
+            job: id,
+            name: spec.name.clone(),
+            tenant: spec.tenant.clone(),
+            state: JobState::Completed,
             combinations,
-            engine: if empty || cache_hit {
-                JobEngine::Archived
-            } else {
-                JobEngine::live(flattener, evaluator)
-            },
-            incumbent: Arc::new(AtomicU64::new(u64::MAX)),
-            cancelled: Arc::new(AtomicBool::new(false)),
-            state: if empty || cache_hit {
-                JobState::Completed
-            } else {
-                JobState::Running
-            },
-            shards: if empty || cache_hit {
-                Vec::new()
-            } else {
-                (0..shard_count).map(|_| ShardSlot::Pending).collect()
-            },
+            shard_count,
             shards_done: 0,
-            staged: HashMap::new(),
-            committed,
-            digest,
-            recipe,
+            shards_in_flight: 0,
             cache_hit,
             hedges_issued: 0,
             hedge_wins: 0,
-            latencies: LatencyTracker::new(),
-        };
+            latency: LatencyQuantiles::default(),
+            report: cached
+                .map(|full| ShardReport {
+                    top: full.top,
+                    ..ShardReport::default()
+                })
+                .unwrap_or_default(),
+        });
 
         // Write-ahead: the submit record must be durable before the job
         // exists (a crash in between recovers to "never submitted", which the
         // client, having no ack, must assume anyway).
         if self.sink.is_some() {
-            let record = submit_record(id, &job);
+            let record = submit_record(
+                id,
+                &spec,
+                shard_count,
+                combinations,
+                digest,
+                recipe.as_ref(),
+                born_finished.as_ref(),
+            );
             self.append_record(&record)?;
         }
 
         self.next_job += 1;
-        if cache_hit {
-            self.events.emit(TraceEvent::CacheHit { job: id.raw() });
+        if let Some(finished) = born_finished {
+            if cache_hit {
+                self.events.emit(TraceEvent::CacheHit { job: id.raw() });
+            }
+            self.keep_finished(finished);
+            return Ok(id);
         }
-        if job.state == JobState::Running {
-            self.events.enqueue(
-                &mut self.scheduler,
-                id,
-                &job.tenant,
-                job.weight,
-                0..shard_count,
-            );
-            self.running.insert(id);
-        }
-        self.jobs.insert(id, job);
+        self.events.enqueue(
+            &mut self.scheduler,
+            id,
+            &spec.tenant,
+            spec.weight,
+            0..shard_count,
+        );
+        let evaluator = bind(&flattener, evaluator);
+        self.jobs.insert(
+            id,
+            Job {
+                name: spec.name,
+                tenant: spec.tenant,
+                weight: spec.weight,
+                use_cache: spec.use_cache,
+                shard_count,
+                top_k: spec.top_k,
+                combinations,
+                flattener,
+                evaluator,
+                incumbent: Arc::new(AtomicU64::new(u64::MAX)),
+                cancelled: Arc::new(AtomicBool::new(false)),
+                shards: (0..shard_count).map(|_| ShardSlot::Pending).collect(),
+                shards_done: 0,
+                staged: HashMap::new(),
+                committed: ShardReport::default(),
+                digest,
+                recipe,
+                hedges_issued: 0,
+                hedge_wins: 0,
+                latencies: LatencyTracker::new(),
+            },
+        );
         Ok(id)
     }
 
@@ -873,10 +958,7 @@ impl JobRegistry {
             let Some(job) = self.jobs.get(&job_id) else {
                 continue;
             };
-            if job.state != JobState::Running
-                || !matches!(job.shards[shard], ShardSlot::Pending)
-                || !job.is_live()
-            {
+            if !matches!(job.shards[shard], ShardSlot::Pending) {
                 continue;
             }
             let metrics = &self.events.metrics;
@@ -898,10 +980,7 @@ impl JobRegistry {
     fn hedge_candidate(&self, now: Instant) -> Option<(JobId, usize)> {
         let hedge = &self.config.hedge;
         let mut best: Option<(u128, JobId, usize)> = None;
-        for (job_id, job) in self.running() {
-            if !job.is_live() {
-                continue;
-            }
+        for (&job_id, job) in &self.jobs {
             let Some(threshold_ns) = job.latencies.hedge_threshold_ns(hedge) else {
                 continue;
             };
@@ -967,13 +1046,6 @@ impl JobRegistry {
             job.hedges_issued += 1;
         }
         self.leases.insert(lease, (job_id, shard));
-        let JobEngine::Live {
-            flattener,
-            evaluator,
-        } = &job.engine
-        else {
-            unreachable!("granted jobs are live")
-        };
         Lease {
             job: job_id,
             lease,
@@ -981,8 +1053,8 @@ impl JobRegistry {
             shard_count: job.shard_count,
             tenant: job.tenant.clone(),
             top_k: job.top_k,
-            flattener: Arc::clone(flattener),
-            evaluator: Arc::clone(evaluator),
+            flattener: Arc::clone(&job.flattener),
+            evaluator: Arc::clone(&job.evaluator),
             incumbent: Arc::clone(&job.incumbent),
             cancelled: Arc::clone(&job.cancelled),
             deadline,
@@ -1093,8 +1165,9 @@ impl JobRegistry {
 
     /// Completes the shard under `lease`: merges the final `delta`,
     /// write-ahead logs the staged report, commits it into the job aggregate
-    /// and, when it was the last shard, finishes the job (inserting the
-    /// committed result into the cache when the job is cacheable). Any other
+    /// and, when it was the last shard, finishes the job: it moves to the
+    /// finished table, and its committed result goes into the cache when the
+    /// job is cacheable and did not opt out. Any other
     /// leases on the same shard — hedges or hedged-over originals — turn
     /// stale: **first commit wins**.
     ///
@@ -1194,18 +1267,15 @@ impl JobRegistry {
         }
 
         if job.shards_done == job.shard_count {
-            job.state = JobState::Completed;
-            job.engine = JobEngine::Archived;
-            self.running.remove(&job_id);
-            if let Some(digest) = job.digest {
-                let evicted = self.cache.insert(digest, job.committed.to_json());
+            let job = self.jobs.remove(&job_id).expect("lease resolves to job");
+            if let Some(digest) = job.digest.filter(|_| job.use_cache) {
+                let evicted = self.cache.insert(digest, &job.committed.to_json());
                 if evicted > 0 {
                     self.events.emit(TraceEvent::CacheEvict { evicted });
                 }
-                let metrics = &self.events.metrics;
-                metrics.set_gauge(GaugeId::CacheEntries, self.cache.len() as u64);
-                metrics.set_gauge(GaugeId::CacheBytes, self.cache.total_bytes() as u64);
+                self.set_cache_gauges();
             }
+            self.keep_finished(job.finish(job_id, JobState::Completed));
             self.maybe_compact_for_size();
             if spanning {
                 self.spans.exit();
@@ -1267,7 +1337,7 @@ impl JobRegistry {
         job.staged.remove(&lease);
         if let ShardSlot::Leased { holders } = &mut job.shards[shard] {
             holders.retain(|holder| holder.lease != lease);
-            if holders.is_empty() && job.state == JobState::Running {
+            if holders.is_empty() {
                 job.shards[shard] = ShardSlot::Pending;
                 self.events.enqueue(
                     &mut self.scheduler,
@@ -1285,8 +1355,9 @@ impl JobRegistry {
     /// holder left keeps running). Returns how many leases were reclaimed.
     pub fn expire(&mut self, now: Instant) -> usize {
         let expired: Vec<LeaseId> = self
-            .running()
-            .flat_map(|(_, job)| job.shards.iter())
+            .jobs
+            .values()
+            .flat_map(|job| job.shards.iter())
             .filter_map(|slot| match slot {
                 ShardSlot::Leased { holders } => Some(holders.iter()),
                 _ => None,
@@ -1303,20 +1374,18 @@ impl JobRegistry {
 
     /// Cancels a running job: pending shards are dropped, live leases
     /// invalidated (their future batches get [`ExploreError::StaleLease`]) and
-    /// the shared cancel flag raised so draining workers stop early. Terminal
-    /// jobs are left as they are — cancellation is idempotent. Returns the
-    /// resulting snapshot.
+    /// the shared cancel flag raised so draining workers stop early; the job
+    /// moves to the finished table with its committed partial results.
+    /// Finished jobs are left as they are — cancellation is idempotent.
+    /// Returns the resulting snapshot.
     ///
     /// # Errors
     ///
-    /// [`ExploreError::UnknownJob`] for an unknown id; [`ExploreError::Store`]
+    /// [`ExploreError::UnknownJob`] for an id never submitted,
+    /// [`ExploreError::Retired`] for an evicted one; [`ExploreError::Store`]
     /// when the sink rejects the cancel record (the job then stays running).
     pub fn cancel(&mut self, job_id: JobId) -> Result<JobStatus> {
-        let job = self
-            .jobs
-            .get(&job_id)
-            .ok_or(ExploreError::UnknownJob(job_id))?;
-        if job.state != JobState::Running {
+        if !self.jobs.contains_key(&job_id) {
             return self.poll(job_id);
         }
         if self.sink.is_some() {
@@ -1326,12 +1395,8 @@ impl JobRegistry {
             ]);
             self.append_record(&record)?;
         }
-        let job = self.jobs.get_mut(&job_id).expect("job still present");
-        job.state = JobState::Cancelled;
-        job.engine = JobEngine::Archived;
-        self.running.remove(&job_id);
+        let job = self.jobs.remove(&job_id).expect("job still present");
         job.cancelled.store(true, Ordering::Relaxed);
-        job.staged.clear();
         let stale: Vec<(LeaseId, usize)> = self
             .leases
             .iter()
@@ -1346,31 +1411,41 @@ impl JobRegistry {
                 lease: lease.raw(),
             });
         }
-        let job = self.jobs.get_mut(&job_id).expect("job still present");
-        for slot in &mut job.shards {
-            if matches!(slot, ShardSlot::Leased { .. }) {
-                *slot = ShardSlot::Pending;
-            }
-        }
-        Ok(job.status(job_id))
+        let status = job.finish(job_id, JobState::Cancelled);
+        self.keep_finished(status.clone());
+        Ok(status)
     }
 
     /// A point-in-time snapshot of the job.
     ///
     /// # Errors
     ///
-    /// [`ExploreError::UnknownJob`] for an unknown id.
+    /// [`ExploreError::UnknownJob`] for an id never submitted;
+    /// [`ExploreError::Retired`] for a finished job that was evicted (see
+    /// the [module docs](self#finished-jobs)).
     pub fn poll(&self, job_id: JobId) -> Result<JobStatus> {
-        let job = self
-            .jobs
-            .get(&job_id)
-            .ok_or(ExploreError::UnknownJob(job_id))?;
-        Ok(job.status(job_id))
+        if let Some(job) = self.jobs.get(&job_id) {
+            return Ok(job.status(job_id));
+        }
+        match self.finished.get(&job_id) {
+            Some(finished) => Ok(finished.clone()),
+            // Every id below `next_job` was handed out: a finished job that
+            // was evicted.
+            None if job_id.raw() < self.next_job => Err(ExploreError::Retired(job_id)),
+            None => Err(ExploreError::UnknownJob(job_id)),
+        }
     }
 
-    /// Ids of every registered job, in submission order.
+    /// Ids of every running and retained job, in submission order.
     pub fn job_ids(&self) -> Vec<JobId> {
-        self.jobs.keys().copied().collect()
+        let mut ids: Vec<JobId> = self
+            .jobs
+            .keys()
+            .chain(self.finished.keys())
+            .copied()
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Reads the buffered scheduler-decision trace events at or after the
@@ -1401,7 +1476,7 @@ impl JobRegistry {
     /// outside the registry lock.
     pub fn observe_health(&self, now: Instant) -> crate::health::HealthObservation {
         let mut leases = Vec::new();
-        for (job_id, job) in self.running() {
+        for (&job_id, job) in &self.jobs {
             let p95_ns = job.latencies.quantile_ns(95);
             for (shard, slot) in job.shards.iter().enumerate() {
                 let ShardSlot::Leased { holders } = slot else {
@@ -1453,6 +1528,8 @@ impl JobRegistry {
     /// * pending `shard → tenant` — waiting for a WFQ dispatch;
     /// * leased `shard → lease` for every holder (several while hedged);
     /// * `lease → worker` — the drain the lease is waiting on.
+    ///
+    /// Retained finished jobs appear as job nodes that wait on nothing.
     pub fn waitgraph(&self) -> GraphSnapshot {
         let mut snapshot = GraphSnapshot::new();
         let durable = self.sink.is_some();
@@ -1467,12 +1544,13 @@ impl JobRegistry {
                 ),
             );
         }
-        // One tenant node per distinct tenant; the last submission's weight
-        // wins, matching the scheduler's own rule.
-        let mut tenants: BTreeMap<&str, u32> = BTreeMap::new();
-        let mut workers: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
+        // One tenant node per distinct tenant, weighted as the scheduler
+        // weighs it (the weight it last enqueued at); a tenant the scheduler
+        // never saw — one whose jobs were all answered at submit — has none.
+        let mut tenants: BTreeSet<&str> = BTreeSet::new();
+        let mut workers: BTreeSet<&str> = BTreeSet::new();
         for job in self.jobs.values() {
-            tenants.insert(&job.tenant, job.weight);
+            tenants.insert(&job.tenant);
             for slot in &job.shards {
                 if let ShardSlot::Leased { holders } = slot {
                     for holder in holders {
@@ -1481,11 +1559,15 @@ impl JobRegistry {
                 }
             }
         }
-        for (tenant, weight) in &tenants {
-            snapshot.nodes.push(
-                GraphNode::new(format!("tenant:{tenant}"), "tenant", *tenant)
-                    .attr("weight", weight.to_string()),
-            );
+        tenants.extend(self.finished.values().map(|done| done.tenant.as_str()));
+        for tenant in tenants {
+            let node = GraphNode::new(format!("tenant:{tenant}"), "tenant", tenant);
+            snapshot
+                .nodes
+                .push(match self.scheduler.tenant_weight(tenant) {
+                    Some(weight) => node.attr("weight", weight.to_string()),
+                    None => node,
+                });
         }
         for worker in &workers {
             snapshot.nodes.push(GraphNode::new(
@@ -1494,17 +1576,22 @@ impl JobRegistry {
                 *worker,
             ));
         }
+        for (&id, done) in &self.finished {
+            snapshot.nodes.push(
+                GraphNode::new(format!("job:{}", id.raw()), "job", &done.name)
+                    .attr("state", done.state.to_string())
+                    .attr("shards_done", done.shards_done.to_string())
+                    .attr("shards", done.shard_count.to_string()),
+            );
+        }
         for (&id, job) in &self.jobs {
             let job_node = format!("job:{}", id.raw());
             snapshot.nodes.push(
                 GraphNode::new(&job_node, "job", &job.name)
-                    .attr("state", job.state.to_string())
+                    .attr("state", JobState::Running.to_string())
                     .attr("shards_done", job.shards_done.to_string())
                     .attr("shards", job.shard_count.to_string()),
             );
-            if job.state != JobState::Running {
-                continue;
-            }
             let tenant_node = format!("tenant:{}", job.tenant);
             snapshot.edges.push(GraphEdge::new(&job_node, &tenant_node));
             if durable {
@@ -1548,20 +1635,19 @@ impl JobRegistry {
 
     /// The full durable state as one snapshot value (jobs, cache, id
     /// counter): what [`restore`](Self::restore) consumes and the compaction
-    /// path hands to [`DurabilitySink::compact`].
+    /// path hands to [`DurabilitySink::compact`]. `jobs` lists the running
+    /// jobs in id order, then the retained finished ones in the order they
+    /// finished, so a snapshot is as large as what the registry holds.
     pub fn durable_snapshot(&self) -> JsonValue {
+        let running = self.jobs.iter().map(|(&id, job)| job.durable_summary(id));
+        let finished = self
+            .finish_order
+            .iter()
+            .map(|id| finished_summary(&self.finished[id]));
         JsonValue::object([
             ("next_job", self.next_job.to_json()),
             ("cache", self.cache.to_snapshot()),
-            (
-                "jobs",
-                JsonValue::Array(
-                    self.jobs
-                        .iter()
-                        .map(|(&id, job)| job.durable_summary(id))
-                        .collect(),
-                ),
-            ),
+            ("jobs", JsonValue::Array(running.chain(finished).collect())),
         ])
     }
 
@@ -1588,14 +1674,27 @@ impl JobRegistry {
     /// registry, **before** [`set_sink`](Self::set_sink) (replay must not
     /// re-append its own records).
     ///
+    /// The snapshot's jobs, then the records, are replayed in log order, and
+    /// a job moves to the finished table the moment the log shows it
+    /// terminal. A submit record for an id the log already named replaces
+    /// that job: the earlier record was a torn submit (written, but its ack
+    /// lost), whose id the next submit reused. Eviction past the cap runs
+    /// once the log is read, so the restore ends with the same retained set
+    /// that the live registry held — also when it was killed after
+    /// evictions and before the next compaction. Both snapshot formats are
+    /// read: today's, whose finished jobs are compact summaries, and the
+    /// earlier one that listed every job with its recipe, `done` list,
+    /// weight and `top_k` (in id order, which then stands for the finish
+    /// order).
+    ///
     /// Running jobs with a recipe are rebuilt through `rebuild` and their
     /// non-committed shards requeued (in-flight leases did not survive the
     /// crash; their staged work restarts from zero — exactly-once holds
     /// because only committed shard reports were logged). Running jobs
     /// without a recipe (in-process submissions) cannot be re-evaluated and
     /// are restored as `Cancelled`, keeping their committed partial results.
-    /// The result cache is restored from the snapshot and re-fed from every
-    /// replayed completed job.
+    /// The result cache is restored from the snapshot, and every job the
+    /// records complete feeds it as its completion did.
     ///
     /// # Errors
     ///
@@ -1609,7 +1708,7 @@ impl JobRegistry {
         rebuild: &RebuildFn<'_>,
     ) -> Result<RestoreStats> {
         let corrupt = |message: String| ExploreError::Store(message);
-        let mut recovered: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
+        let mut running: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
         let mut next_job = 0u64;
 
         if let Some(snapshot) = snapshot {
@@ -1630,7 +1729,11 @@ impl JobRegistry {
                 .ok_or_else(|| corrupt("snapshot missing jobs".into()))?;
             for summary in jobs {
                 let job = RecoveredJob::from_summary(summary).map_err(corrupt)?;
-                recovered.insert(job.id, job);
+                if job.state == JobState::Running {
+                    running.insert(job.id, job);
+                } else {
+                    self.hold_finished(job.into_status());
+                }
             }
         }
 
@@ -1643,14 +1746,27 @@ impl JobRegistry {
                 .get("job")
                 .and_then(JsonValue::as_u64)
                 .ok_or_else(|| corrupt(format!("{kind} record missing job")))?;
+            // Shard and cancel records name a job the log submitted earlier;
+            // one that already finished (a repeated record) changes nothing.
+            let finished_before = job_id < next_job && !running.contains_key(&job_id);
             match kind {
                 "submit" => {
                     let job = RecoveredJob::from_summary(record).map_err(corrupt)?;
                     next_job = next_job.max(job_id + 1);
-                    recovered.insert(job_id, job);
+                    // A torn submit left its id to the next submit.
+                    running.remove(&job_id);
+                    if self.finished.remove(&JobId(job_id)).is_some() {
+                        self.finish_order.retain(|&held| held != JobId(job_id));
+                    }
+                    if job.state == JobState::Running {
+                        running.insert(job_id, job);
+                    } else {
+                        self.hold_finished(job.into_status());
+                    }
                 }
+                "shard" | "cancel" if finished_before => {}
                 "shard" => {
-                    let job = recovered
+                    let job = running
                         .get_mut(&job_id)
                         .ok_or_else(|| corrupt(format!("shard record for unknown job {job_id}")))?;
                     let shard = record
@@ -1665,72 +1781,54 @@ impl JobRegistry {
                     .map_err(|e| corrupt(format!("shard record report: {e}")))?;
                     if job.done.insert(shard) {
                         job.committed.merge(&report, job.top_k);
+                        job.shards_done += 1;
                     }
-                    if job.done.len() == job.shard_count && job.state == JobState::Running {
+                    if job.shards_done == job.shard_count {
+                        let mut job = running.remove(&job_id).expect("found above");
                         job.state = JobState::Completed;
+                        if let Some(digest) = job.digest.filter(|_| job.use_cache) {
+                            self.cache.insert(digest, &job.committed.to_json());
+                        }
+                        self.hold_finished(job.into_status());
                     }
                 }
                 "cancel" => {
-                    let job = recovered.get_mut(&job_id).ok_or_else(|| {
+                    let mut job = running.remove(&job_id).ok_or_else(|| {
                         corrupt(format!("cancel record for unknown job {job_id}"))
                     })?;
-                    if job.state == JobState::Running {
-                        job.state = JobState::Cancelled;
-                    }
+                    job.state = JobState::Cancelled;
+                    self.hold_finished(job.into_status());
                 }
                 other => return Err(corrupt(format!("unknown record type `{other}`"))),
             }
         }
 
         let mut stats = RestoreStats::default();
-        for (raw, mut job) in recovered {
+        for (raw, mut job) in running {
             let id = JobId(raw);
-            stats.jobs += 1;
-            // Completed cacheable jobs re-feed the cache (idempotent for
-            // snapshot-covered entries, necessary for replayed ones).
-            if job.state == JobState::Completed && !job.cache_hit {
-                if let Some(digest) = job.digest {
-                    self.cache.insert(digest, job.committed.to_json());
-                }
-            }
-            let mut engine = JobEngine::Archived;
-            if job.state == JobState::Running {
-                let rebuilt = job
-                    .recipe
-                    .as_ref()
-                    .map(rebuild)
-                    .transpose()
-                    .ok()
-                    .flatten()
-                    .and_then(|(system, evaluator)| {
-                        let flattener = Flattener::new(&system).ok()?;
-                        (flattener.space().count() == job.combinations)
-                            .then_some((Arc::new(flattener), evaluator))
-                    });
-                match rebuilt {
-                    Some((flattener, evaluator)) => {
-                        stats.resumed += 1;
-                        let pending =
-                            (0..job.shard_count).filter(|shard| !job.done.contains(shard));
-                        stats.requeued_shards += pending.clone().count();
-                        self.events.enqueue(
-                            &mut self.scheduler,
-                            id,
-                            &job.tenant,
-                            job.weight,
-                            pending,
-                        );
-                        engine = JobEngine::live(flattener, evaluator);
-                    }
-                    None => {
-                        stats.unrecoverable += 1;
-                        job.state = JobState::Cancelled;
-                    }
-                }
-            }
-            if job.state == JobState::Running {
-                self.running.insert(id);
-            }
+            let rebuilt = job
+                .recipe
+                .as_ref()
+                .map(rebuild)
+                .transpose()
+                .ok()
+                .flatten()
+                .and_then(|(system, evaluator)| {
+                    let flattener = Flattener::new(&system).ok()?;
+                    (flattener.space().count() == job.combinations)
+                        .then_some((Arc::new(flattener), evaluator))
+                });
+            let Some((flattener, evaluator)) = rebuilt else {
+                stats.unrecoverable += 1;
+                job.state = JobState::Cancelled;
+                self.hold_finished(job.into_status());
+                continue;
+            };
+            stats.resumed += 1;
+            let pending = (0..job.shard_count).filter(|shard| !job.done.contains(shard));
+            stats.requeued_shards += pending.clone().count();
+            self.events
+                .enqueue(&mut self.scheduler, id, &job.tenant, job.weight, pending);
             let incumbent = job.committed.best().map_or(u64::MAX, |best| best.cost);
             let shards = (0..job.shard_count)
                 .map(|shard| {
@@ -1741,6 +1839,7 @@ impl JobRegistry {
                     }
                 })
                 .collect();
+            let evaluator = bind(&flattener, evaluator);
             self.jobs.insert(
                 id,
                 Job {
@@ -1751,29 +1850,29 @@ impl JobRegistry {
                     shard_count: job.shard_count,
                     top_k: job.top_k,
                     combinations: job.combinations,
-                    engine,
+                    flattener,
+                    evaluator,
                     incumbent: Arc::new(AtomicU64::new(incumbent)),
-                    cancelled: Arc::new(AtomicBool::new(job.state == JobState::Cancelled)),
-                    state: job.state,
+                    cancelled: Arc::new(AtomicBool::new(false)),
                     shards,
-                    shards_done: job.done.len(),
+                    shards_done: job.shards_done,
                     staged: HashMap::new(),
                     committed: job.committed,
                     digest: job.digest,
                     recipe: job.recipe,
-                    cache_hit: job.cache_hit,
                     hedges_issued: job.hedges_issued,
                     hedge_wins: job.hedge_wins,
                     latencies: LatencyTracker::new(),
                 },
             );
         }
-        self.next_job = next_job.max(
-            self.jobs
-                .keys()
-                .next_back()
-                .map_or(0, |last| last.raw() + 1),
-        );
+        // Eviction waits for the whole log: a later submit record may
+        // replace a finished job, and the live registry never held that one.
+        self.evict_past_cap();
+        let last_held = self.jobs.keys().chain(self.finished.keys()).max();
+        self.next_job = next_job.max(last_held.map_or(0, |last| last.raw() + 1));
+        self.set_cache_gauges();
+        stats.jobs = self.jobs.len() + self.finished.len();
         stats.cache_entries = self.cache.len();
         Ok(stats)
     }
@@ -1796,33 +1895,44 @@ fn cache_digest(
     ])))
 }
 
-fn submit_record(id: JobId, job: &Job) -> JsonValue {
+/// The write-ahead record of a submission: the job's head, plus its result
+/// when it finished at birth (`finished`).
+fn submit_record(
+    id: JobId,
+    spec: &JobSpec,
+    shard_count: usize,
+    combinations: usize,
+    digest: Option<Digest>,
+    recipe: Option<&JsonValue>,
+    finished: Option<&JobStatus>,
+) -> JsonValue {
+    let state = finished.map_or(JobState::Running, |done| done.state);
     let mut members = vec![
         ("t".to_string(), JsonValue::string("submit")),
         ("job".to_string(), id.raw().to_json()),
-        ("name".to_string(), job.name.to_json()),
-        ("tenant".to_string(), job.tenant.to_json()),
-        ("weight".to_string(), JsonValue::Int(i128::from(job.weight))),
-        ("use_cache".to_string(), JsonValue::Bool(job.use_cache)),
-        ("shards".to_string(), job.shard_count.to_json()),
-        ("top_k".to_string(), job.top_k.to_json()),
-        ("combinations".to_string(), job.combinations.to_json()),
+        ("name".to_string(), spec.name.to_json()),
+        ("tenant".to_string(), spec.tenant.to_json()),
         (
-            "digest".to_string(),
-            job.digest
-                .as_ref()
-                .map(ToJson::to_json)
-                .unwrap_or(JsonValue::Null),
+            "weight".to_string(),
+            JsonValue::Int(i128::from(spec.weight)),
         ),
+        ("use_cache".to_string(), JsonValue::Bool(spec.use_cache)),
+        ("shards".to_string(), shard_count.to_json()),
+        ("top_k".to_string(), spec.top_k.to_json()),
+        ("combinations".to_string(), combinations.to_json()),
+        ("digest".to_string(), digest_json_or_null(digest)),
         (
             "recipe".to_string(),
-            job.recipe.clone().unwrap_or(JsonValue::Null),
+            recipe.cloned().unwrap_or(JsonValue::Null),
         ),
-        ("cache_hit".to_string(), JsonValue::Bool(job.cache_hit)),
-        ("state".to_string(), JsonValue::string(job.state.as_wire())),
+        (
+            "cache_hit".to_string(),
+            JsonValue::Bool(finished.is_some_and(|done| done.cache_hit)),
+        ),
+        ("state".to_string(), JsonValue::string(state.as_wire())),
     ];
-    if job.cache_hit || job.state.is_terminal() {
-        members.push(("committed".to_string(), job.committed.to_json()));
+    if let Some(done) = finished {
+        members.push(("committed".to_string(), done.report.to_json()));
     }
     JsonValue::Object(members)
 }
@@ -1835,22 +1945,24 @@ struct RecoveredJob {
     weight: u32,
     use_cache: bool,
     shard_count: usize,
+    /// Committed shards: the summary's count, or the size of `done`.
+    shards_done: usize,
     top_k: usize,
     combinations: usize,
     digest: Option<Digest>,
     recipe: Option<JsonValue>,
     cache_hit: bool,
     state: JobState,
-    done: std::collections::BTreeSet<usize>,
+    done: BTreeSet<usize>,
     committed: ShardReport,
     hedges_issued: u64,
     hedge_wins: u64,
 }
 
 impl RecoveredJob {
-    /// Parses either a snapshot job summary or a submit record — the two
-    /// share every field this needs (`durable_summary` and `submit_record`
-    /// are kept aligned).
+    /// Parses a snapshot job summary (running or finished, in either
+    /// snapshot format) or a submit record. A running job must carry its
+    /// `weight` and `top_k`; a finished one needs neither.
     fn from_summary(value: &JsonValue) -> std::result::Result<RecoveredJob, String> {
         let field_u64 = |name: &str| {
             value
@@ -1874,6 +1986,7 @@ impl RecoveredJob {
         };
         let state = JobState::from_wire(field_str("state")?)
             .ok_or_else(|| "job summary has unknown state".to_string())?;
+        let running = state == JobState::Running;
         let digest = match value.get("digest") {
             None | Some(JsonValue::Null) => None,
             Some(other) => Some(Digest::from_json(other).map_err(|e| format!("job digest: {e}"))?),
@@ -1882,12 +1995,16 @@ impl RecoveredJob {
             None | Some(JsonValue::Null) => None,
             Some(other) => Some(other.clone()),
         };
-        let done: std::collections::BTreeSet<usize> = match value.get("done") {
-            None => std::collections::BTreeSet::new(),
+        let done: BTreeSet<usize> = match value.get("done") {
+            None => BTreeSet::new(),
             Some(list) => Vec::<usize>::from_json(list)
                 .map_err(|e| format!("job done list: {e}"))?
                 .into_iter()
                 .collect(),
+        };
+        let shards_done = match value.get("shards_done") {
+            Some(_) => field_usize("shards_done")?,
+            None => done.len(),
         };
         let committed = match value.get("committed") {
             None => ShardReport::default(),
@@ -1899,13 +2016,22 @@ impl RecoveredJob {
             id: field_u64("job")?,
             name: field_str("name")?.to_string(),
             tenant: field_str("tenant")?.to_string(),
-            weight: u32::try_from(field_u64("weight")?).unwrap_or(1).max(1),
+            weight: if running {
+                u32::try_from(field_u64("weight")?).unwrap_or(1).max(1)
+            } else {
+                1
+            },
             use_cache: value
                 .get("use_cache")
                 .and_then(JsonValue::as_bool)
                 .unwrap_or(true),
             shard_count: field_usize("shards")?,
-            top_k: field_usize("top_k")?.max(1),
+            shards_done,
+            top_k: if running {
+                field_usize("top_k")?.max(1)
+            } else {
+                1
+            },
             combinations: field_usize("combinations")?,
             digest,
             recipe,
@@ -1925,6 +2051,26 @@ impl RecoveredJob {
                 .and_then(JsonValue::as_u64)
                 .unwrap_or(0),
         })
+    }
+
+    /// The final status of a job the log shows terminal in `state`.
+    /// Latency quantiles are not durable: they restart empty.
+    fn into_status(self) -> JobStatus {
+        JobStatus {
+            job: JobId(self.id),
+            name: self.name,
+            tenant: self.tenant,
+            state: self.state,
+            combinations: self.combinations,
+            shard_count: self.shard_count,
+            shards_done: self.shards_done,
+            cache_hit: self.cache_hit,
+            hedges_issued: self.hedges_issued,
+            hedge_wins: self.hedge_wins,
+            shards_in_flight: 0,
+            latency: LatencyQuantiles::default(),
+            report: self.committed,
+        }
     }
 }
 
@@ -3085,6 +3231,520 @@ mod tests {
         assert!(kinds.contains(&"lease_expire"));
         let report = TraceReplay::check(&drained.events);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
+    }
+
+    // --- finished jobs: the capped table ----------------------------------------------
+
+    /// A default registry logging into `store`.
+    fn logged_registry(store: &Arc<Mutex<MemoryStore>>) -> JobRegistry {
+        let mut registry = JobRegistry::with_config(RegistryConfig::default());
+        registry.set_sink(Box::new(MemorySink::new(Arc::clone(store))));
+        registry
+    }
+
+    /// Submits a `shards`-shard job over the 8-variant scaling space, with a
+    /// recipe so it can be rebuilt (and, unless `use_cache` is off, cached).
+    fn submit_job(registry: &mut JobRegistry, shards: usize, use_cache: bool) -> JobId {
+        registry
+            .submit_with_recipe(
+                &scaling_system(3, 2).unwrap(),
+                JobSpec {
+                    shard_count: shards,
+                    use_cache,
+                    ..JobSpec::default()
+                },
+                cacheable_evaluator(Arc::new(AtomicU64::new(0))),
+                Some(recipe_for(3)),
+            )
+            .unwrap()
+    }
+
+    /// Leases and commits every pending shard.
+    fn drain_all(registry: &mut JobRegistry) {
+        let now = Instant::now();
+        while let Some(lease) = registry.lease(now) {
+            registry
+                .complete_shard(
+                    lease.lease,
+                    report_with(lease.shard, lease.shard as u64 + 3),
+                    now,
+                )
+                .unwrap();
+        }
+    }
+
+    fn rebuild_scaling(recipe: &JsonValue) -> Result<(VariantSystem, Arc<dyn Evaluator>)> {
+        let interfaces = recipe
+            .get("system")
+            .and_then(|s| s.get("scaling"))
+            .and_then(|s| s.get("interfaces"))
+            .and_then(JsonValue::as_usize)
+            .unwrap();
+        Ok((
+            scaling_system(interfaces, 2).unwrap(),
+            cacheable_evaluator(Arc::new(AtomicU64::new(0))),
+        ))
+    }
+
+    /// The wire line `poll` answers for `id`, or its error.
+    fn answer(registry: &JobRegistry, id: JobId) -> std::result::Result<String, ExploreError> {
+        registry
+            .poll(id)
+            .map(|status| crate::wire::status_to_json("poll", &status).to_line())
+    }
+
+    #[test]
+    fn finished_jobs_past_the_cap_are_evicted_in_finish_order() {
+        let mut registry = JobRegistry::with_config(RegistryConfig::default());
+        let now = Instant::now();
+        // Job 0 takes its only shard and then stalls.
+        let slow = submit_job(&mut registry, 1, false);
+        let stalled = registry.lease(now).unwrap();
+        assert_eq!(stalled.job, slow);
+        let quick: Vec<JobId> = (0..=RETAIN_FINISHED)
+            .map(|_| {
+                let id = submit_job(&mut registry, 1, false);
+                let lease = registry.lease(now).unwrap();
+                assert_eq!(lease.job, id);
+                registry
+                    .complete_shard(lease.lease, report_with(0, 5), now)
+                    .unwrap();
+                id
+            })
+            .collect();
+        // One finished past the cap: the first to finish is gone, and the
+        // running job, the oldest id of all, is never a candidate.
+        assert!(
+            matches!(registry.poll(quick[0]), Err(ExploreError::Retired(id)) if id == quick[0])
+        );
+        assert!(registry.poll(quick[1]).is_ok());
+        assert_eq!(registry.poll(slow).unwrap().state, JobState::Running);
+        assert_eq!(
+            registry.metrics().gauge(GaugeId::JobsRetained) as usize,
+            RETAIN_FINISHED
+        );
+
+        // The low id finishes last, so the next-earliest finisher goes.
+        registry
+            .complete_shard(stalled.lease, report_with(0, 5), now)
+            .unwrap();
+        drain_all(&mut registry);
+        assert_eq!(registry.poll(slow).unwrap().state, JobState::Completed);
+        assert!(matches!(
+            registry.poll(quick[1]),
+            Err(ExploreError::Retired(_))
+        ));
+        let mut retained = vec![slow];
+        retained.extend(&quick[2..]);
+        assert_eq!(registry.job_ids(), retained);
+        assert_eq!(
+            registry.metrics().gauge(GaugeId::JobsRetained) as usize,
+            RETAIN_FINISHED
+        );
+
+        // Every question about a retired id answers at once; a cancel of
+        // one changes nothing. An id never submitted stays unknown.
+        assert!(matches!(
+            registry.cancel(quick[0]),
+            Err(ExploreError::Retired(_))
+        ));
+        assert!(matches!(
+            registry.poll(quick[0]),
+            Err(ExploreError::Retired(_))
+        ));
+        let next = JobId::from_raw(quick[RETAIN_FINISHED].raw() + 1);
+        assert!(matches!(
+            registry.poll(next),
+            Err(ExploreError::UnknownJob(_))
+        ));
+        assert!(matches!(
+            registry.cancel(next),
+            Err(ExploreError::UnknownJob(_))
+        ));
+        // The next submission takes exactly that id.
+        assert_eq!(submit_job(&mut registry, 1, false), next);
+    }
+
+    #[test]
+    fn running_jobs_are_never_evicted() {
+        let mut registry = JobRegistry::with_config(RegistryConfig::default());
+        let now = Instant::now();
+        let running: Vec<JobId> = (0..3)
+            .map(|_| submit_job(&mut registry, 1, false))
+            .collect();
+        let held: Vec<Lease> = (0..3).map(|_| registry.lease(now).unwrap()).collect();
+        // More jobs than the cap finish while these three hold their shards.
+        for _ in 0..RETAIN_FINISHED + 5 {
+            submit_job(&mut registry, 1, false);
+        }
+        drain_all(&mut registry);
+        assert_eq!(
+            registry.metrics().gauge(GaugeId::JobsRetained) as usize,
+            RETAIN_FINISHED
+        );
+        for &id in &running {
+            assert_eq!(registry.poll(id).unwrap().state, JobState::Running);
+        }
+        for lease in held {
+            registry
+                .complete_shard(lease.lease, report_with(0, 9), now)
+                .unwrap();
+        }
+        // Finished last, they are the newest of the retained jobs.
+        for &id in &running {
+            assert_eq!(registry.poll(id).unwrap().state, JobState::Completed);
+        }
+        assert_eq!(registry.job_ids().len(), RETAIN_FINISHED);
+        assert_eq!(registry.running_jobs(), 0);
+    }
+
+    /// A retained job answers byte for byte what it answered when it
+    /// finished, and a cache hit's `top` is the repeated job's `top` byte
+    /// for byte — served from the live cache and from a restored one.
+    #[test]
+    fn retained_answers_and_cache_hits_are_byte_identical() {
+        let store = Arc::new(Mutex::new(MemoryStore::default()));
+        let mut registry = logged_registry(&store);
+        let first = submit_job(&mut registry, 4, true);
+        drain_all(&mut registry);
+        let at_completion = answer(&registry, first).unwrap();
+        let top = |registry: &JobRegistry, id: JobId| {
+            registry.poll(id).unwrap().report.top.to_json().to_line()
+        };
+        let original_top = top(&registry, first);
+
+        let hit = submit_job(&mut registry, 4, true);
+        assert!(registry.poll(hit).unwrap().cache_hit);
+        assert_eq!(top(&registry, hit), original_top);
+        for _ in 0..3 {
+            submit_job(&mut registry, 2, false);
+            drain_all(&mut registry);
+        }
+        assert_eq!(answer(&registry, first).unwrap(), at_completion);
+
+        registry.compact_store().unwrap();
+        let snapshot = store.lock().unwrap().snapshot.clone();
+        let mut restored = JobRegistry::with_config(RegistryConfig::default());
+        restored
+            .restore(snapshot.as_ref(), &[], &rebuild_scaling)
+            .unwrap();
+        assert_eq!(answer(&restored, first).unwrap(), at_completion);
+        let again = submit_job(&mut restored, 4, true);
+        assert!(restored.poll(again).unwrap().cache_hit);
+        assert_eq!(top(&restored, again), original_top);
+    }
+
+    #[test]
+    fn no_cache_jobs_neither_read_nor_write_the_cache() {
+        let store = Arc::new(Mutex::new(MemoryStore::default()));
+        let mut registry = logged_registry(&store);
+        let bypass = submit_job(&mut registry, 2, false);
+        drain_all(&mut registry);
+        assert_eq!(registry.cache_stats(), (0, 0, 0), "no lookup, no insert");
+
+        let cached = submit_job(&mut registry, 2, true);
+        drain_all(&mut registry);
+        assert_eq!(registry.cache_stats(), (1, 0, 1));
+        // With a result cached, a `no_cache` resubmission still recomputes.
+        let again = submit_job(&mut registry, 2, false);
+        assert!(!registry.poll(again).unwrap().cache_hit);
+        drain_all(&mut registry);
+        assert_eq!(registry.cache_stats(), (1, 0, 1));
+        assert_eq!(
+            registry.poll(bypass).unwrap().report,
+            registry.poll(cached).unwrap().report
+        );
+
+        // The log gives a `no_cache` job no content address, and a replay
+        // of the log caches only what the live registry cached.
+        let records = store.lock().unwrap().records.clone();
+        assert_eq!(records[0].get("digest"), Some(&JsonValue::Null));
+        let mut replayed = JobRegistry::with_config(RegistryConfig::default());
+        let stats = replayed.restore(None, &records, &rebuild_scaling).unwrap();
+        assert_eq!((stats.jobs, stats.cache_entries), (3, 1));
+    }
+
+    #[test]
+    fn cache_bytes_gauge_is_the_summed_line_lengths() {
+        let mut registry = JobRegistry::with_config(RegistryConfig::default());
+        let mut lines = 0;
+        for interfaces in [2usize, 3, 4] {
+            let id = registry
+                .submit_with_recipe(
+                    &scaling_system(interfaces, 2).unwrap(),
+                    JobSpec::default(),
+                    cacheable_evaluator(Arc::new(AtomicU64::new(0))),
+                    Some(recipe_for(interfaces)),
+                )
+                .unwrap();
+            drain_all(&mut registry);
+            lines += registry.poll(id).unwrap().report.to_json().to_line().len();
+        }
+        let metrics = registry.metrics();
+        assert_eq!(metrics.gauge(GaugeId::CacheEntries), 3);
+        assert_eq!(metrics.gauge(GaugeId::CacheBytes), lines as u64);
+    }
+
+    /// A kill after evictions, before any compaction (and again after one,
+    /// with a tail), restores the retained ids with their answers, and the
+    /// id sequence continues.
+    #[test]
+    fn a_kill_between_evictions_and_compaction_restores_the_retained_set() {
+        for compact_midway in [false, true] {
+            let store = Arc::new(Mutex::new(MemoryStore::default()));
+            let mut registry = logged_registry(&store);
+            let now = Instant::now();
+            let running = submit_job(&mut registry, 4, true);
+            let held = registry.lease(now).unwrap();
+            registry
+                .complete_shard(held.lease, report_with(held.shard, 1), now)
+                .unwrap();
+            let mut ids = vec![running];
+            let rounds = RETAIN_FINISHED + 3;
+            for round in 0..rounds {
+                if compact_midway && round == rounds / 2 {
+                    registry.compact_store().unwrap();
+                }
+                let id = submit_job(&mut registry, 2, round.is_multiple_of(2));
+                ids.push(id);
+                if round == rounds - 2 {
+                    registry.cancel(id).unwrap();
+                    continue;
+                }
+                // Finish this job's shards, leaving the running job's alone.
+                while registry.poll(id).unwrap().state == JobState::Running {
+                    let lease = registry.lease(now).unwrap();
+                    if lease.job == running {
+                        registry.abandon(lease.lease);
+                        continue;
+                    }
+                    registry
+                        .complete_shard(lease.lease, report_with(lease.shard, 2), now)
+                        .unwrap();
+                }
+            }
+            let (snapshot, records) = {
+                let store = store.lock().unwrap();
+                (store.snapshot.clone(), store.records.clone())
+            };
+            let mut restored = JobRegistry::with_config(RegistryConfig::default());
+            let stats = restored
+                .restore(snapshot.as_ref(), &records, &rebuild_scaling)
+                .unwrap();
+            assert_eq!(stats.resumed, 1);
+            assert_eq!(stats.jobs, RETAIN_FINISHED + 1, "the running job too");
+            assert_eq!(restored.job_ids(), registry.job_ids());
+            for &id in &ids {
+                match (answer(&registry, id), answer(&restored, id)) {
+                    (Ok(live), Ok(back)) => assert_eq!(live, back, "{id}"),
+                    (Err(ExploreError::Retired(_)), Err(ExploreError::Retired(_))) => {}
+                    other => panic!("{id}: {other:?}"),
+                }
+            }
+            let next = submit_job(&mut registry, 1, false);
+            assert_eq!(submit_job(&mut restored, 1, false), next);
+        }
+    }
+
+    /// A sink over `store` whose append, while `tear` is set, lands and then
+    /// reports failure: a torn append, written but not acknowledged.
+    struct TearingSink {
+        inner: MemorySink,
+        tear: Arc<AtomicBool>,
+    }
+
+    impl DurabilitySink for TearingSink {
+        fn append(&mut self, record: &JsonValue) -> std::result::Result<(), String> {
+            self.inner.append(record)?;
+            if self.tear.swap(false, Ordering::Relaxed) {
+                return Err("ack lost".to_string());
+            }
+            Ok(())
+        }
+
+        fn compact(&mut self, snapshot: &JsonValue) -> std::result::Result<u64, String> {
+            self.inner.compact(snapshot)
+        }
+    }
+
+    /// A torn submit leaves its record in the log, and the next submit takes
+    /// its id: replay keeps only the later job, whether the torn one was
+    /// running and the reuse a cache hit or the other way round, and the
+    /// restored registry evicts and compacts as the live one would.
+    #[test]
+    fn a_submit_reusing_a_torn_submits_id_replaces_it_on_restore() {
+        for torn_one_runs in [true, false] {
+            let store = Arc::new(Mutex::new(MemoryStore::default()));
+            let tear = Arc::new(AtomicBool::new(false));
+            let mut registry = JobRegistry::with_config(RegistryConfig::default());
+            registry.set_sink(Box::new(TearingSink {
+                inner: MemorySink::new(Arc::clone(&store)),
+                tear: Arc::clone(&tear),
+            }));
+            // Job 0 fills the cache, so a cacheable submit is a hit.
+            submit_job(&mut registry, 2, true);
+            drain_all(&mut registry);
+
+            tear.store(true, Ordering::Relaxed);
+            let submit_as = |registry: &mut JobRegistry, runs: bool| {
+                registry.submit_with_recipe(
+                    &scaling_system(3, 2).unwrap(),
+                    JobSpec {
+                        shard_count: 2,
+                        use_cache: !runs,
+                        ..JobSpec::default()
+                    },
+                    cacheable_evaluator(Arc::new(AtomicU64::new(0))),
+                    Some(recipe_for(3)),
+                )
+            };
+            assert!(submit_as(&mut registry, torn_one_runs).is_err());
+            let reused = submit_as(&mut registry, !torn_one_runs).unwrap();
+            assert_eq!(reused, JobId::from_raw(1));
+            drain_all(&mut registry);
+            assert_eq!(registry.poll(reused).unwrap().cache_hit, torn_one_runs);
+
+            let records = store.lock().unwrap().records.clone();
+            let submits = records
+                .iter()
+                .filter(|record| record.get("t").unwrap().as_str() == Some("submit"))
+                .count();
+            assert_eq!(submits, 3, "the torn record is in the log");
+            let mut restored = JobRegistry::with_config(RegistryConfig::default());
+            let stats = restored.restore(None, &records, &rebuild_scaling).unwrap();
+            assert_eq!((stats.jobs, stats.resumed), (2, 0));
+            assert_eq!(restored.job_ids(), registry.job_ids());
+            assert_eq!(
+                answer(&restored, reused).unwrap(),
+                answer(&registry, reused).unwrap()
+            );
+
+            // Past the cap both ids are retired once, and the snapshot lists
+            // every retained id once.
+            for _ in 0..RETAIN_FINISHED {
+                submit_job(&mut restored, 1, true);
+            }
+            for id in [0, 1].map(JobId::from_raw) {
+                assert!(matches!(restored.poll(id), Err(ExploreError::Retired(_))));
+            }
+            let snapshot = restored.durable_snapshot();
+            let ids: BTreeSet<u64> = snapshot
+                .get("jobs")
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|job| job.get("job").unwrap().as_u64().unwrap())
+                .collect();
+            assert_eq!(ids.len(), RETAIN_FINISHED);
+            assert_eq!(ids.first(), Some(&2));
+        }
+    }
+
+    /// A snapshot in the earlier format — every job listed in id order with
+    /// its recipe, `done` list, weight and `top_k` — restores: the newest
+    /// [`RETAIN_FINISHED`] finished jobs stay, the running one resumes.
+    #[test]
+    fn snapshot_of_the_earlier_format_restores_its_newest_finished_jobs() {
+        let summary = |id: u64, state: &str, done: &[usize], committed: &ShardReport| {
+            JsonValue::object([
+                ("job", id.to_json()),
+                ("name", JsonValue::string(format!("old-{id}"))),
+                ("tenant", JsonValue::string("default")),
+                ("weight", JsonValue::Int(2)),
+                ("use_cache", JsonValue::Bool(true)),
+                ("shards", 4usize.to_json()),
+                ("top_k", 8usize.to_json()),
+                ("combinations", 8usize.to_json()),
+                ("digest", JsonValue::Null),
+                ("recipe", recipe_for(3)),
+                ("cache_hit", JsonValue::Bool(false)),
+                ("state", JsonValue::string(state)),
+                ("done", done.to_vec().to_json()),
+                ("committed", committed.to_json()),
+                ("hedges_issued", 0u64.to_json()),
+                ("hedge_wins", 0u64.to_json()),
+            ])
+        };
+        let finished_report = |id: u64| {
+            let mut report = report_with(id as usize, 10 + id);
+            report.evaluated = 8;
+            report.feasible = 8;
+            report
+        };
+        // Two more finished jobs than the cap, then a running one.
+        let last = (RETAIN_FINISHED + 2) as u64;
+        let mut jobs: Vec<JsonValue> = (0..last)
+            .map(|id| {
+                let state = if id == 1 { "cancelled" } else { "completed" };
+                summary(id, state, &[0, 1, 2, 3], &finished_report(id))
+            })
+            .collect();
+        jobs.push(summary(last, "running", &[2], &report_with(2, 4)));
+        let snapshot = JsonValue::object([
+            ("next_job", (last + 1).to_json()),
+            (
+                "cache",
+                JsonValue::object(Vec::<(String, JsonValue)>::new()),
+            ),
+            ("jobs", JsonValue::Array(jobs)),
+        ]);
+
+        let mut restored = JobRegistry::with_config(RegistryConfig::default());
+        let stats = restored
+            .restore(Some(&snapshot), &[], &rebuild_scaling)
+            .unwrap();
+        assert_eq!(
+            (stats.jobs, stats.resumed, stats.requeued_shards),
+            (RETAIN_FINISHED + 1, 1, 3)
+        );
+        assert_eq!(
+            restored.job_ids(),
+            (2..=last).map(JobId::from_raw).collect::<Vec<_>>()
+        );
+        for id in 0..2 {
+            assert!(matches!(
+                restored.poll(JobId::from_raw(id)),
+                Err(ExploreError::Retired(_))
+            ));
+        }
+        for id in 2..last {
+            let status = restored.poll(JobId::from_raw(id)).unwrap();
+            assert_eq!(status.state, JobState::Completed);
+            assert_eq!((status.shards_done, status.shard_count), (4, 4));
+            assert_eq!(status.report, finished_report(id));
+            assert_eq!(status.name, format!("old-{id}"));
+        }
+        let resumed = restored.poll(JobId::from_raw(last)).unwrap();
+        assert_eq!((resumed.state, resumed.shards_done), (JobState::Running, 1));
+        drain_all(&mut restored);
+        assert_eq!(
+            restored.poll(JobId::from_raw(last)).unwrap().state,
+            JobState::Completed
+        );
+        // The running job finished last: job 2 went to make room for it.
+        assert!(matches!(
+            restored.poll(JobId::from_raw(2)),
+            Err(ExploreError::Retired(_))
+        ));
+        assert_eq!(
+            submit_job(&mut restored, 1, false),
+            JobId::from_raw(last + 1)
+        );
+
+        // Its compacted snapshot carries summaries only for finished jobs.
+        let compacted = restored.durable_snapshot();
+        let summaries = compacted.get("jobs").unwrap().as_array().unwrap();
+        let finished: Vec<&JsonValue> = summaries
+            .iter()
+            .filter(|job| job.get("state").unwrap().as_str() != Some("running"))
+            .collect();
+        assert_eq!(finished.len(), RETAIN_FINISHED);
+        for job in finished {
+            for dropped in ["recipe", "done", "weight", "top_k", "digest"] {
+                assert!(job.get(dropped).is_none(), "{dropped} in {job}");
+            }
+        }
     }
 
     /// Satellite of the WAL-restore fix: `shards`/`top_k`/`combinations` are

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use spi_store::sched::HedgeConfig;
 use spi_store::span::{self, Profile, SpanDrain, SpanIds, SpanRecorder, SpanSink};
-use spi_store::{CacheLimit, GaugeId, MetricsRegistry, Wal};
+use spi_store::{CacheLimit, GaugeId, MetricsRegistry, Wal, DEFAULT_CACHE_BYTES};
 use spi_variants::VariantSystem;
 
 use crate::clock::{Clock, SystemClock};
@@ -65,7 +65,8 @@ pub struct ServiceConfig {
     /// Directory of the durable store (WAL + snapshot + result cache).
     /// `None` keeps the service fully in-memory, as before.
     pub store_dir: Option<PathBuf>,
-    /// Bound on the content-addressed result cache; unbounded by default.
+    /// Bound on the content-addressed result cache; by default
+    /// [`DEFAULT_CACHE_BYTES`] of cached lines.
     pub cache_limit: CacheLimit,
     /// Compact the WAL once its log exceeds this many bytes (checked after
     /// committed completions); `None` compacts only at quiesce.
@@ -97,7 +98,7 @@ impl Default for ServiceConfig {
             batch_size: 256,
             hedge: HedgeConfig::default(),
             store_dir: None,
-            cache_limit: CacheLimit::UNBOUNDED,
+            cache_limit: CacheLimit::bytes(DEFAULT_CACHE_BYTES),
             compact_log_bytes: None,
             trace_capacity: spi_store::trace::DEFAULT_TRACE_CAPACITY,
             metrics_enabled: true,
@@ -289,12 +290,33 @@ impl ExplorationService {
         evaluator: Arc<dyn Evaluator>,
         recipe: Option<JsonValue>,
     ) -> Result<JobId> {
-        let id = self
-            .registry()
-            .submit_with_recipe(system, spec, evaluator, recipe)?;
+        self.submit_status(system, spec, evaluator, recipe)
+            .map(|status| status.job)
+    }
+
+    /// [`submit_with_recipe`](Self::submit_with_recipe), answering the new
+    /// job's status read under the same registry lock: a job finished at
+    /// submit (a cache hit, an empty space) could otherwise be retired by
+    /// other jobs finishing before a separate [`poll`](Self::poll).
+    ///
+    /// # Errors
+    ///
+    /// As [`JobRegistry::submit_with_recipe`].
+    pub fn submit_status(
+        &self,
+        system: &VariantSystem,
+        spec: JobSpec,
+        evaluator: Arc<dyn Evaluator>,
+        recipe: Option<JsonValue>,
+    ) -> Result<JobStatus> {
+        let status = {
+            let mut registry = self.registry();
+            let id = registry.submit_with_recipe(system, spec, evaluator, recipe)?;
+            registry.poll(id)?
+        };
         self.inner.work_available.notify_all();
         self.inner.progress.notify_all();
-        Ok(id)
+        Ok(status)
     }
 
     /// A point-in-time snapshot of the job.
@@ -317,7 +339,7 @@ impl ExplorationService {
         Ok(status)
     }
 
-    /// Snapshots of every registered job, in submission order.
+    /// Snapshots of every running and retained job, in submission order.
     pub fn jobs(&self) -> Vec<JobStatus> {
         let registry = self.registry();
         registry
@@ -359,8 +381,11 @@ impl ExplorationService {
 
     /// The full metrics plane as one canonical JSON value — what the
     /// `metrics` op returns and quiesce writes to `metrics.json`. Sets the
-    /// ring gauges first: `spans.ring_bytes` and `trace.ring_bytes` are the
-    /// bytes the span rings and the decision trace have allocated.
+    /// sampled gauges first: `spans.ring_bytes` and `trace.ring_bytes` are
+    /// the bytes the span rings and the decision trace have allocated, and
+    /// `process.rss_bytes` / `process.peak_rss_bytes` the process's resident
+    /// and peak resident memory (`VmRSS` / `VmHWM` of `/proc/self/status`;
+    /// 0 where that file does not exist, i.e. off Linux).
     pub fn metrics_snapshot(&self) -> JsonValue {
         let metrics = &self.inner.metrics;
         metrics.set_gauge(
@@ -371,6 +396,9 @@ impl ExplorationService {
             GaugeId::TraceRingBytes,
             self.registry().trace_ring_bytes() as u64,
         );
+        let (rss, peak) = process_memory();
+        metrics.set_gauge(GaugeId::ProcessRssBytes, rss);
+        metrics.set_gauge(GaugeId::ProcessPeakRssBytes, peak);
         metrics.snapshot()
     }
 
@@ -461,7 +489,8 @@ impl ExplorationService {
     }
 
     /// Blocks until the job reaches a terminal state and returns its final,
-    /// exact snapshot.
+    /// exact snapshot. A retired job answers [`ExploreError::Retired`] at
+    /// once, as does a job retired while this call waited.
     ///
     /// # Errors
     ///
@@ -547,6 +576,23 @@ impl Drop for ExplorationService {
             let _ = sweeper.join();
         }
     }
+}
+
+/// `(VmRSS, VmHWM)` of this process in bytes, read from
+/// `/proc/self/status`; `(0, 0)` where the file does not exist.
+fn process_memory() -> (u64, u64) {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return (0, 0);
+    };
+    let bytes_of = |key: &str| {
+        status
+            .lines()
+            .find_map(|line| line.strip_prefix(key))
+            .and_then(|rest| rest.trim().strip_suffix("kB"))
+            .and_then(|kib| kib.trim().parse::<u64>().ok())
+            .map_or(0, |kib| kib * 1024)
+    };
+    (bytes_of("VmRSS:"), bytes_of("VmHWM:"))
 }
 
 fn worker_loop(inner: &Inner) {

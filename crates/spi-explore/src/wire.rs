@@ -16,9 +16,14 @@
 //! Ops: `submit`, `poll`, `wait`, `top`, `jobs`, `cancel`, `graph`, `trace`,
 //! `metrics`, `profile`, `spans`, `health`, `watch`, `shutdown`.
 //! `submit` also takes `tenant` (fair-queuing bucket), `weight` (its WFQ
-//! share) and `no_cache` (bypass the result cache); responses carry
-//! `cache_hit` so a client can tell a served-from-cache job (`evaluated` is
-//! then 0 and `top` is the cached optimum). `trace` reads the decision ring
+//! share) and `no_cache` (the job neither reads nor writes the result
+//! cache); responses carry `cache_hit` so a client can tell a
+//! served-from-cache job (`evaluated` is then 0 and `top` is the cached
+//! optimum). A finished job stays answerable until more than 1,024 jobs
+//! finished after it; `poll`, `wait`, `top` and
+//! `cancel` on it then answer `{"ok":false,"error":"job N was retired",
+//! "retired":true}` at once, and `jobs` lists (and rolls up) only the
+//! running and retained jobs. `trace` reads the decision ring
 //! from a `since` cursor (default 0) without consuming anything, and answers
 //! the `next` cursor read with the events. `metrics` returns the full
 //! [`MetricsRegistry`](spi_store::MetricsRegistry) snapshot under a
@@ -95,10 +100,14 @@ pub fn status_to_json(op: &str, status: &JobStatus) -> JsonValue {
 }
 
 fn error_response(error: &ExploreError) -> JsonValue {
-    JsonValue::object([
+    let mut members = vec![
         ("ok", JsonValue::Bool(false)),
         ("error", JsonValue::string(error.to_string())),
-    ])
+    ];
+    if matches!(error, ExploreError::Retired(_)) {
+        members.push(("retired", JsonValue::Bool(true)));
+    }
+    JsonValue::object(members)
 }
 
 fn parse_system(value: &JsonValue) -> Result<VariantSystem> {
@@ -314,17 +323,12 @@ fn dispatch(service: &ExplorationService, request: &JsonValue) -> Result<JsonVal
             if let Some(evaluator_value) = request.get("evaluator") {
                 recipe.push(("evaluator".to_string(), evaluator_value.clone()));
             }
-            let job = service.submit_with_recipe(
-                &system,
-                spec,
-                evaluator,
-                Some(JsonValue::Object(recipe)),
-            )?;
-            let status = service.poll(job)?;
+            let status =
+                service.submit_status(&system, spec, evaluator, Some(JsonValue::Object(recipe)))?;
             Ok(JsonValue::object([
                 ("ok", JsonValue::Bool(true)),
                 ("op", JsonValue::string("submit")),
-                ("job", job.raw().to_json()),
+                ("job", status.job.raw().to_json()),
                 ("combinations", status.combinations.to_json()),
                 ("shards", status.shard_count.to_json()),
                 ("cache_hit", JsonValue::Bool(status.cache_hit)),
@@ -439,8 +443,9 @@ fn dispatch(service: &ExplorationService, request: &JsonValue) -> Result<JsonVal
     }
 }
 
-/// Per-tenant aggregates over every submitted job — the `tenants` array of
-/// the `jobs` op, sorted by tenant name.
+/// Per-tenant aggregates over the running and retained jobs — the `tenants`
+/// array of the `jobs` op, sorted by tenant name. Retired jobs count no
+/// more.
 fn tenant_rollups(statuses: &[JobStatus]) -> JsonValue {
     #[derive(Default)]
     struct Rollup {
@@ -1608,6 +1613,69 @@ mod tests {
                 .all(|f| f.get("frame").unwrap().as_str() != Some("spans")),
             "span frames are opt-in"
         );
+    }
+
+    /// Past the finished-job cap, `poll`, `wait`, `top` and `cancel` on an
+    /// evicted id answer the structured `retired` error at once, an id never
+    /// submitted stays unknown, and a retained job answers byte for byte
+    /// what it answered when it finished.
+    #[test]
+    fn retired_jobs_answer_a_structured_error_and_retained_ones_repeat_themselves() {
+        let service = ExplorationService::start(ServiceConfig::with_workers(2));
+        let submit = |no_cache: bool| {
+            format!(
+                "{{\"op\":\"submit\",\"system\":{{\"scaling\":{{\"interfaces\":3,\"clusters\":2}}}},\
+                 \"shards\":2,\"no_cache\":{no_cache}}}\n"
+            )
+        };
+        let serve_lines = |lines: &str| {
+            let mut output = Vec::new();
+            serve(&service, lines.as_bytes(), &mut output).unwrap();
+            String::from_utf8(output).unwrap()
+        };
+        let first = serve_lines(&format!("{}{{\"op\":\"wait\",\"job\":0}}\n", submit(true)));
+        let at_completion = first.lines().nth(1).unwrap().to_string();
+        // Job 1 fills the cache, so every later cacheable submit is a hit,
+        // finished at submit.
+        serve_lines(&format!("{}{{\"op\":\"wait\",\"job\":1}}\n", submit(false)));
+        assert_eq!(
+            serve_lines("{\"op\":\"wait\",\"job\":0}\n").trim_end(),
+            at_completion,
+            "a retained job answers as it did at completion"
+        );
+        // 1,024 jobs finished after job 0: it is retired.
+        serve_lines(&submit(false).repeat(1023));
+
+        let answers = serve_lines(concat!(
+            "{\"op\":\"poll\",\"job\":0}\n",
+            "{\"op\":\"wait\",\"job\":0}\n",
+            "{\"op\":\"top\",\"job\":0}\n",
+            "{\"op\":\"cancel\",\"job\":0}\n",
+            "{\"op\":\"poll\",\"job\":1025}\n",
+            "{\"op\":\"jobs\"}\n",
+        ));
+        let lines: Vec<&str> = answers.lines().collect();
+        for line in &lines[..4] {
+            assert_eq!(
+                *line,
+                "{\"ok\":false,\"error\":\"job 0 was retired\",\"retired\":true}"
+            );
+        }
+        let unknown = JsonValue::parse(lines[4]).unwrap();
+        assert_eq!(unknown.get("ok").unwrap().as_bool(), Some(false));
+        assert!(unknown.get("retired").is_none());
+        let listing = JsonValue::parse(lines[5]).unwrap();
+        let listed: Vec<u64> = listing
+            .get("jobs")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|job| job.get("job").unwrap().as_u64().unwrap())
+            .collect();
+        assert_eq!(listed, (1..=1024).collect::<Vec<u64>>());
+        let tenants = listing.get("tenants").unwrap().as_array().unwrap();
+        assert_eq!(tenants[0].get("jobs").unwrap().as_u64(), Some(1024));
     }
 
     #[test]

@@ -243,3 +243,39 @@ fn metrics_report_the_bytes_each_ring_holds() {
     assert!(spans > 0);
     assert_eq!(trace, 0);
 }
+
+/// The metrics snapshot explains the daemon's memory: `process.rss_bytes`
+/// and `process.peak_rss_bytes` are the process's `VmRSS` and `VmHWM` (0 off
+/// Linux), and `jobs.retained` counts the finished jobs held, never more
+/// than the cap of 1,024.
+#[test]
+fn metrics_report_process_memory_and_retained_jobs() {
+    let service = ExplorationService::start(ServiceConfig::with_workers(2));
+    let system = scaling_system(1, 2).unwrap();
+    let spec = JobSpec {
+        shard_count: 1,
+        use_cache: false,
+        ..JobSpec::default()
+    };
+    for _ in 0..1030 {
+        let job = service
+            .submit(&system, spec.clone(), slow_evaluator(Duration::ZERO))
+            .unwrap();
+        service.wait(job).unwrap();
+    }
+    let snapshot = service.metrics_snapshot();
+    let gauge = |name: &str| {
+        snapshot
+            .get("gauges")
+            .and_then(|gauges| gauges.get(name))
+            .and_then(JsonValue::as_u64)
+            .unwrap()
+    };
+    assert_eq!(gauge("jobs.retained"), 1024);
+    let (rss, peak) = (gauge("process.rss_bytes"), gauge("process.peak_rss_bytes"));
+    if cfg!(target_os = "linux") {
+        assert!(rss > 0 && peak >= rss, "rss {rss}, peak {peak}");
+    } else {
+        assert_eq!((rss, peak), (0, 0));
+    }
+}

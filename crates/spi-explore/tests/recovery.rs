@@ -534,3 +534,59 @@ fn compaction_sets_the_log_bytes_gauge_to_the_size_of_the_log() {
     drop(registry);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A daemon killed after it retired finished jobs (more than 1,024 finished
+/// after them), before any compaction, comes back over its WAL with the same
+/// retained jobs answering the same lines, the retired ones still retired,
+/// and the id sequence continuing; after a clean shutdown (a compaction) the
+/// same holds.
+#[test]
+fn a_killed_daemon_restores_exactly_the_finished_jobs_it_retained() {
+    let dir = temp_dir("retained");
+    let config = || ServiceConfig {
+        store_dir: Some(dir.clone()),
+        hedge: HedgeConfig::disabled(),
+        ..ServiceConfig::with_workers(2)
+    };
+    let request = |text: String| JsonValue::parse(&text).unwrap();
+    let poll = |service: &ExplorationService, job: u64| {
+        handle_request(service, &request(format!(r#"{{"op":"poll","job":{job}}}"#))).to_line()
+    };
+    let submit = |service: &ExplorationService, seed: u64| {
+        let answer = handle_request(
+            service,
+            &request(format!(
+                r#"{{"op":"submit","system":{{"scaling":{{"interfaces":3,"clusters":2}}}},"shards":2,"no_cache":{},"evaluator":{{"params":{{"kind":"hashed","seed":{seed}}}}}}}"#,
+                seed.is_multiple_of(2)
+            )),
+        );
+        let job = answer.get("job").and_then(JsonValue::as_u64).unwrap();
+        let waited = handle_request(service, &request(format!(r#"{{"op":"wait","job":{job}}}"#)));
+        assert_eq!(
+            waited.get("state").and_then(JsonValue::as_str),
+            Some("completed")
+        );
+        job
+    };
+    let live = ExplorationService::try_start(config()).unwrap();
+    let jobs: Vec<u64> = (0..1027).map(|seed| submit(&live, seed)).collect();
+    let answers: Vec<String> = jobs.iter().map(|&job| poll(&live, job)).collect();
+    for (job, answer) in answers.iter().enumerate() {
+        assert_eq!(answer.contains(r#""retired":true"#), job < 3, "{answer}");
+    }
+    drop(live); // a kill: nothing compacts
+
+    for clean_shutdown_first in [false, true] {
+        let restored = ExplorationService::try_start(config()).unwrap();
+        assert_eq!(restored.restored().jobs, 1024);
+        for (&job, answer) in jobs.iter().zip(&answers) {
+            assert_eq!(&poll(&restored, job), answer, "job {job}");
+        }
+        if clean_shutdown_first {
+            assert_eq!(submit(&restored, 9), 1027, "the id sequence continues");
+        } else {
+            restored.quiesce().unwrap();
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

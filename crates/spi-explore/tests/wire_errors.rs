@@ -227,3 +227,45 @@ fn an_exact_search_over_64_tasks_is_an_error_not_a_dead_worker() {
         Some("shutdown")
     );
 }
+
+/// The daemon refuses what it does not understand: a removed flag, a
+/// misspelled one, a value that is not a number and a flag without its value
+/// each print the usage, name the argument and exit with status 2 before the
+/// service starts — instead of running with defaults the operator did not
+/// ask for.
+#[test]
+fn the_daemon_rejects_unknown_flags_and_malformed_values() {
+    let cases: [(&[&str], &[&str]); 5] = [
+        (&["--no-spans"], &["--no-spans"]),
+        (&["--trace-capcity", "0"], &["--trace-capcity"]),
+        (&["--workers", "two"], &["--workers", "two"]),
+        (&["--span-capacity"], &["--span-capacity"]),
+        (&["--store", "--no-hedge"], &["--store"]),
+    ];
+    for (args, named) in cases {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_spi-explored"))
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("the daemon runs");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?} answered requests");
+        assert!(stderr.contains("usage: spi-explored"), "{args:?}: {stderr}");
+        for name in named {
+            assert!(
+                stderr.contains(name),
+                "{args:?} does not name {name}: {stderr}"
+            );
+        }
+    }
+    let help = std::process::Command::new(env!("CARGO_BIN_EXE_spi-explored"))
+        .arg("--help")
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("the daemon runs");
+    assert!(help.status.success());
+    assert!(String::from_utf8(help.stderr)
+        .unwrap()
+        .contains("usage: spi-explored"));
+}

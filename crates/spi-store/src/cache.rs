@@ -8,8 +8,12 @@
 //! re-optimized many times under changing constraints, so repeat jobs are
 //! the common case, not the exception.
 //!
+//! Each result is held as its canonical JSON line ([`JsonValue::to_line`]),
+//! not as a parsed tree: a tree costs several times its text, and a cached
+//! result is read far less often than it is kept. A hit parses the line.
+//!
 //! The cache is bounded by an optional [`CacheLimit`] (entry count and/or
-//! total payload bytes); past the limit the least-recently-used entry is
+//! total line bytes); past the limit the least-recently-used entry is
 //! evicted, deterministically (ties broken by digest order). Durability
 //! comes from the owning registry, which rebuilds it during WAL replay
 //! (every completed job with a digest reinserts its committed result) and
@@ -21,16 +25,20 @@ use std::collections::BTreeMap;
 use spi_model::digest::Digest;
 use spi_model::json::{JsonError, JsonResult, JsonValue};
 
-/// An optional bound on a [`ResultCache`]. `None` fields are unbounded; the
-/// default is fully unbounded, preserving the historical behaviour.
+/// An optional bound on a [`ResultCache`]. `None` fields are unbounded, and so
+/// is `CacheLimit::default()`; the exploration service bounds its cache by
+/// [`DEFAULT_CACHE_BYTES`] unless told otherwise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheLimit {
     /// Maximum number of cached results.
     pub max_entries: Option<usize>,
-    /// Maximum total payload size, measured as the serialized
-    /// (`JsonValue::to_line`) byte length of the cached values.
+    /// Maximum total size of the cached lines (`JsonValue::to_line` bytes).
     pub max_bytes: Option<usize>,
 }
+
+/// The byte bound the exploration service puts on its result cache by
+/// default: 16 MiB of cached lines.
+pub const DEFAULT_CACHE_BYTES: usize = 16 << 20;
 
 impl CacheLimit {
     /// No bound at all.
@@ -61,11 +69,11 @@ impl CacheLimit {
     }
 }
 
-/// One cached payload plus the bookkeeping the LRU policy needs.
+/// One cached result as its canonical line, plus the recency the LRU policy
+/// needs.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    value: JsonValue,
-    bytes: usize,
+    line: Box<str>,
     last_used: u64,
 }
 
@@ -95,7 +103,7 @@ impl PartialEq for ResultCache {
                 .entries
                 .iter()
                 .zip(other.entries.iter())
-                .all(|((da, ea), (db, eb))| da == db && ea.value == eb.value)
+                .all(|((da, ea), (db, eb))| da == db && ea.line == eb.line)
     }
 }
 
@@ -124,23 +132,22 @@ impl ResultCache {
         self.evict_to_limit();
     }
 
-    /// Stores `result` under `digest`, replacing any previous entry (the
-    /// digest is a content address, so a replacement is byte-identical
-    /// anyway unless the evaluator is nondeterministic), then evicts
-    /// least-recently-used entries until the cache is within its limit.
-    /// Returns how many entries this insert evicted, so callers can trace
-    /// cache pressure without re-deriving it from the lifetime counter.
-    pub fn insert(&mut self, digest: Digest, result: JsonValue) -> u64 {
-        let bytes = result.to_line().len();
+    /// Stores `result` under `digest` as its canonical line, replacing any
+    /// previous entry (the digest is a content address, so a replacement is
+    /// byte-identical anyway unless the evaluator is nondeterministic), then
+    /// evicts least-recently-used entries until the cache is within its
+    /// limit. Returns how many entries this insert evicted, so callers can
+    /// trace cache pressure without re-deriving it from the lifetime counter.
+    pub fn insert(&mut self, digest: Digest, result: &JsonValue) -> u64 {
+        let line = result.to_line().into_boxed_str();
         self.clock += 1;
+        self.total_bytes += line.len();
         let entry = CacheEntry {
-            value: result,
-            bytes,
+            line,
             last_used: self.clock,
         };
-        self.total_bytes += bytes;
         if let Some(old) = self.entries.insert(digest, entry) {
-            self.total_bytes -= old.bytes;
+            self.total_bytes -= old.line.len();
         }
         let before = self.evictions;
         self.evict_to_limit();
@@ -148,14 +155,14 @@ impl ResultCache {
     }
 
     /// Looks up `digest`, counting the hit/miss and refreshing the entry's
-    /// recency on a hit.
-    pub fn lookup(&mut self, digest: Digest) -> Option<&JsonValue> {
+    /// recency on a hit; a hit is the cached line, parsed.
+    pub fn lookup(&mut self, digest: Digest) -> Option<JsonValue> {
         match self.entries.get_mut(&digest) {
             Some(entry) => {
                 self.hits += 1;
                 self.clock += 1;
                 entry.last_used = self.clock;
-                Some(&entry.value)
+                Some(parse_rendered(&entry.line))
             }
             None => {
                 self.misses += 1;
@@ -164,9 +171,10 @@ impl ResultCache {
         }
     }
 
-    /// Peeks without touching the hit/miss counters or the entry's recency.
-    pub fn peek(&self, digest: Digest) -> Option<&JsonValue> {
-        self.entries.get(&digest).map(|entry| &entry.value)
+    /// The cached line, without touching the hit/miss counters or the
+    /// entry's recency.
+    pub fn peek(&self, digest: Digest) -> Option<&str> {
+        self.entries.get(&digest).map(|entry| &*entry.line)
     }
 
     /// Number of cached results.
@@ -179,7 +187,7 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    /// Total serialized payload size of the cached results.
+    /// Total length of the cached lines: the bytes the cache holds.
     pub fn total_bytes(&self) -> usize {
         self.total_bytes
     }
@@ -226,7 +234,7 @@ impl ResultCache {
                 .entries
                 .remove(&victim)
                 .expect("victim digest was just found in the map");
-            self.total_bytes -= evicted.bytes;
+            self.total_bytes -= evicted.line.len();
             self.evictions += 1;
         }
     }
@@ -237,14 +245,15 @@ impl ResultCache {
         JsonValue::Object(
             self.entries
                 .iter()
-                .map(|(digest, entry)| (digest.to_string(), entry.value.clone()))
+                .map(|(digest, entry)| (digest.to_string(), parse_rendered(&entry.line)))
                 .collect(),
         )
     }
 
     /// Rebuilds an unbounded cache from its snapshot form (apply a bound
-    /// afterwards with [`ResultCache::set_limit`]). Restored entries start
-    /// with recency in digest order.
+    /// afterwards with [`ResultCache::set_limit`]), rendering each member
+    /// straight to its line. Restored entries start with recency in digest
+    /// order.
     ///
     /// # Errors
     ///
@@ -255,10 +264,16 @@ impl ResultCache {
             .ok_or_else(|| JsonError::new("expected an object for ResultCache"))?;
         let mut cache = ResultCache::new();
         for (key, result) in members {
-            cache.insert(Digest::parse(key)?, result.clone());
+            cache.insert(Digest::parse(key)?, result);
         }
         Ok(cache)
     }
+}
+
+/// Parses a line this cache rendered with [`JsonValue::to_line`], which
+/// always parses back to the value it was rendered from.
+fn parse_rendered(line: &str) -> JsonValue {
+    JsonValue::parse(line).expect("a line rendered by `to_line` parses")
 }
 
 #[cfg(test)]
@@ -271,9 +286,9 @@ mod tests {
         let mut cache = ResultCache::new();
         let key = digest_bytes(b"job-a");
         assert!(cache.lookup(key).is_none());
-        cache.insert(key, JsonValue::Int(42));
-        assert_eq!(cache.lookup(key), Some(&JsonValue::Int(42)));
-        assert_eq!(cache.peek(key), Some(&JsonValue::Int(42)));
+        cache.insert(key, &JsonValue::Int(42));
+        assert_eq!(cache.lookup(key), Some(JsonValue::Int(42)));
+        assert_eq!(cache.peek(key), Some("42"));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
@@ -283,30 +298,56 @@ mod tests {
     #[test]
     fn snapshot_round_trips() {
         let mut cache = ResultCache::new();
-        cache.insert(digest_bytes(b"x"), JsonValue::string("rx"));
-        cache.insert(digest_bytes(b"y"), JsonValue::Int(7));
+        cache.insert(digest_bytes(b"x"), &JsonValue::string("rx"));
+        cache.insert(digest_bytes(b"y"), &JsonValue::Int(7));
         let snapshot = cache.to_snapshot();
         let back = ResultCache::from_snapshot(&snapshot).unwrap();
-        assert_eq!(
-            back.peek(digest_bytes(b"x")),
-            Some(&JsonValue::string("rx"))
-        );
-        assert_eq!(back.peek(digest_bytes(b"y")), Some(&JsonValue::Int(7)));
+        assert_eq!(back.peek(digest_bytes(b"x")), Some("\"rx\""));
+        assert_eq!(back.peek(digest_bytes(b"y")), Some("7"));
         assert_eq!(back.to_snapshot().to_line(), snapshot.to_line());
         assert_eq!(back, cache, "restored cache must equal the original");
         assert!(ResultCache::from_snapshot(&JsonValue::Int(1)).is_err());
         assert!(ResultCache::from_snapshot(&JsonValue::object([("zz", JsonValue::Null)])).is_err());
     }
 
+    /// The cache holds each result as its canonical line: `total_bytes` is
+    /// the summed line lengths, a hit parses back to the inserted value, and
+    /// a snapshot round trip keeps every line byte for byte.
+    #[test]
+    fn entries_are_held_as_their_canonical_lines() {
+        let nested = JsonValue::object([
+            (
+                "top",
+                JsonValue::Array(vec![JsonValue::Int(3), JsonValue::Float(0.5)]),
+            ),
+            ("detail", JsonValue::string("équipe \"a\"\n")),
+            ("none", JsonValue::Null),
+        ]);
+        let values = [nested, JsonValue::Bool(true), JsonValue::string("")];
+        let mut cache = ResultCache::new();
+        for (at, value) in values.iter().enumerate() {
+            cache.insert(digest_bytes(&[at as u8]), value);
+        }
+        let summed: usize = values.iter().map(|value| value.to_line().len()).sum();
+        assert_eq!(cache.total_bytes(), summed);
+        let back = ResultCache::from_snapshot(&cache.to_snapshot()).unwrap();
+        assert_eq!(back.total_bytes(), summed);
+        for (at, value) in values.iter().enumerate() {
+            let key = digest_bytes(&[at as u8]);
+            assert_eq!(back.peek(key), Some(value.to_line().as_str()));
+            assert_eq!(cache.lookup(key).as_ref(), Some(value));
+        }
+    }
+
     #[test]
     fn entry_limit_evicts_least_recently_used() {
         let (a, b, c) = (digest_bytes(b"a"), digest_bytes(b"b"), digest_bytes(b"c"));
         let mut cache = ResultCache::with_limit(CacheLimit::entries(2));
-        cache.insert(a, JsonValue::Int(1));
-        cache.insert(b, JsonValue::Int(2));
+        cache.insert(a, &JsonValue::Int(1));
+        cache.insert(b, &JsonValue::Int(2));
         // Touch `a` so `b` is the LRU entry when `c` arrives.
         assert!(cache.lookup(a).is_some());
-        cache.insert(c, JsonValue::Int(3));
+        cache.insert(c, &JsonValue::Int(3));
         assert_eq!(cache.len(), 2);
         assert!(cache.peek(a).is_some());
         assert!(cache.peek(b).is_none(), "LRU entry must be evicted");
@@ -319,23 +360,45 @@ mod tests {
         let payload = JsonValue::string("0123456789");
         let one = payload.to_line().len();
         let mut cache = ResultCache::with_limit(CacheLimit::bytes(2 * one));
-        cache.insert(digest_bytes(b"a"), payload.clone());
-        cache.insert(digest_bytes(b"b"), payload.clone());
+        cache.insert(digest_bytes(b"a"), &payload);
+        cache.insert(digest_bytes(b"b"), &payload);
         assert_eq!(cache.len(), 2);
-        cache.insert(digest_bytes(b"c"), payload.clone());
+        cache.insert(digest_bytes(b"c"), &payload);
         assert_eq!(cache.len(), 2, "third insert must evict one entry");
         assert!(cache.total_bytes() <= 2 * one);
         // A payload bigger than the whole budget empties the cache but still
         // terminates deterministically.
-        cache.insert(digest_bytes(b"big"), JsonValue::string("x".repeat(64)));
+        cache.insert(digest_bytes(b"big"), &JsonValue::string("x".repeat(64)));
         assert!(cache.is_empty());
+    }
+
+    /// Under the default byte bound the least-recently-used lines go first:
+    /// a result read since is kept over an older one that was not.
+    #[test]
+    fn default_byte_bound_evicts_least_recently_used_lines() {
+        let line = JsonValue::string("r".repeat(1 << 16));
+        let per_entry = line.to_line().len();
+        let fits = DEFAULT_CACHE_BYTES / per_entry;
+        let mut cache = ResultCache::with_limit(CacheLimit::bytes(DEFAULT_CACHE_BYTES));
+        for at in 0..fits as u64 {
+            assert_eq!(cache.insert(digest_bytes(&at.to_le_bytes()), &line), 0);
+        }
+        assert_eq!(cache.len(), fits);
+        // Reading the oldest entry makes the second-oldest the LRU one.
+        assert!(cache.lookup(digest_bytes(&0u64.to_le_bytes())).is_some());
+        let evicted = cache.insert(digest_bytes(b"one more"), &line);
+        assert_eq!(evicted, 1);
+        assert!(cache.total_bytes() <= DEFAULT_CACHE_BYTES);
+        assert!(cache.peek(digest_bytes(&0u64.to_le_bytes())).is_some());
+        assert!(cache.peek(digest_bytes(&1u64.to_le_bytes())).is_none());
+        assert!(cache.peek(digest_bytes(b"one more")).is_some());
     }
 
     #[test]
     fn tightening_the_limit_evicts_immediately_and_reinsert_updates_bytes() {
         let mut cache = ResultCache::new();
         for i in 0..5u8 {
-            cache.insert(digest_bytes(&[i]), JsonValue::Int(i as i128));
+            cache.insert(digest_bytes(&[i]), &JsonValue::Int(i as i128));
         }
         cache.set_limit(CacheLimit::entries(2));
         assert_eq!(cache.len(), 2);
@@ -343,8 +406,8 @@ mod tests {
         // Replacing an entry accounts bytes for the new payload only.
         let key = digest_bytes(b"replace");
         let mut solo = ResultCache::new();
-        solo.insert(key, JsonValue::string("a".repeat(100)));
-        solo.insert(key, JsonValue::Int(1));
+        solo.insert(key, &JsonValue::string("a".repeat(100)));
+        solo.insert(key, &JsonValue::Int(1));
         assert_eq!(solo.total_bytes(), JsonValue::Int(1).to_line().len());
     }
 }

@@ -68,7 +68,7 @@ pub mod span;
 pub mod trace;
 pub mod wal;
 
-pub use cache::{CacheLimit, ResultCache};
+pub use cache::{CacheLimit, ResultCache, DEFAULT_CACHE_BYTES};
 pub use error::{Result, StoreError};
 pub use metrics::{
     Counter, CounterId, Gauge, GaugeId, Histogram, HistogramId, MetricsRegistry, TenantMetrics,

@@ -300,16 +300,22 @@ pub enum GaugeId {
     CacheBytes,
     SpansRingBytes,
     TraceRingBytes,
+    JobsRetained,
+    ProcessRssBytes,
+    ProcessPeakRssBytes,
 }
 
 impl GaugeId {
     /// Every gauge id, in canonical (declaration) order.
-    pub const ALL: [GaugeId; 5] = [
+    pub const ALL: [GaugeId; 8] = [
         GaugeId::WalLogBytes,
         GaugeId::CacheEntries,
         GaugeId::CacheBytes,
         GaugeId::SpansRingBytes,
         GaugeId::TraceRingBytes,
+        GaugeId::JobsRetained,
+        GaugeId::ProcessRssBytes,
+        GaugeId::ProcessPeakRssBytes,
     ];
 
     /// The stable wire name of this gauge.
@@ -320,6 +326,9 @@ impl GaugeId {
             GaugeId::CacheBytes => "cache.bytes",
             GaugeId::SpansRingBytes => "spans.ring_bytes",
             GaugeId::TraceRingBytes => "trace.ring_bytes",
+            GaugeId::JobsRetained => "jobs.retained",
+            GaugeId::ProcessRssBytes => "process.rss_bytes",
+            GaugeId::ProcessPeakRssBytes => "process.peak_rss_bytes",
         }
     }
 }

@@ -137,6 +137,11 @@ impl FairScheduler {
             .map(|(name, _)| name.as_str())
     }
 
+    /// The weight `tenant` last enqueued at, if it ever enqueued.
+    pub fn tenant_weight(&self, tenant: &str) -> Option<u32> {
+        self.tenants.get(tenant).map(|slot| slot.weight)
+    }
+
     /// Entries currently queued for `tenant` (0 for unknown tenants).
     pub fn tenant_backlog(&self, tenant: &str) -> usize {
         self.tenants.get(tenant).map_or(0, |slot| slot.queue.len())

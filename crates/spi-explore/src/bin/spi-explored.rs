@@ -19,8 +19,9 @@
 //! bytes, not only at quiesce), `--no-hedge` (disable speculative
 //! re-leases), `--trace-capacity N` (size of the scheduler-decision trace
 //! ring that the `trace` op and `watch` read by cursor; 0 disables capture),
-//! `--no-metrics` (disable the metrics plane: counters, histograms, the
-//! `metrics` op and the watchdog), `--span-capacity N` (per-worker span ring
+//! `--no-metrics` (disable the metrics plane: the `metrics` op's counters,
+//! gauges and histograms read 0; its tenant rows and the watchdog keep
+//! working), `--span-capacity N` (per-worker span ring
 //! capacity, default 65536; 0 disables the profiling plane: phase spans, the
 //! `profile`/`spans` ops, span watch frames and the quiesce `profile.json`),
 //! `--watchdog-interval MS`

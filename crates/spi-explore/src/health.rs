@@ -56,7 +56,8 @@ pub struct TenantHealth {
     pub tenant: String,
     /// Shards waiting in the tenant's WFQ queue.
     pub backlog: u64,
-    /// Cumulative shards dispatched for the tenant (the WFQ service count).
+    /// Cumulative WFQ dispatches of the tenant that became leases (the
+    /// scheduler's service count).
     pub service: u64,
 }
 

@@ -280,9 +280,10 @@ pub struct Lease {
     pub shard: usize,
     /// Total shard count of the job (the stride).
     pub shard_count: usize,
-    /// The job's fair-queuing tenant — span attribution uses it, so a worker
-    /// never has to re-ask the registry who it is working for.
-    pub tenant: String,
+    /// The lease's span attribution (its waitgraph ids), built once at the
+    /// grant and shared by every span of the lease, the worker's drain and
+    /// the registry's renews and commit alike.
+    pub context: Arc<SpanIds>,
     /// Top-K cap for the shard's report.
     pub top_k: usize,
     /// The job's shared flattening machine.
@@ -379,13 +380,16 @@ struct Holder {
     lease: LeaseId,
     deadline: Instant,
     started: Instant,
-    /// Identity of the worker the lease was granted to (thread name for the
-    /// in-process pool); surfaces in the waitgraph, the decision trace and
-    /// the lease's span context.
-    worker: Arc<str>,
-    /// The span attribution of every renew and commit under this lease,
-    /// built at its first span and shared by the rest.
-    context: Option<Arc<SpanIds>>,
+    /// The lease's span attribution, shared with its [`Lease`]; it names the
+    /// worker (the pool's thread name) the waitgraph and health show too.
+    context: Arc<SpanIds>,
+}
+
+impl Holder {
+    /// The worker the lease was granted to.
+    fn worker(&self) -> &str {
+        self.context.worker.as_deref().unwrap_or_default()
+    }
 }
 
 enum ShardSlot {
@@ -409,7 +413,8 @@ fn bind(flattener: &Flattener, evaluator: Arc<dyn Evaluator>) -> Arc<dyn Evaluat
 /// turns terminal, which drops its flattener and evaluator with the rest.
 struct Job {
     name: String,
-    tenant: String,
+    /// Shared with every lease's span context.
+    tenant: Arc<str>,
     weight: u32,
     use_cache: bool,
     shard_count: usize,
@@ -451,7 +456,7 @@ impl Job {
         JobStatus {
             job: id,
             name: self.name.clone(),
-            tenant: self.tenant.clone(),
+            tenant: self.tenant.to_string(),
             state: JobState::Running,
             combinations: self.combinations,
             shard_count: self.shard_count,
@@ -489,7 +494,7 @@ impl Job {
         JsonValue::object([
             ("job", id.raw().to_json()),
             ("name", self.name.to_json()),
-            ("tenant", self.tenant.to_json()),
+            ("tenant", JsonValue::string(&*self.tenant)),
             ("weight", JsonValue::Int(i128::from(self.weight))),
             ("use_cache", JsonValue::Bool(self.use_cache)),
             ("shards", self.shard_count.to_json()),
@@ -573,8 +578,7 @@ impl Events {
     }
 
     /// Queues `shards` of job `id` on `tenant`'s WFQ queue at `weight`: the
-    /// one place a shard is enqueued, emitted and added to the tenant's
-    /// metrics row. The row is looked up once per call, not once per shard.
+    /// one place a shard is enqueued and emitted.
     fn enqueue(
         &mut self,
         scheduler: &mut FairScheduler,
@@ -583,10 +587,6 @@ impl Events {
         weight: u32,
         shards: impl IntoIterator<Item = usize>,
     ) {
-        let row = self
-            .metrics
-            .is_enabled()
-            .then(|| self.metrics.tenant(tenant));
         for shard in shards {
             scheduler.enqueue(tenant, weight, (id.raw(), shard));
             self.emit(TraceEvent::WfqEnqueue {
@@ -595,15 +595,6 @@ impl Events {
                 job: id.raw(),
                 shard,
             });
-            if let Some(row) = &row {
-                row.add_enqueue();
-            }
-        }
-        if let Some(row) = row {
-            row.observe_queue(
-                scheduler.tenant_backlog(tenant) as u64,
-                scheduler.tenant_vtime_lag(tenant),
-            );
         }
     }
 }
@@ -632,6 +623,9 @@ pub struct JobRegistry {
     /// Where every scheduler decision is recorded, once; a field apart from
     /// `jobs`, so a decision can be emitted while a job is borrowed.
     events: Events,
+    /// Successful compactions of the sink: the WAL's progress signal for
+    /// the health sweep, kept whether or not metrics are on.
+    compactions: u64,
     /// The registry's own span sink (commit/renew/WAL phases run under the
     /// registry lock, so one sink suffices); a disabled no-op by default.
     spans: SpanSink,
@@ -666,6 +660,7 @@ impl JobRegistry {
                 trace,
                 metrics: Arc::new(MetricsRegistry::new()),
             },
+            compactions: 0,
             spans: SpanSink::disabled(),
         }
     }
@@ -712,6 +707,39 @@ impl JobRegistry {
         (self.cache.len(), self.cache.hits(), self.cache.misses())
     }
 
+    /// Sets the gauges of the state this registry owns to their current
+    /// levels: the WAL's size, the result cache's entries and bytes, the
+    /// retained jobs and the trace ring's bytes. The metrics snapshot calls
+    /// it, so each level is read where it lives, not pushed at each change.
+    pub fn sample_gauges(&self) {
+        let metrics = &self.events.metrics;
+        let log_bytes = self.sink.as_ref().map_or(0, |sink| sink.log_bytes());
+        metrics.set_gauge(GaugeId::WalLogBytes, log_bytes);
+        metrics.set_gauge(GaugeId::CacheEntries, self.cache.len() as u64);
+        metrics.set_gauge(GaugeId::CacheBytes, self.cache.total_bytes() as u64);
+        metrics.set_gauge(GaugeId::JobsRetained, self.finished.len() as u64);
+        metrics.set_gauge(
+            GaugeId::TraceRingBytes,
+            self.events.trace.ring_bytes() as u64,
+        );
+    }
+
+    /// The `tenants` section of the metrics snapshot: the scheduler's
+    /// [`TenantRow`](spi_store::TenantRow) of every tenant that ever queued
+    /// a shard, by name, whether or not metrics are on.
+    pub fn tenant_rows(&self) -> JsonValue {
+        let rows = self.scheduler.tenant_rows().map(|(tenant, row)| {
+            let row = JsonValue::object([
+                ("service", row.service.to_json()),
+                ("enqueues", row.enqueues.to_json()),
+                ("backlog", row.backlog.to_json()),
+                ("vtime_lag", row.vtime_lag.to_json()),
+            ]);
+            (tenant.to_string(), row)
+        });
+        JsonValue::Object(rows.collect())
+    }
+
     /// Number of currently live leases (across all jobs and hedges).
     pub fn live_lease_count(&self) -> usize {
         self.leases.len()
@@ -745,15 +773,6 @@ impl JobRegistry {
                 .expect("over the cap implies a finished job");
             self.finished.remove(&oldest);
         }
-        self.events
-            .metrics
-            .set_gauge(GaugeId::JobsRetained, self.finished.len() as u64);
-    }
-
-    fn set_cache_gauges(&self) {
-        let metrics = &self.events.metrics;
-        metrics.set_gauge(GaugeId::CacheEntries, self.cache.len() as u64);
-        metrics.set_gauge(GaugeId::CacheBytes, self.cache.total_bytes() as u64);
     }
 
     /// Registers a job over `system`'s variant space; see
@@ -903,7 +922,7 @@ impl JobRegistry {
             id,
             Job {
                 name: spec.name,
-                tenant: spec.tenant,
+                tenant: spec.tenant.into(),
                 weight: spec.weight,
                 use_cache: spec.use_cache,
                 shard_count,
@@ -961,15 +980,8 @@ impl JobRegistry {
             if !matches!(job.shards[shard], ShardSlot::Pending) {
                 continue;
             }
-            let metrics = &self.events.metrics;
-            if metrics.is_enabled() {
-                let tenant = metrics.tenant(&job.tenant);
-                tenant.add_service();
-                tenant.observe_queue(
-                    self.scheduler.tenant_backlog(&job.tenant) as u64,
-                    self.scheduler.tenant_vtime_lag(&job.tenant),
-                );
-            }
+            // Only a dispatch that becomes a lease serves its tenant.
+            self.scheduler.mark_service(&job.tenant);
             return Some(self.grant(job_id, shard, now, false, worker));
         }
         let (job_id, shard) = self.hedge_candidate(now)?;
@@ -1026,12 +1038,18 @@ impl JobRegistry {
         });
         let deadline = now + self.config.lease_timeout;
         let job = self.jobs.get_mut(&job_id).expect("candidate job exists");
+        let context = Arc::new(SpanIds {
+            job: Some(job_id.raw()),
+            shard: Some(shard as u64),
+            lease: Some(lease.raw()),
+            tenant: Some(Arc::clone(&job.tenant)),
+            worker: Some(Arc::from(worker)),
+        });
         let holder = Holder {
             lease,
             deadline,
             started: now,
-            worker: Arc::from(worker),
-            context: None,
+            context: Arc::clone(&context),
         };
         match &mut job.shards[shard] {
             slot @ ShardSlot::Pending => {
@@ -1051,7 +1069,7 @@ impl JobRegistry {
             lease,
             shard,
             shard_count: job.shard_count,
-            tenant: job.tenant.clone(),
+            context,
             top_k: job.top_k,
             flattener: Arc::clone(&job.flattener),
             evaluator: Arc::clone(&job.evaluator),
@@ -1070,28 +1088,17 @@ impl JobRegistry {
             .ok_or(ExploreError::StaleLease(lease))
     }
 
-    /// The attribution ids of the live `lease` on `shard`, for span context:
-    /// the same job/shard/lease/tenant/worker ids the waitgraph nodes carry,
-    /// built at the lease's first span and shared by the rest.
-    fn span_context(&mut self, job_id: JobId, shard: usize, lease: LeaseId) -> Arc<SpanIds> {
-        let job = self.jobs.get_mut(&job_id).expect("lease resolves to job");
-        let ShardSlot::Leased { holders } = &mut job.shards[shard] else {
+    /// The span attribution the live `lease` on `shard` got at its grant.
+    fn lease_context(&self, job_id: JobId, shard: usize, lease: LeaseId) -> Arc<SpanIds> {
+        let job = self.jobs.get(&job_id).expect("lease resolves to job");
+        let ShardSlot::Leased { holders } = &job.shards[shard] else {
             unreachable!("a live lease's shard is leased")
         };
         let holder = holders
-            .iter_mut()
+            .iter()
             .find(|holder| holder.lease == lease)
             .expect("a live lease has its holder");
-        let context = holder.context.get_or_insert_with(|| {
-            Arc::new(SpanIds {
-                job: Some(job_id.raw()),
-                shard: Some(shard as u64),
-                lease: Some(lease.raw()),
-                tenant: Some(Arc::from(job.tenant.as_str())),
-                worker: Some(Arc::clone(&holder.worker)),
-            })
-        });
-        Arc::clone(context)
+        Arc::clone(&holder.context)
     }
 
     fn append_record(&mut self, record: &JsonValue) -> Result<()> {
@@ -1114,7 +1121,6 @@ impl JobRegistry {
             if metrics.is_enabled() {
                 metrics.add(CounterId::WalAppends, 1);
                 metrics.add(CounterId::WalAppendBytes, record.to_line().len() as u64);
-                metrics.set_gauge(GaugeId::WalLogBytes, sink.log_bytes());
             }
         }
         Ok(())
@@ -1133,7 +1139,7 @@ impl JobRegistry {
         let (job_id, shard) = self.resolve_lease(lease)?;
         let spanning = self.spans.is_enabled();
         if spanning {
-            let ids = self.span_context(job_id, shard, lease);
+            let ids = self.lease_context(job_id, shard, lease);
             self.spans.set_context(ids);
             self.spans.enter(PhaseId::LeaseRenew);
         }
@@ -1189,7 +1195,7 @@ impl JobRegistry {
         let (job_id, shard) = self.resolve_lease(lease)?;
         let spanning = self.spans.is_enabled();
         if spanning {
-            let ids = self.span_context(job_id, shard, lease);
+            let ids = self.lease_context(job_id, shard, lease);
             self.spans.set_context(ids);
             self.spans.enter(PhaseId::ShardCommit);
         }
@@ -1273,7 +1279,6 @@ impl JobRegistry {
                 if evicted > 0 {
                     self.events.emit(TraceEvent::CacheEvict { evicted });
                 }
-                self.set_cache_gauges();
             }
             self.keep_finished(job.finish(job_id, JobState::Completed));
             self.maybe_compact_for_size();
@@ -1448,6 +1453,18 @@ impl JobRegistry {
         ids
     }
 
+    /// Visits the status of every running and retained job, in submission
+    /// order: a finished job's held status is lent, not cloned, and a
+    /// running job's is built for its visit.
+    pub(crate) fn for_each_status(&self, mut visit: impl FnMut(&JobStatus)) {
+        for id in self.job_ids() {
+            match self.jobs.get(&id) {
+                Some(job) => visit(&job.status(id)),
+                None => visit(&self.finished[&id]),
+            }
+        }
+    }
+
     /// Reads the buffered scheduler-decision trace events at or after the
     /// `since` cursor, with the `next` cursor read under the same borrow; see
     /// [`TraceCapture::read_since`]. A read from 0 of a ring that never
@@ -1460,12 +1477,6 @@ impl JobRegistry {
     /// natural starting cursor for [`read_trace_since`](Self::read_trace_since).
     pub fn trace_next_seq(&self) -> u64 {
         self.events.trace.next_seq()
-    }
-
-    /// The bytes the trace ring has allocated; see
-    /// [`TraceCapture::ring_bytes`].
-    pub fn trace_ring_bytes(&self) -> usize {
-        self.events.trace.ring_bytes()
     }
 
     /// A point-in-time health observation for the stall watchdog: every live
@@ -1487,7 +1498,7 @@ impl JobRegistry {
                         lease: holder.lease.raw(),
                         job: job_id.raw(),
                         shard,
-                        worker: holder.worker.to_string(),
+                        worker: holder.worker().to_string(),
                         elapsed: now.saturating_duration_since(holder.started),
                         overdue: holder.deadline <= now,
                         p95_ns,
@@ -1497,11 +1508,12 @@ impl JobRegistry {
         }
         let tenants = self
             .scheduler
-            .busy_tenants()
-            .map(|tenant| crate::health::TenantHealth {
+            .tenant_rows()
+            .filter(|(_, row)| row.backlog > 0)
+            .map(|(tenant, row)| crate::health::TenantHealth {
                 tenant: tenant.to_string(),
-                backlog: self.scheduler.tenant_backlog(tenant) as u64,
-                service: self.events.metrics.tenant_service(tenant),
+                backlog: row.backlog,
+                service: row.service,
             })
             .collect();
         crate::health::HealthObservation {
@@ -1509,7 +1521,7 @@ impl JobRegistry {
             tenants,
             log_bytes: self.sink.as_ref().map_or(0, |sink| sink.log_bytes()),
             compact_budget: self.config.compact_log_bytes,
-            compactions: self.events.metrics.counter(CounterId::WalCompactions),
+            compactions: self.compactions,
         }
     }
 
@@ -1550,11 +1562,11 @@ impl JobRegistry {
         let mut tenants: BTreeSet<&str> = BTreeSet::new();
         let mut workers: BTreeSet<&str> = BTreeSet::new();
         for job in self.jobs.values() {
-            tenants.insert(&job.tenant);
+            tenants.insert(&*job.tenant);
             for slot in &job.shards {
                 if let ShardSlot::Leased { holders } = slot {
                     for holder in holders {
-                        workers.insert(&*holder.worker);
+                        workers.insert(holder.worker());
                     }
                 }
             }
@@ -1618,14 +1630,14 @@ impl JobRegistry {
                     let lease_node = format!("lease:{}", holder.lease.raw());
                     snapshot.nodes.push(
                         GraphNode::new(&lease_node, "lease", holder.lease.raw().to_string())
-                            .attr("worker", &*holder.worker),
+                            .attr("worker", holder.worker()),
                     );
                     snapshot
                         .edges
                         .push(GraphEdge::new(&shard_node, &lease_node));
                     snapshot.edges.push(GraphEdge::new(
                         &lease_node,
-                        format!("worker:{}", holder.worker),
+                        format!("worker:{}", holder.worker()),
                     ));
                 }
             }
@@ -1661,10 +1673,8 @@ impl JobRegistry {
         let snapshot = self.durable_snapshot();
         if let Some(sink) = self.sink.as_mut() {
             let log_bytes = sink.compact(&snapshot).map_err(ExploreError::Store)?;
+            self.compactions += 1;
             self.events.emit(TraceEvent::WalCompact { log_bytes });
-            self.events
-                .metrics
-                .set_gauge(GaugeId::WalLogBytes, sink.log_bytes());
         }
         Ok(())
     }
@@ -1844,7 +1854,7 @@ impl JobRegistry {
                 id,
                 Job {
                     name: job.name,
-                    tenant: job.tenant,
+                    tenant: job.tenant.into(),
                     weight: job.weight,
                     use_cache: job.use_cache,
                     shard_count: job.shard_count,
@@ -1871,7 +1881,6 @@ impl JobRegistry {
         self.evict_past_cap();
         let last_held = self.jobs.keys().chain(self.finished.keys()).max();
         self.next_job = next_job.max(last_held.map_or(0, |last| last.raw() + 1));
-        self.set_cache_gauges();
         stats.jobs = self.jobs.len() + self.finished.len();
         stats.cache_entries = self.cache.len();
         Ok(stats)
@@ -2588,6 +2597,51 @@ mod tests {
             named("hedger", 1)
         );
         assert!(workers(original.lease, PhaseId::ShardCommit).is_empty());
+    }
+
+    /// A lease's span attribution is built once, at its grant: the lease
+    /// carries it, every registry span under the lease carries its ids, and
+    /// all leases of a job share the job's one tenant allocation.
+    #[test]
+    fn a_lease_carries_the_span_context_its_spans_share() {
+        use spi_store::span::SpanRecorder;
+
+        let mut registry = JobRegistry::new(Duration::from_secs(30));
+        let recorder = Arc::new(SpanRecorder::new(1024));
+        registry.set_spans(recorder.sink("registry"));
+        submit_job(&mut registry, 2, false);
+        let now = Instant::now();
+        let first = registry.lease_as("w0", now).unwrap();
+        let second = registry.lease_as("w1", now).unwrap();
+        assert_eq!(first.context.lease, Some(first.lease.raw()));
+        assert_eq!(first.context.shard, Some(first.shard as u64));
+        assert_eq!(first.context.worker.as_deref(), Some("w0"));
+        assert_eq!(second.context.worker.as_deref(), Some("w1"));
+        let tenant = |lease: &Lease| Arc::clone(lease.context.tenant.as_ref().unwrap());
+        assert_eq!(&*tenant(&first), "default");
+        assert!(Arc::ptr_eq(&tenant(&first), &tenant(&second)));
+        for lease in [&first, &second] {
+            registry
+                .report_batch(lease.lease, ShardReport::default(), now)
+                .unwrap();
+            registry
+                .complete_shard(lease.lease, report_with(lease.shard, 1), now)
+                .unwrap();
+        }
+        let spans = recorder.spans();
+        // Per lease: a renew, and a commit with the renew inside it.
+        assert_eq!(spans.len(), 6);
+        for span in &spans {
+            let lease = [&first, &second]
+                .into_iter()
+                .find(|lease| span.ids.lease == Some(lease.lease.raw()))
+                .expect("every registry span here runs under a lease");
+            assert_eq!(span.ids, *lease.context);
+            assert!(Arc::ptr_eq(
+                span.ids.tenant.as_ref().unwrap(),
+                &tenant(lease)
+            ));
+        }
     }
 
     #[test]
@@ -3319,6 +3373,7 @@ mod tests {
         );
         assert!(registry.poll(quick[1]).is_ok());
         assert_eq!(registry.poll(slow).unwrap().state, JobState::Running);
+        registry.sample_gauges();
         assert_eq!(
             registry.metrics().gauge(GaugeId::JobsRetained) as usize,
             RETAIN_FINISHED
@@ -3337,6 +3392,7 @@ mod tests {
         let mut retained = vec![slow];
         retained.extend(&quick[2..]);
         assert_eq!(registry.job_ids(), retained);
+        registry.sample_gauges();
         assert_eq!(
             registry.metrics().gauge(GaugeId::JobsRetained) as usize,
             RETAIN_FINISHED
@@ -3378,6 +3434,7 @@ mod tests {
             submit_job(&mut registry, 1, false);
         }
         drain_all(&mut registry);
+        registry.sample_gauges();
         assert_eq!(
             registry.metrics().gauge(GaugeId::JobsRetained) as usize,
             RETAIN_FINISHED
@@ -3481,6 +3538,7 @@ mod tests {
             lines += registry.poll(id).unwrap().report.to_json().to_line().len();
         }
         let metrics = registry.metrics();
+        registry.sample_gauges();
         assert_eq!(metrics.gauge(GaugeId::CacheEntries), 3);
         assert_eq!(metrics.gauge(GaugeId::CacheBytes), lines as u64);
     }

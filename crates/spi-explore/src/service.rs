@@ -28,7 +28,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use spi_store::sched::HedgeConfig;
-use spi_store::span::{self, Profile, SpanDrain, SpanIds, SpanRecorder, SpanSink};
+use spi_store::span::{self, Profile, SpanDrain, SpanRecorder, SpanSink};
 use spi_store::{CacheLimit, GaugeId, MetricsRegistry, Wal, DEFAULT_CACHE_BYTES};
 use spi_variants::VariantSystem;
 
@@ -75,9 +75,10 @@ pub struct ServiceConfig {
     /// and `watch` ops; `0` disables capture.
     pub trace_capacity: usize,
     /// Whether the metrics plane records anything. `false` swaps in
-    /// [`MetricsRegistry::disabled`] — every instrumentation site collapses
-    /// to one branch — and also disables the stall watchdog (its progress
-    /// signals are metrics).
+    /// [`MetricsRegistry::disabled`]: every counter, gauge and histogram
+    /// site collapses to one branch. The per-tenant rows and the stall
+    /// watchdog read the scheduler and the registry, so they work either
+    /// way.
     pub metrics_enabled: bool,
     /// How often the background stall watchdog sweeps the registry for stuck
     /// leases, starved tenants and a stalled WAL; `None` disables the thread
@@ -235,16 +236,13 @@ impl ExplorationService {
                     .expect("worker thread spawns")
             })
             .collect();
-        let sweeper = config
-            .watchdog_interval
-            .filter(|_| config.metrics_enabled)
-            .map(|interval| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name("spi-explore-watchdog".to_string())
-                    .spawn(move || watchdog_loop(&inner, interval))
-                    .expect("watchdog thread spawns")
-            });
+        let sweeper = config.watchdog_interval.map(|interval| {
+            let inner = Arc::clone(&inner);
+            std::thread::Builder::new()
+                .name("spi-explore-watchdog".to_string())
+                .spawn(move || watchdog_loop(&inner, interval))
+                .expect("watchdog thread spawns")
+        });
         Ok(ExplorationService {
             inner,
             workers,
@@ -341,12 +339,17 @@ impl ExplorationService {
 
     /// Snapshots of every running and retained job, in submission order.
     pub fn jobs(&self) -> Vec<JobStatus> {
-        let registry = self.registry();
-        registry
-            .job_ids()
-            .into_iter()
-            .filter_map(|id| registry.poll(id).ok())
-            .collect()
+        let mut statuses = Vec::new();
+        self.for_each_job(|status| statuses.push(status.clone()));
+        statuses
+    }
+
+    /// Visits every running and retained job's status in submission order,
+    /// under one registry lock and without cloning it (see
+    /// [`JobRegistry::for_each_status`]); `visit` must not call back into
+    /// the service. The `jobs` op lists the jobs this way.
+    pub(crate) fn for_each_job(&self, visit: impl FnMut(&JobStatus)) {
+        self.registry().for_each_status(visit);
     }
 
     /// `(entries, hits, misses)` of the content-addressed result cache.
@@ -372,34 +375,40 @@ impl ExplorationService {
         self.registry().trace_next_seq()
     }
 
-    /// The service-wide metrics registry (counters, gauges, histograms,
-    /// per-tenant rows). Shared with the registry and the worker pool; cheap
-    /// to clone and safe to read without any service lock.
+    /// The service-wide metrics registry (counters, gauges, histograms).
+    /// Shared with the registry and the worker pool; cheap to clone and safe
+    /// to read without any service lock. Its gauges hold the levels of the
+    /// last [`metrics_snapshot`](Self::metrics_snapshot).
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.inner.metrics)
     }
 
     /// The full metrics plane as one canonical JSON value — what the
-    /// `metrics` op returns and quiesce writes to `metrics.json`. Sets the
-    /// sampled gauges first: `spans.ring_bytes` and `trace.ring_bytes` are
-    /// the bytes the span rings and the decision trace have allocated, and
-    /// `process.rss_bytes` / `process.peak_rss_bytes` the process's resident
-    /// and peak resident memory (`VmRSS` / `VmHWM` of `/proc/self/status`;
-    /// 0 where that file does not exist, i.e. off Linux).
+    /// `metrics` op returns and quiesce writes to `metrics.json`: counters,
+    /// gauges, histograms, then the `tenants` rows. The gauges are set from
+    /// their owners first: the registry's ([`JobRegistry::sample_gauges`],
+    /// under the lock that also reads [`JobRegistry::tenant_rows`]), the
+    /// span rings' bytes, and the process's `VmRSS` / `VmHWM` from
+    /// `/proc/self/status` (0 where that file does not exist).
     pub fn metrics_snapshot(&self) -> JsonValue {
+        let tenants = {
+            let registry = self.registry();
+            registry.sample_gauges();
+            registry.tenant_rows()
+        };
         let metrics = &self.inner.metrics;
         metrics.set_gauge(
             GaugeId::SpansRingBytes,
             self.inner.spans.ring_bytes() as u64,
         );
-        metrics.set_gauge(
-            GaugeId::TraceRingBytes,
-            self.registry().trace_ring_bytes() as u64,
-        );
         let (rss, peak) = process_memory();
         metrics.set_gauge(GaugeId::ProcessRssBytes, rss);
         metrics.set_gauge(GaugeId::ProcessPeakRssBytes, peak);
-        metrics.snapshot()
+        let JsonValue::Object(mut sections) = metrics.snapshot() else {
+            unreachable!("a metrics snapshot is an object")
+        };
+        sections.push(("tenants".to_string(), tenants));
+        JsonValue::Object(sections)
     }
 
     /// [`metrics_snapshot`](Self::metrics_snapshot) with a capture header
@@ -628,7 +637,7 @@ fn worker_loop(inner: &Inner) {
             }
         };
         if let Some(lease) = lease {
-            process_lease(inner, &lease, &spans, &worker);
+            process_lease(inner, &lease, &spans);
         }
     }
 }
@@ -664,18 +673,10 @@ fn watchdog_loop(inner: &Inner, interval: Duration) {
     }
 }
 
-fn process_lease(inner: &Inner, lease: &Lease, spans: &SpanSink, worker: &Arc<str>) {
-    if spans.is_enabled() {
-        // Every span recorded during this drain carries the lease's full
-        // waitgraph attribution.
-        spans.set_context(SpanIds {
-            job: Some(lease.job.raw()),
-            shard: Some(lease.shard as u64),
-            lease: Some(lease.lease.raw()),
-            tenant: Some(lease.tenant.as_str().into()),
-            worker: Some(Arc::clone(worker)),
-        });
-    }
+fn process_lease(inner: &Inner, lease: &Lease, spans: &SpanSink) {
+    // Every span recorded during this drain carries the lease's full
+    // waitgraph attribution.
+    spans.set_context(Arc::clone(&lease.context));
     let outcome = drain_lease(
         lease,
         inner.batch_size,

@@ -50,6 +50,7 @@
 //! back with every symbol resolved to its string (see `spi_model::json`), so
 //! a receiving process can re-intern and keep computing.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -357,7 +358,17 @@ fn dispatch(service: &ExplorationService, request: &JsonValue) -> Result<JsonVal
             ]))
         }
         "jobs" => {
-            let statuses = service.jobs();
+            // One pass under one registry lock, over lent statuses: the
+            // listing reads no report beyond its `evaluated` count.
+            let mut rollups: BTreeMap<String, Rollup> = BTreeMap::new();
+            let mut listing = Vec::new();
+            service.for_each_job(|status| {
+                rollups
+                    .entry(status.tenant.clone())
+                    .or_default()
+                    .add(status);
+                listing.push(job_row(status));
+            });
             Ok(JsonValue::object([
                 ("ok", JsonValue::Bool(true)),
                 ("op", JsonValue::string("jobs")),
@@ -369,38 +380,16 @@ fn dispatch(service: &ExplorationService, request: &JsonValue) -> Result<JsonVal
                         ("misses", misses.to_json()),
                     ])
                 }),
-                ("tenants", tenant_rollups(&statuses)),
                 (
-                    "jobs",
+                    "tenants",
                     JsonValue::Array(
-                        statuses
+                        rollups
                             .iter()
-                            .map(|status| {
-                                JsonValue::object([
-                                    ("job", status.job.raw().to_json()),
-                                    ("name", status.name.to_json()),
-                                    ("state", JsonValue::string(status.state.to_string())),
-                                    ("shards_done", status.shards_done.to_json()),
-                                    ("shards", status.shard_count.to_json()),
-                                    ("evaluated", status.report.evaluated.to_json()),
-                                    ("hedges_issued", status.hedges_issued.to_json()),
-                                    ("hedge_wins", status.hedge_wins.to_json()),
-                                    // Completed-shard latency quantiles: null until
-                                    // the first shard of the job commits.
-                                    (
-                                        "latency_ns",
-                                        JsonValue::object([
-                                            ("samples", status.latency.samples.to_json()),
-                                            ("p50", status.latency.p50_ns.to_json()),
-                                            ("p95", status.latency.p95_ns.to_json()),
-                                            ("max", status.latency.max_ns.to_json()),
-                                        ]),
-                                    ),
-                                ])
-                            })
+                            .map(|(tenant, rollup)| rollup.to_json(tenant))
                             .collect(),
                     ),
                 ),
+                ("jobs", JsonValue::Array(listing)),
             ]))
         }
         "graph" => {
@@ -443,51 +432,71 @@ fn dispatch(service: &ExplorationService, request: &JsonValue) -> Result<JsonVal
     }
 }
 
-/// Per-tenant aggregates over the running and retained jobs — the `tenants`
-/// array of the `jobs` op, sorted by tenant name. Retired jobs count no
-/// more.
-fn tenant_rollups(statuses: &[JobStatus]) -> JsonValue {
-    #[derive(Default)]
-    struct Rollup {
-        jobs: u64,
-        shards_pending: u64,
-        shards_leased: u64,
-        shards_done: u64,
-        hedges_issued: u64,
-        hedge_wins: u64,
-        cache_hits: u64,
-    }
-    let mut rollups: std::collections::BTreeMap<&str, Rollup> = std::collections::BTreeMap::new();
-    for status in statuses {
-        let rollup = rollups.entry(&status.tenant).or_default();
-        rollup.jobs += 1;
-        rollup.shards_done += status.shards_done as u64;
-        rollup.shards_leased += status.shards_in_flight as u64;
-        rollup.shards_pending += status
+/// One job's row of the `jobs` op.
+fn job_row(status: &JobStatus) -> JsonValue {
+    JsonValue::object([
+        ("job", status.job.raw().to_json()),
+        ("name", status.name.to_json()),
+        ("state", JsonValue::string(status.state.to_string())),
+        ("shards_done", status.shards_done.to_json()),
+        ("shards", status.shard_count.to_json()),
+        ("evaluated", status.report.evaluated.to_json()),
+        ("hedges_issued", status.hedges_issued.to_json()),
+        ("hedge_wins", status.hedge_wins.to_json()),
+        // Completed-shard latency quantiles: null until the first shard of
+        // the job commits.
+        (
+            "latency_ns",
+            JsonValue::object([
+                ("samples", status.latency.samples.to_json()),
+                ("p50", status.latency.p50_ns.to_json()),
+                ("p95", status.latency.p95_ns.to_json()),
+                ("max", status.latency.max_ns.to_json()),
+            ]),
+        ),
+    ])
+}
+
+/// One tenant's aggregates over its running and retained jobs — its entry
+/// in the `tenants` array of the `jobs` op, which is sorted by tenant name.
+/// Retired jobs count no more.
+#[derive(Default)]
+struct Rollup {
+    jobs: u64,
+    shards_pending: u64,
+    shards_leased: u64,
+    shards_done: u64,
+    hedges_issued: u64,
+    hedge_wins: u64,
+    cache_hits: u64,
+}
+
+impl Rollup {
+    fn add(&mut self, status: &JobStatus) {
+        self.jobs += 1;
+        self.shards_done += status.shards_done as u64;
+        self.shards_leased += status.shards_in_flight as u64;
+        self.shards_pending += status
             .shard_count
             .saturating_sub(status.shards_done)
             .saturating_sub(status.shards_in_flight) as u64;
-        rollup.hedges_issued += status.hedges_issued;
-        rollup.hedge_wins += status.hedge_wins;
-        rollup.cache_hits += u64::from(status.cache_hit);
+        self.hedges_issued += status.hedges_issued;
+        self.hedge_wins += status.hedge_wins;
+        self.cache_hits += u64::from(status.cache_hit);
     }
-    JsonValue::Array(
-        rollups
-            .into_iter()
-            .map(|(tenant, rollup)| {
-                JsonValue::object([
-                    ("tenant", JsonValue::string(tenant)),
-                    ("jobs", rollup.jobs.to_json()),
-                    ("shards_pending", rollup.shards_pending.to_json()),
-                    ("shards_leased", rollup.shards_leased.to_json()),
-                    ("shards_done", rollup.shards_done.to_json()),
-                    ("hedges_issued", rollup.hedges_issued.to_json()),
-                    ("hedge_wins", rollup.hedge_wins.to_json()),
-                    ("cache_hits", rollup.cache_hits.to_json()),
-                ])
-            })
-            .collect(),
-    )
+
+    fn to_json(&self, tenant: &str) -> JsonValue {
+        JsonValue::object([
+            ("tenant", JsonValue::string(tenant)),
+            ("jobs", self.jobs.to_json()),
+            ("shards_pending", self.shards_pending.to_json()),
+            ("shards_leased", self.shards_leased.to_json()),
+            ("shards_done", self.shards_done.to_json()),
+            ("hedges_issued", self.hedges_issued.to_json()),
+            ("hedge_wins", self.hedge_wins.to_json()),
+            ("cache_hits", self.cache_hits.to_json()),
+        ])
+    }
 }
 
 /// Writes one `watch` frame: `{"ok":true,"op":"watch","frame":kind,"seq":N,

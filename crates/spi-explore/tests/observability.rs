@@ -10,14 +10,17 @@
 //! 3. the **watchdog** flags injected stall scenarios — an abandoned lease
 //!    past its deadline and a tenant starved of service while backlogged —
 //!    with findings that name real waitgraph nodes;
-//! 4. the metrics snapshot reports the bytes each **ring** holds.
+//! 4. the metrics snapshot reports the bytes each **ring** holds;
+//! 5. the **tenant rows** and the watchdog read the scheduler, so they stay
+//!    true with the metrics plane off and after a cancel leaves stale
+//!    entries behind.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spi_explore::{
-    Evaluation, ExplorationService, FnEvaluator, JobRegistry, JobSpec, RegistryConfig,
-    ServiceConfig, Watchdog,
+    Evaluation, ExplorationService, FnEvaluator, JobRegistry, JobSpec, MetricsRegistry,
+    RegistryConfig, ServiceConfig, Watchdog,
 };
 use spi_model::json::JsonValue;
 use spi_store::sched::HedgeConfig;
@@ -277,5 +280,123 @@ fn metrics_report_process_memory_and_retained_jobs() {
         assert!(rss > 0 && peak >= rss, "rss {rss}, peak {peak}");
     } else {
         assert_eq!((rss, peak), (0, 0));
+    }
+}
+
+/// With the metrics plane off, the watchdog still sees service: a tenant
+/// served between two sweeps 200 ms apart is not starved, and one that is
+/// not served over the next window is.
+#[test]
+fn health_reads_service_from_the_scheduler_with_metrics_disabled() {
+    let mut registry = JobRegistry::with_config(RegistryConfig {
+        hedge: HedgeConfig::disabled(),
+        ..RegistryConfig::default()
+    });
+    registry.set_metrics(Arc::new(MetricsRegistry::disabled()));
+    let spec = JobSpec {
+        shard_count: 4,
+        tenant: "solo".to_string(),
+        use_cache: false,
+        ..JobSpec::default()
+    };
+    registry
+        .submit(
+            &scaling_system(4, 2).unwrap(),
+            spec,
+            slow_evaluator(Duration::ZERO),
+        )
+        .unwrap();
+    let starved = |report: &spi_explore::HealthReport| {
+        report
+            .findings
+            .iter()
+            .any(|finding| finding.kind == "starved_tenant")
+    };
+    let mut watchdog = Watchdog::new();
+    let t0 = Instant::now();
+    assert_eq!(
+        watchdog.sweep(&registry.observe_health(t0), t0).status(),
+        "ok"
+    );
+    let served = t0 + Duration::from_millis(100);
+    for _ in 0..2 {
+        let lease = registry.lease_as("w1", served).unwrap();
+        registry
+            .complete_shard(lease.lease, spi_explore::ShardReport::default(), served)
+            .unwrap();
+    }
+    let t1 = t0 + Duration::from_millis(200);
+    let report = watchdog.sweep(&registry.observe_health(t1), t1);
+    assert!(!starved(&report), "{:?}", report.findings);
+    let t2 = t1 + Duration::from_millis(200);
+    let report = watchdog.sweep(&registry.observe_health(t2), t2);
+    assert!(starved(&report), "{:?}", report.findings);
+}
+
+/// The background watchdog thread runs whether or not metrics are on.
+#[test]
+fn the_watchdog_sweeps_with_metrics_disabled() {
+    let service = ExplorationService::start(ServiceConfig {
+        metrics_enabled: false,
+        watchdog_interval: Some(Duration::from_millis(5)),
+        ..ServiceConfig::with_workers(1)
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    // Each `health` call sweeps once itself; any sweep beyond those calls
+    // is the background thread's.
+    let mut calls = 0;
+    loop {
+        std::thread::sleep(Duration::from_millis(20));
+        calls += 1;
+        if service.health().sweeps > calls {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no background sweep");
+    }
+}
+
+/// A cancelled job's pending shards stay queued until dispatches skip them
+/// as stale; its tenant's row then reads no backlog, and its service counts
+/// only the dispatch that became a lease.
+#[test]
+fn tenant_rows_forget_a_cancelled_jobs_stale_entries() {
+    let mut registry = JobRegistry::with_config(RegistryConfig {
+        hedge: HedgeConfig::disabled(),
+        ..RegistryConfig::default()
+    });
+    let system = scaling_system(4, 2).unwrap();
+    let submit = |registry: &mut JobRegistry, tenant: &str, shards: usize| {
+        let spec = JobSpec {
+            shard_count: shards,
+            tenant: tenant.to_string(),
+            use_cache: false,
+            ..JobSpec::default()
+        };
+        registry
+            .submit(&system, spec, slow_evaluator(Duration::ZERO))
+            .unwrap()
+    };
+    let now = Instant::now();
+    let cancelled = submit(&mut registry, "xray", 8);
+    registry.lease(now).unwrap();
+    registry.cancel(cancelled).unwrap();
+    submit(&mut registry, "yank", 2);
+    let row = |registry: &JobRegistry, tenant: &str, field: &str| {
+        registry
+            .tenant_rows()
+            .get(tenant)
+            .and_then(|row| row.get(field))
+            .and_then(JsonValue::as_u64)
+            .unwrap()
+    };
+    assert_eq!(row(&registry, "xray", "backlog"), 7);
+    while let Some(lease) = registry.lease(now) {
+        assert_ne!(lease.job, cancelled);
+    }
+    for (tenant, service, enqueues) in [("xray", 1, 8), ("yank", 2, 2)] {
+        assert_eq!(row(&registry, tenant, "service"), service, "{tenant}");
+        assert_eq!(row(&registry, tenant, "enqueues"), enqueues, "{tenant}");
+        assert_eq!(row(&registry, tenant, "backlog"), 0, "{tenant}");
+        assert_eq!(row(&registry, tenant, "vtime_lag"), 0, "{tenant}");
     }
 }

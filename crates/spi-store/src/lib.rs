@@ -13,8 +13,10 @@
 //!   a computation; repeat submissions become O(1) lookups instead of
 //!   worker-pool sweeps.
 //! * [`sched`] — weighted-fair queuing across tenants
-//!   ([`FairScheduler`]) and the latency bookkeeping behind hedged
-//!   re-leases for straggler shards ([`LatencyTracker`], [`HedgeConfig`]).
+//!   ([`FairScheduler`], which also keeps each tenant's [`TenantRow`] of
+//!   enqueues, service, backlog and virtual-time lag) and the latency
+//!   bookkeeping behind hedged re-leases for straggler shards
+//!   ([`LatencyTracker`], [`HedgeConfig`]).
 //! * [`trace`] — a bounded ring of every scheduler decision
 //!   ([`TraceCapture`]) plus an offline checker ([`TraceReplay`]) that
 //!   asserts WFQ's proportional-share bound and exactly-once lease
@@ -23,8 +25,9 @@
 //!   reader can slow the scheduler.
 //! * [`metrics`] — lock-free counters, gauges and log-linear bounded-error
 //!   histograms ([`Histogram`]), organized in a [`MetricsRegistry`] with
-//!   static metric ids and per-tenant label handles; the continuous
-//!   aggregate layer next to the event-level trace.
+//!   static metric ids; the continuous aggregate layer next to the
+//!   event-level trace. It holds only what it counts itself: gauges are
+//!   set from their owners' state when a snapshot is taken.
 //! * [`span`] — hierarchical phase spans ([`SpanRecorder`], [`SpanSink`]):
 //!   monotonic enter/exit pairs in bounded per-worker rings, carrying
 //!   parent ids, static [`PhaseId`]s, waitgraph-compatible attribution and
@@ -70,10 +73,8 @@ pub mod wal;
 
 pub use cache::{CacheLimit, ResultCache, DEFAULT_CACHE_BYTES};
 pub use error::{Result, StoreError};
-pub use metrics::{
-    Counter, CounterId, Gauge, GaugeId, Histogram, HistogramId, MetricsRegistry, TenantMetrics,
-};
-pub use sched::{Dispatch, Entry, FairScheduler, HedgeConfig, LatencyTracker};
+pub use metrics::{Counter, CounterId, Gauge, GaugeId, Histogram, HistogramId, MetricsRegistry};
+pub use sched::{Dispatch, Entry, FairScheduler, HedgeConfig, LatencyTracker, TenantRow};
 pub use span::{
     CriticalPath, PhaseId, Profile, Span, SpanDrain, SpanIds, SpanRecorder, SpanSink, SpanStamp,
     DEFAULT_SPAN_CAPACITY,

@@ -1,15 +1,16 @@
 //! Lock-free metrics: atomic counters/gauges and log-linear bounded-error
-//! histograms, organized in a [`MetricsRegistry`] with static metric ids and
-//! per-tenant label handles.
+//! histograms, organized in a [`MetricsRegistry`] with static metric ids.
 //!
 //! Everything on the record path is a handful of `Relaxed` atomic operations
-//! — no locks, no allocation. The only lock in the module guards the
-//! tenant-label table, and it is taken exactly once per tenant (at submit
-//! time) to hand out an [`Arc<TenantMetrics>`] handle; the hot paths then go
-//! through the handle. A registry can be constructed *disabled*
-//! ([`MetricsRegistry::disabled`]), in which case every record call is a
-//! single branch and nothing else — that stubbed mode is what the `obs`
-//! bench section compares against to gate instrumentation overhead.
+//! — no locks, no allocation. The registry holds only what it counts
+//! itself: counters derived from events and histograms of observations. A
+//! gauge is a level whose state lives elsewhere (the WAL, the result cache,
+//! the rings, the process); its owner sets it when a snapshot is taken, and
+//! per-tenant rows are read from the scheduler the same way. A registry can
+//! be constructed *disabled* ([`MetricsRegistry::disabled`]), in which case
+//! every record call is a single branch and nothing else — that stubbed
+//! mode is what the `obs` bench section compares against to gate
+//! instrumentation overhead.
 //!
 //! # Histogram layout
 //!
@@ -24,9 +25,7 @@
 //! saturate into one overflow bucket and quantiles falling there report the
 //! tracked maximum.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use spi_model::json::JsonValue;
 
@@ -95,11 +94,6 @@ impl Gauge {
     /// Sets the gauge to `value`.
     pub fn set(&self, value: u64) {
         self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` to the gauge.
-    pub fn add(&self, delta: u64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// The current level.
@@ -360,80 +354,9 @@ impl HistogramId {
     }
 }
 
-/// Per-tenant metric bundle, handed out once as an `Arc` handle (the one
-/// lock acquisition) and then updated lock-free on the hot path.
-#[derive(Debug)]
-pub struct TenantMetrics {
-    enabled: bool,
-    /// Shards dispatched to workers for this tenant.
-    service: Counter,
-    /// Shards enqueued into the fair scheduler for this tenant.
-    enqueues: Counter,
-    /// Shards currently queued (pending dispatch).
-    backlog: Gauge,
-    /// How far the tenant's WFQ finish tag trails the scheduler's virtual
-    /// time — a persistently growing lag on a backlogged tenant is the
-    /// starvation signature the watchdog looks for.
-    vtime_lag: Gauge,
-}
-
-impl TenantMetrics {
-    fn new(enabled: bool) -> TenantMetrics {
-        TenantMetrics {
-            enabled,
-            service: Counter::default(),
-            enqueues: Counter::default(),
-            backlog: Gauge::default(),
-            vtime_lag: Gauge::default(),
-        }
-    }
-
-    /// Counts one shard dispatch for this tenant.
-    pub fn add_service(&self) {
-        if self.enabled {
-            self.service.add(1);
-        }
-    }
-
-    /// Counts one shard enqueue for this tenant.
-    pub fn add_enqueue(&self) {
-        if self.enabled {
-            self.enqueues.add(1);
-        }
-    }
-
-    /// Updates the tenant's queue depth and virtual-time lag.
-    pub fn observe_queue(&self, backlog: u64, vtime_lag: u64) {
-        if self.enabled {
-            self.backlog.set(backlog);
-            self.vtime_lag.set(vtime_lag);
-        }
-    }
-
-    /// Cumulative shard dispatches.
-    pub fn service(&self) -> u64 {
-        self.service.get()
-    }
-
-    /// Cumulative shard enqueues.
-    pub fn enqueues(&self) -> u64 {
-        self.enqueues.get()
-    }
-
-    /// Currently queued shards.
-    pub fn backlog(&self) -> u64 {
-        self.backlog.get()
-    }
-
-    /// Current virtual-time lag behind the scheduler clock.
-    pub fn vtime_lag(&self) -> u64 {
-        self.vtime_lag.get()
-    }
-}
-
-/// The process-wide metric registry: static counters/gauges/histograms plus
-/// a `(tenant)` label table. All record paths are lock-free; construction
-/// with [`MetricsRegistry::disabled`] turns every record call into a single
+/// The process-wide metric registry: static counters/gauges/histograms.
+/// All record paths are lock-free; construction with
+/// [`MetricsRegistry::disabled`] turns every record call into a single
 /// branch (the instrumentation-stubbed mode the `obs` bench compares).
 #[derive(Debug)]
 pub struct MetricsRegistry {
@@ -441,7 +364,6 @@ pub struct MetricsRegistry {
     counters: [Counter; CounterId::ALL.len()],
     gauges: [Gauge; GaugeId::ALL.len()],
     histograms: [Histogram; HistogramId::ALL.len()],
-    tenants: Mutex<BTreeMap<String, Arc<TenantMetrics>>>,
 }
 
 impl Default for MetricsRegistry {
@@ -457,7 +379,6 @@ impl MetricsRegistry {
             counters: std::array::from_fn(|_| Counter::default()),
             gauges: std::array::from_fn(|_| Gauge::default()),
             histograms: std::array::from_fn(|_| Histogram::new()),
-            tenants: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -541,30 +462,9 @@ impl MetricsRegistry {
         &self.histograms[id as usize]
     }
 
-    /// The label handle for `tenant`, created on first use. This is the one
-    /// lock in the registry; call it off the hot path (at submit) and keep
-    /// the returned `Arc`.
-    pub fn tenant(&self, tenant: &str) -> Arc<TenantMetrics> {
-        let mut tenants = self.tenants.lock().expect("tenant table poisoned");
-        tenants
-            .entry(tenant.to_string())
-            .or_insert_with(|| Arc::new(TenantMetrics::new(self.enabled)))
-            .clone()
-    }
-
-    /// The cumulative dispatch count for `tenant` (0 if never seen) — the
-    /// progress signal the stall watchdog compares between sweeps.
-    pub fn tenant_service(&self, tenant: &str) -> u64 {
-        self.tenants
-            .lock()
-            .expect("tenant table poisoned")
-            .get(tenant)
-            .map_or(0, |handle| handle.service())
-    }
-
     /// The full registry as canonical JSON: cumulative counters, gauge
-    /// levels, histogram summaries (p50/p90/p99/max) and per-tenant rows,
-    /// each section in a fixed declaration (or sorted-name) order.
+    /// levels and histogram summaries (p50/p90/p99/max), each section in
+    /// its fixed declaration order.
     pub fn snapshot(&self) -> JsonValue {
         let counters = CounterId::ALL
             .iter()
@@ -588,28 +488,10 @@ impl MetricsRegistry {
             .iter()
             .map(|id| (id.name().to_string(), self.histogram(*id).summary()))
             .collect();
-        let tenants = self
-            .tenants
-            .lock()
-            .expect("tenant table poisoned")
-            .iter()
-            .map(|(name, handle)| {
-                (
-                    name.clone(),
-                    JsonValue::object([
-                        ("service", JsonValue::Int(handle.service() as i128)),
-                        ("enqueues", JsonValue::Int(handle.enqueues() as i128)),
-                        ("backlog", JsonValue::Int(handle.backlog() as i128)),
-                        ("vtime_lag", JsonValue::Int(handle.vtime_lag() as i128)),
-                    ]),
-                )
-            })
-            .collect();
         JsonValue::object([
             ("counters", JsonValue::Object(counters)),
             ("gauges", JsonValue::Object(gauges)),
             ("histograms", JsonValue::Object(histograms)),
-            ("tenants", JsonValue::Object(tenants)),
         ])
     }
 }
@@ -669,14 +551,9 @@ mod tests {
         registry.add(CounterId::CacheHits, 3);
         registry.set_gauge(GaugeId::WalLogBytes, 99);
         registry.record(HistogramId::ShardEvalNs, 5);
-        let tenant = registry.tenant("t");
-        tenant.add_service();
-        tenant.observe_queue(4, 5);
         assert_eq!(registry.counter(CounterId::CacheHits), 0);
         assert_eq!(registry.gauge(GaugeId::WalLogBytes), 0);
         assert_eq!(registry.histogram(HistogramId::ShardEvalNs).count(), 0);
-        assert_eq!(tenant.service(), 0);
-        assert_eq!(tenant.backlog(), 0);
     }
 
     /// `count` adds exactly the counters of each event kind and leaves every
@@ -778,22 +655,12 @@ mod tests {
         registry.add(CounterId::CacheHits, 2);
         registry.set_gauge(GaugeId::CacheEntries, 1);
         registry.record(HistogramId::ShardEvalNs, 500);
-        registry.tenant("b").add_service();
-        registry.tenant("a").add_enqueue();
         let snapshot = registry.snapshot();
         let counters = snapshot.require("counters").unwrap();
         for id in CounterId::ALL {
             assert!(counters.get(id.name()).is_some(), "missing {}", id.name());
         }
         assert_eq!(counters.require("cache.hits").unwrap().as_u64(), Some(2));
-        let tenants = snapshot.require("tenants").unwrap();
-        match tenants {
-            JsonValue::Object(members) => {
-                let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
-                assert_eq!(names, ["a", "b"], "tenants sorted by name");
-            }
-            _ => panic!("tenants must be an object"),
-        }
         // The snapshot line is canonical: re-snapshotting an unchanged
         // registry yields the identical line.
         assert_eq!(snapshot.to_line(), registry.snapshot().to_line());

@@ -42,7 +42,29 @@ pub type Entry = (u64, usize);
 struct TenantQueue {
     weight: u32,
     finish: u64,
+    /// Virtual time of the last dispatch, or of the enqueue that made it busy.
+    waiting_since: u64,
     queue: VecDeque<Entry>,
+    enqueues: u64,
+    service: u64,
+}
+
+/// One tenant's totals and levels: its row in the metrics snapshot, and the
+/// service the stall watchdog compares between sweeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TenantRow {
+    /// Dispatches the caller turned into work ([`FairScheduler::mark_service`]).
+    pub service: u64,
+    /// Entries ever enqueued.
+    pub enqueues: u64,
+    /// Entries queued now, including ones the caller may skip as stale.
+    pub backlog: u64,
+    /// Virtual time since the tenant was last dispatched or turned busy; 0
+    /// while nothing is queued, as an idle tenant rejoins at the current
+    /// virtual time. Fair dispatch keeps it within one advance of the tag
+    /// (`SCALE / weight`); a lag that keeps growing on a backlogged tenant
+    /// is the starvation signature.
+    pub vtime_lag: u64,
 }
 
 /// Virtual-time weighted-fair queue of `(job, shard)` entries across tenants.
@@ -69,15 +91,20 @@ impl FairScheduler {
             .or_insert_with(|| TenantQueue {
                 weight: weight.max(1),
                 finish: virtual_now,
+                waiting_since: virtual_now,
                 queue: VecDeque::new(),
+                enqueues: 0,
+                service: 0,
             });
         slot.weight = weight.max(1);
         if slot.queue.is_empty() {
             // A newly-busy tenant joins at the current virtual time: it gets
             // its fair share immediately but no credit for having been idle.
             slot.finish = slot.finish.max(virtual_now);
+            slot.waiting_since = virtual_now;
         }
         slot.queue.push_back(entry);
+        slot.enqueues += 1;
         self.len += 1;
     }
 
@@ -102,6 +129,7 @@ impl FairScheduler {
         let slot = self.tenants.get_mut(&name).expect("tenant exists");
         let entry = slot.queue.pop_front().expect("queue non-empty");
         self.virtual_now = slot.finish;
+        slot.waiting_since = slot.finish;
         let weight = slot.weight.max(1);
         slot.finish += SCALE / u64::from(weight);
         self.len -= 1;
@@ -129,32 +157,35 @@ impl FairScheduler {
         self.len == 0
     }
 
-    /// Tenants that currently have queued entries.
-    pub fn busy_tenants(&self) -> impl Iterator<Item = &str> {
-        self.tenants
-            .iter()
-            .filter(|(_, slot)| !slot.queue.is_empty())
-            .map(|(name, _)| name.as_str())
-    }
-
     /// The weight `tenant` last enqueued at, if it ever enqueued.
     pub fn tenant_weight(&self, tenant: &str) -> Option<u32> {
         self.tenants.get(tenant).map(|slot| slot.weight)
     }
 
-    /// Entries currently queued for `tenant` (0 for unknown tenants).
-    pub fn tenant_backlog(&self, tenant: &str) -> usize {
-        self.tenants.get(tenant).map_or(0, |slot| slot.queue.len())
+    /// Counts one dispatch of `tenant` as service: the caller turned it into
+    /// work rather than skipping it as stale. Unknown tenants are ignored.
+    pub fn mark_service(&mut self, tenant: &str) {
+        if let Some(slot) = self.tenants.get_mut(tenant) {
+            slot.service += 1;
+        }
     }
 
-    /// How far `tenant`'s finish tag trails the scheduler's virtual time, in
-    /// virtual-time units (0 for unknown or up-to-date tenants). A growing
-    /// lag on a tenant with backlog means the tenant is owed service — the
-    /// metric the starvation watchdog watches.
-    pub fn tenant_vtime_lag(&self, tenant: &str) -> u64 {
-        self.tenants
-            .get(tenant)
-            .map_or(0, |slot| self.virtual_now.saturating_sub(slot.finish))
+    /// The row of every tenant that ever enqueued, in name order.
+    pub fn tenant_rows(&self) -> impl Iterator<Item = (&str, TenantRow)> {
+        self.tenants.iter().map(|(name, slot)| {
+            let vtime_lag = if slot.queue.is_empty() {
+                0
+            } else {
+                self.virtual_now.saturating_sub(slot.waiting_since)
+            };
+            let row = TenantRow {
+                service: slot.service,
+                enqueues: slot.enqueues,
+                backlog: slot.queue.len() as u64,
+                vtime_lag,
+            };
+            (name.as_str(), row)
+        })
     }
 }
 
@@ -356,9 +387,83 @@ mod tests {
         scheduler.enqueue("a", 1, (0, 0));
         scheduler.enqueue("b", 1, (1, 0));
         scheduler.dequeue().unwrap();
-        let busy: Vec<&str> = scheduler.busy_tenants().collect();
+        let busy: Vec<&str> = scheduler
+            .tenant_rows()
+            .filter(|(_, row)| row.backlog > 0)
+            .map(|(name, _)| name)
+            .collect();
         assert_eq!(busy.len(), 1);
         assert_eq!(scheduler.len(), 1);
+    }
+
+    /// The rows count enqueues and marked service, read the backlog off the
+    /// queue, and show a backlogged tenant's lag growing while others are
+    /// dispatched; an idle tenant's lag is 0.
+    #[test]
+    fn tenant_rows_count_and_lag() {
+        let mut scheduler = FairScheduler::new();
+        for shard in 0..8 {
+            scheduler.enqueue("heavy", 4, (0, shard));
+        }
+        for shard in 0..2 {
+            scheduler.enqueue("light", 1, (1, shard));
+        }
+        let row = |scheduler: &FairScheduler, tenant: &str| {
+            scheduler
+                .tenant_rows()
+                .find(|(name, _)| *name == tenant)
+                .map(|(_, row)| row)
+                .unwrap()
+        };
+        assert_eq!(
+            row(&scheduler, "light"),
+            TenantRow {
+                service: 0,
+                enqueues: 2,
+                backlog: 2,
+                vtime_lag: 0,
+            }
+        );
+
+        // Name order breaks the tie at virtual time 0: heavy, then light.
+        for expected in ["heavy", "light"] {
+            let dispatch = scheduler.dequeue_dispatch().unwrap();
+            assert_eq!(dispatch.tenant, expected);
+            scheduler.mark_service(&dispatch.tenant);
+        }
+        // Light waits one whole advance of its tag (SCALE) while heavy takes
+        // its four shards per light shard: its lag grows by SCALE / 4 each.
+        let mut lags = vec![row(&scheduler, "light").vtime_lag];
+        for _ in 0..3 {
+            assert_eq!(scheduler.dequeue_dispatch().unwrap().tenant, "heavy");
+            lags.push(row(&scheduler, "light").vtime_lag);
+        }
+        assert_eq!(lags, [0, SCALE / 4, SCALE / 2, 3 * SCALE / 4]);
+        assert_eq!(row(&scheduler, "heavy").vtime_lag, 0, "just dispatched");
+
+        // Light's last shard goes out, unmarked (the caller skipped it as
+        // stale): it leaves the backlog but is not service, and the idle
+        // tenant lags by nothing however far virtual time moves on.
+        let skipped = loop {
+            let dispatch = scheduler.dequeue_dispatch().unwrap();
+            if dispatch.tenant == "light" {
+                break dispatch;
+            }
+        };
+        assert_eq!(skipped.entry, (1, 1));
+        while scheduler.dequeue().is_some() {}
+        assert_eq!(
+            row(&scheduler, "light"),
+            TenantRow {
+                service: 1,
+                enqueues: 2,
+                backlog: 0,
+                vtime_lag: 0,
+            }
+        );
+        assert!(scheduler.virtual_now() > SCALE);
+        let names: Vec<&str> = scheduler.tenant_rows().map(|(name, _)| name).collect();
+        assert_eq!(names, ["heavy", "light"]);
     }
 
     #[test]

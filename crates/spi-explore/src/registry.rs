@@ -401,17 +401,9 @@ enum ShardSlot {
     Done,
 }
 
-/// `evaluator` as [`Evaluator::bind`] binds it to the job over `flattener`
-/// (or as submitted, when it does not bind): the one place, at submit and at
-/// restore alike, where a job's evaluator gets its per-job state.
-fn bind(flattener: &Flattener, evaluator: Arc<dyn Evaluator>) -> Arc<dyn Evaluator> {
-    Arc::clone(&evaluator).bind(flattener).unwrap_or(evaluator)
-}
-
-/// A running job: everything it needs to hand out leases and account for
-/// them. It leaves the job table as its final [`JobStatus`] the moment it
-/// turns terminal, which drops its flattener and evaluator with the rest.
-struct Job {
+/// What a job is from its submit on: the fields its submit record and, while
+/// it runs, its snapshot summary both carry (see [`JobHead::members`]).
+struct JobHead {
     name: String,
     /// Shared with every lease's span context.
     tenant: Arc<str>,
@@ -420,8 +412,203 @@ struct Job {
     shard_count: usize,
     top_k: usize,
     combinations: usize,
+    /// Content address of `(system recipe, space, evaluator spec)`, when the
+    /// submission was cacheable.
+    digest: Option<Digest>,
+    /// The construction recipe, when supplied: what recovery rebuilds the
+    /// flattener and evaluator from after a restart.
+    recipe: Option<JsonValue>,
+}
+
+impl JobHead {
+    /// The members a durable line of job `id` starts with, in the order the
+    /// submit record and the running summary both write them: `t` (a log
+    /// record's kind; a snapshot summary has none), `job`, the head, then
+    /// `cache_hit` and `state`.
+    fn members(
+        &self,
+        kind: Option<&str>,
+        id: JobId,
+        cache_hit: bool,
+        state: JobState,
+    ) -> Vec<(&'static str, JsonValue)> {
+        let kind = kind.map(|kind| ("t", JsonValue::string(kind)));
+        kind.into_iter()
+            .chain([
+                ("job", id.raw().to_json()),
+                ("name", self.name.to_json()),
+                ("tenant", JsonValue::string(&*self.tenant)),
+                ("weight", JsonValue::Int(i128::from(self.weight))),
+                ("use_cache", JsonValue::Bool(self.use_cache)),
+                ("shards", self.shard_count.to_json()),
+                ("top_k", self.top_k.to_json()),
+                ("combinations", self.combinations.to_json()),
+                (
+                    "digest",
+                    self.digest
+                        .as_ref()
+                        .map_or(JsonValue::Null, ToJson::to_json),
+                ),
+                ("recipe", self.recipe.clone().unwrap_or(JsonValue::Null)),
+                ("cache_hit", JsonValue::Bool(cache_hit)),
+                ("state", JsonValue::string(state.as_wire())),
+            ])
+            .collect()
+    }
+}
+
+/// What the durable records say about one job: its head, state and cache-hit
+/// flag, its committed shards and report, its hedge counters. Submit builds
+/// one and writes its submit record from it; restore replays snapshot
+/// summaries and log records into them. A running one becomes a [`Job`]
+/// through [`JobRegistry::admit`], a finished one its final status through
+/// [`into_status`](Self::into_status).
+struct JobRecord {
+    head: JobHead,
+    state: JobState,
+    cache_hit: bool,
+    /// The committed shards, when the record lists them.
+    done: BTreeSet<usize>,
+    /// Committed shards: the summary's count, or the size of `done`.
+    shards_done: usize,
+    committed: ShardReport,
+    hedges_issued: u64,
+    hedge_wins: u64,
+}
+
+impl JobRecord {
+    /// Parses a submit record or a snapshot job summary (running or
+    /// finished, in either snapshot format). A running job must carry its
+    /// `weight` and `top_k`; a finished one needs neither.
+    fn from_json(value: &JsonValue) -> std::result::Result<JobRecord, String> {
+        let field_u64 = |name: &str| {
+            value
+                .get(name)
+                .and_then(JsonValue::as_u64)
+                .ok_or_else(|| format!("job summary missing {name}"))
+        };
+        // Checked narrowing: a WAL written on a 64-bit host must not be
+        // silently truncated when restored on a platform with a smaller
+        // `usize` — `as` would wrap the count and corrupt the census.
+        let field_usize = |name: &str| {
+            let raw = field_u64(name)?;
+            usize::try_from(raw)
+                .map_err(|_| format!("job summary field {name} ({raw}) overflows usize"))
+        };
+        let field_str = |name: &str| {
+            value
+                .get(name)
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| format!("job summary missing {name}"))
+        };
+        let flag = |name: &str, absent| {
+            value
+                .get(name)
+                .and_then(JsonValue::as_bool)
+                .unwrap_or(absent)
+        };
+        let count = |name: &str| value.get(name).and_then(JsonValue::as_u64).unwrap_or(0);
+        let state = JobState::from_wire(field_str("state")?)
+            .ok_or_else(|| "job summary has unknown state".to_string())?;
+        let running = state == JobState::Running;
+        let digest = match value.get("digest") {
+            None | Some(JsonValue::Null) => None,
+            Some(other) => Some(Digest::from_json(other).map_err(|e| format!("job digest: {e}"))?),
+        };
+        let recipe = match value.get("recipe") {
+            None | Some(JsonValue::Null) => None,
+            Some(other) => Some(other.clone()),
+        };
+        let done: BTreeSet<usize> = match value.get("done") {
+            None => BTreeSet::new(),
+            Some(list) => Vec::<usize>::from_json(list)
+                .map_err(|e| format!("job done list: {e}"))?
+                .into_iter()
+                .collect(),
+        };
+        let shards_done = match value.get("shards_done") {
+            Some(_) => field_usize("shards_done")?,
+            None => done.len(),
+        };
+        let committed = match value.get("committed") {
+            None => ShardReport::default(),
+            Some(report) => {
+                ShardReport::from_json(report).map_err(|e| format!("job committed: {e}"))?
+            }
+        };
+        let head = JobHead {
+            name: field_str("name")?.to_string(),
+            tenant: field_str("tenant")?.into(),
+            weight: if running {
+                u32::try_from(field_u64("weight")?).unwrap_or(1).max(1)
+            } else {
+                1
+            },
+            use_cache: flag("use_cache", true),
+            shard_count: field_usize("shards")?,
+            top_k: if running {
+                field_usize("top_k")?.max(1)
+            } else {
+                1
+            },
+            combinations: field_usize("combinations")?,
+            digest,
+            recipe,
+        };
+        Ok(JobRecord {
+            head,
+            state,
+            cache_hit: flag("cache_hit", false),
+            done,
+            shards_done,
+            committed,
+            hedges_issued: count("hedges_issued"),
+            hedge_wins: count("hedge_wins"),
+        })
+    }
+
+    /// The write-ahead record of job `id`'s submission: its head, plus its
+    /// result when it finished at birth.
+    fn submit_record(&self, id: JobId) -> JsonValue {
+        let mut members = self
+            .head
+            .members(Some("submit"), id, self.cache_hit, self.state);
+        if self.state.is_terminal() {
+            members.push(("committed", self.committed.to_json()));
+        }
+        JsonValue::object(members)
+    }
+
+    /// The final status of job `id`, known only from its records: born
+    /// finished at submit, or found terminal in `state` by restore. Latency
+    /// quantiles are not durable: they start empty.
+    fn into_status(self, id: JobId) -> JobStatus {
+        JobStatus {
+            job: id,
+            name: self.head.name,
+            tenant: self.head.tenant.to_string(),
+            state: self.state,
+            combinations: self.head.combinations,
+            shard_count: self.head.shard_count,
+            shards_done: self.shards_done,
+            shards_in_flight: 0,
+            cache_hit: self.cache_hit,
+            hedges_issued: self.hedges_issued,
+            hedge_wins: self.hedge_wins,
+            latency: LatencyQuantiles::default(),
+            report: self.committed,
+        }
+    }
+}
+
+/// A running job: everything it needs to hand out leases and account for
+/// them. It leaves the job table as its final [`JobStatus`] the moment it
+/// turns terminal, which drops its flattener and evaluator with the rest.
+struct Job {
+    head: JobHead,
     flattener: Arc<Flattener>,
-    /// The submitted evaluator, bound to this job (see [`bind`]).
+    /// The submitted evaluator, bound to this job by [`Evaluator::bind`]
+    /// (or as submitted, when it does not bind).
     evaluator: Arc<dyn Evaluator>,
     incumbent: Arc<AtomicU64>,
     cancelled: Arc<AtomicBool>,
@@ -431,12 +618,6 @@ struct Job {
     staged: HashMap<LeaseId, ShardReport>,
     /// Aggregate of completed shards only; exact by construction.
     committed: ShardReport,
-    /// Content address of `(system recipe, space, evaluator spec)`, when the
-    /// submission was cacheable.
-    digest: Option<Digest>,
-    /// The construction recipe, when supplied: what recovery rebuilds the
-    /// flattener and evaluator from after a restart.
-    recipe: Option<JsonValue>,
     hedges_issued: u64,
     hedge_wins: u64,
     latencies: LatencyTracker,
@@ -446,7 +627,7 @@ impl Job {
     fn status(&self, id: JobId) -> JobStatus {
         let mut report = self.committed.clone();
         for staged in self.staged.values() {
-            report.merge(staged, self.top_k);
+            report.merge(staged, self.head.top_k);
         }
         let in_flight = self
             .shards
@@ -455,11 +636,11 @@ impl Job {
             .count();
         JobStatus {
             job: id,
-            name: self.name.clone(),
-            tenant: self.tenant.to_string(),
+            name: self.head.name.clone(),
+            tenant: self.head.tenant.to_string(),
             state: JobState::Running,
-            combinations: self.combinations,
-            shard_count: self.shard_count,
+            combinations: self.head.combinations,
+            shard_count: self.head.shard_count,
             shards_done: self.shards_done,
             shards_in_flight: in_flight,
             cache_hit: false,
@@ -491,24 +672,14 @@ impl Job {
             .filter(|(_, slot)| matches!(slot, ShardSlot::Done))
             .map(|(shard, _)| shard)
             .collect();
-        JsonValue::object([
-            ("job", id.raw().to_json()),
-            ("name", self.name.to_json()),
-            ("tenant", JsonValue::string(&*self.tenant)),
-            ("weight", JsonValue::Int(i128::from(self.weight))),
-            ("use_cache", JsonValue::Bool(self.use_cache)),
-            ("shards", self.shard_count.to_json()),
-            ("top_k", self.top_k.to_json()),
-            ("combinations", self.combinations.to_json()),
-            ("digest", digest_json_or_null(self.digest)),
-            ("recipe", self.recipe.clone().unwrap_or(JsonValue::Null)),
-            ("cache_hit", JsonValue::Bool(false)),
-            ("state", JsonValue::string(JobState::Running.as_wire())),
+        let mut members = self.head.members(None, id, false, JobState::Running);
+        members.extend([
             ("done", done.to_json()),
             ("committed", self.committed.to_json()),
             ("hedges_issued", self.hedges_issued.to_json()),
             ("hedge_wins", self.hedge_wins.to_json()),
-        ])
+        ]);
+        JsonValue::object(members)
     }
 }
 
@@ -529,10 +700,6 @@ fn finished_summary(status: &JobStatus) -> JsonValue {
         ("hedges_issued", status.hedges_issued.to_json()),
         ("hedge_wins", status.hedge_wins.to_json()),
     ])
-}
-
-fn digest_json_or_null(digest: Option<Digest>) -> JsonValue {
-    digest.as_ref().map_or(JsonValue::Null, ToJson::to_json)
 }
 
 /// How to turn a stored recipe back into a live system + evaluator after a
@@ -850,100 +1017,127 @@ impl JobRegistry {
         };
 
         let id = JobId(self.next_job);
-        let spec = JobSpec {
-            weight: spec.weight.max(1),
-            top_k: spec.top_k.max(1),
-            ..spec
-        };
         let cache_hit = cached.is_some();
-        let shard_count = if cache_hit {
-            0
-        } else {
-            spec.shard_count.min(combinations.max(1))
-        };
         // A cache hit serves the cached optimum with zeroed counters: no
         // worker ran, so nothing was evaluated *for this job* — `top` carries
         // the optimum, `evaluated == 0` proves the pool was never touched. A
         // job over an empty space is finished at birth too.
-        let born_finished = (cache_hit || combinations == 0).then(|| JobStatus {
-            job: id,
-            name: spec.name.clone(),
-            tenant: spec.tenant.clone(),
-            state: JobState::Completed,
-            combinations,
-            shard_count,
-            shards_done: 0,
-            shards_in_flight: 0,
+        let record = JobRecord {
+            head: JobHead {
+                name: spec.name,
+                tenant: spec.tenant.into(),
+                weight: spec.weight.max(1),
+                use_cache: spec.use_cache,
+                shard_count: if cache_hit {
+                    0
+                } else {
+                    spec.shard_count.min(combinations.max(1))
+                },
+                top_k: spec.top_k.max(1),
+                combinations,
+                digest,
+                recipe,
+            },
+            state: if cache_hit || combinations == 0 {
+                JobState::Completed
+            } else {
+                JobState::Running
+            },
             cache_hit,
-            hedges_issued: 0,
-            hedge_wins: 0,
-            latency: LatencyQuantiles::default(),
-            report: cached
+            done: BTreeSet::new(),
+            shards_done: 0,
+            committed: cached
                 .map(|full| ShardReport {
                     top: full.top,
                     ..ShardReport::default()
                 })
                 .unwrap_or_default(),
-        });
+            hedges_issued: 0,
+            hedge_wins: 0,
+        };
 
         // Write-ahead: the submit record must be durable before the job
         // exists (a crash in between recovers to "never submitted", which the
         // client, having no ack, must assume anyway).
         if self.sink.is_some() {
-            let record = submit_record(
-                id,
-                &spec,
-                shard_count,
-                combinations,
-                digest,
-                recipe.as_ref(),
-                born_finished.as_ref(),
-            );
-            self.append_record(&record)?;
+            self.append_record(&record.submit_record(id))?;
         }
 
         self.next_job += 1;
-        if let Some(finished) = born_finished {
+        if record.state == JobState::Running {
+            self.admit(id, record, flattener, evaluator);
+        } else {
             if cache_hit {
                 self.events.emit(TraceEvent::CacheHit { job: id.raw() });
             }
-            self.keep_finished(finished);
-            return Ok(id);
+            self.keep_finished(record.into_status(id));
         }
-        self.events.enqueue(
-            &mut self.scheduler,
-            id,
-            &spec.tenant,
-            spec.weight,
-            0..shard_count,
-        );
-        let evaluator = bind(&flattener, evaluator);
+        Ok(id)
+    }
+
+    /// Admits job `id`, running as its `record` says, over `flattener` and
+    /// `evaluator`: the one place a running [`Job`] is built, its evaluator
+    /// bound and its pending shards queued, at submit and at restore alike.
+    /// Returns how many shards it queued.
+    fn admit(
+        &mut self,
+        id: JobId,
+        record: JobRecord,
+        flattener: Arc<Flattener>,
+        evaluator: Arc<dyn Evaluator>,
+    ) -> usize {
+        let JobRecord {
+            head,
+            done,
+            shards_done,
+            committed,
+            hedges_issued,
+            hedge_wins,
+            ..
+        } = record;
+        let pending = (0..head.shard_count).filter(|shard| !done.contains(shard));
+        let queued = pending.clone().count();
+        self.events
+            .enqueue(&mut self.scheduler, id, &head.tenant, head.weight, pending);
+        let shards = (0..head.shard_count)
+            .map(|shard| {
+                if done.contains(&shard) {
+                    ShardSlot::Done
+                } else {
+                    ShardSlot::Pending
+                }
+            })
+            .collect();
+        let incumbent = committed.best().map_or(u64::MAX, |best| best.cost);
+        let evaluator = Arc::clone(&evaluator).bind(&flattener).unwrap_or(evaluator);
         self.jobs.insert(
             id,
             Job {
-                name: spec.name,
-                tenant: spec.tenant.into(),
-                weight: spec.weight,
-                use_cache: spec.use_cache,
-                shard_count,
-                top_k: spec.top_k,
-                combinations,
+                head,
                 flattener,
                 evaluator,
-                incumbent: Arc::new(AtomicU64::new(u64::MAX)),
+                incumbent: Arc::new(AtomicU64::new(incumbent)),
                 cancelled: Arc::new(AtomicBool::new(false)),
-                shards: (0..shard_count).map(|_| ShardSlot::Pending).collect(),
-                shards_done: 0,
+                shards,
+                shards_done,
                 staged: HashMap::new(),
-                committed: ShardReport::default(),
-                digest,
-                recipe,
-                hedges_issued: 0,
-                hedge_wins: 0,
+                committed,
+                hedges_issued,
+                hedge_wins,
                 latencies: LatencyTracker::new(),
             },
         );
-        Ok(id)
+        queued
+    }
+
+    /// Caches a completed job's committed `report` when the job has a digest
+    /// and did not opt out: the one cache rule, for the last commit and for
+    /// its replay alike. Returns how many entries the insert evicted.
+    fn cache_result(&mut self, head: &JobHead, report: &ShardReport) -> u64 {
+        match head.digest.filter(|_| head.use_cache) {
+            Some(digest) => self.cache.insert(digest, &report.to_json()),
+            None => 0,
+        }
     }
 
     /// Hands out the next shard under the WFQ policy, if any; stale scheduler
@@ -981,7 +1175,7 @@ impl JobRegistry {
                 continue;
             }
             // Only a dispatch that becomes a lease serves its tenant.
-            self.scheduler.mark_service(&job.tenant);
+            self.scheduler.mark_service(&job.head.tenant);
             return Some(self.grant(job_id, shard, now, false, worker));
         }
         let (job_id, shard) = self.hedge_candidate(now)?;
@@ -1042,7 +1236,7 @@ impl JobRegistry {
             job: Some(job_id.raw()),
             shard: Some(shard as u64),
             lease: Some(lease.raw()),
-            tenant: Some(Arc::clone(&job.tenant)),
+            tenant: Some(Arc::clone(&job.head.tenant)),
             worker: Some(Arc::from(worker)),
         });
         let holder = Holder {
@@ -1068,9 +1262,9 @@ impl JobRegistry {
             job: job_id,
             lease,
             shard,
-            shard_count: job.shard_count,
+            shard_count: job.head.shard_count,
             context,
-            top_k: job.top_k,
+            top_k: job.head.top_k,
             flattener: Arc::clone(&job.flattener),
             evaluator: Arc::clone(&job.evaluator),
             incumbent: Arc::clone(&job.incumbent),
@@ -1161,7 +1355,7 @@ impl JobRegistry {
                 u64::try_from(delta.eval_ns).unwrap_or(u64::MAX),
             );
         }
-        let top_k = job.top_k;
+        let top_k = job.head.top_k;
         job.staged.entry(lease).or_default().merge(&delta, top_k);
         if spanning {
             self.spans.exit();
@@ -1208,7 +1402,7 @@ impl JobRegistry {
         if self.sink.is_some() {
             let job = self.jobs.get(&job_id).expect("lease resolves to job");
             let mut full = job.staged.get(&lease).cloned().unwrap_or_default();
-            full.merge(&delta, job.top_k);
+            full.merge(&delta, job.head.top_k);
             let record = JsonValue::object([
                 ("t", JsonValue::string("shard")),
                 ("job", job_id.raw().to_json()),
@@ -1228,7 +1422,7 @@ impl JobRegistry {
         let job = self.jobs.get_mut(&job_id).expect("lease resolves to job");
         let staged = job.staged.remove(&lease).unwrap_or_default();
         let evaluated = staged.evaluated;
-        let top_k = job.top_k;
+        let top_k = job.head.top_k;
         job.committed.merge(&staged, top_k);
 
         // First-commit-wins: every holder of this shard is retired; the
@@ -1272,13 +1466,11 @@ impl JobRegistry {
             }
         }
 
-        if job.shards_done == job.shard_count {
+        if job.shards_done == job.head.shard_count {
             let job = self.jobs.remove(&job_id).expect("lease resolves to job");
-            if let Some(digest) = job.digest.filter(|_| job.use_cache) {
-                let evicted = self.cache.insert(digest, &job.committed.to_json());
-                if evicted > 0 {
-                    self.events.emit(TraceEvent::CacheEvict { evicted });
-                }
+            let evicted = self.cache_result(&job.head, &job.committed);
+            if evicted > 0 {
+                self.events.emit(TraceEvent::CacheEvict { evicted });
             }
             self.keep_finished(job.finish(job_id, JobState::Completed));
             self.maybe_compact_for_size();
@@ -1347,8 +1539,8 @@ impl JobRegistry {
                 self.events.enqueue(
                     &mut self.scheduler,
                     job_id,
-                    &job.tenant,
-                    job.weight,
+                    &job.head.tenant,
+                    job.head.weight,
                     [shard],
                 );
             }
@@ -1562,7 +1754,7 @@ impl JobRegistry {
         let mut tenants: BTreeSet<&str> = BTreeSet::new();
         let mut workers: BTreeSet<&str> = BTreeSet::new();
         for job in self.jobs.values() {
-            tenants.insert(&*job.tenant);
+            tenants.insert(&*job.head.tenant);
             for slot in &job.shards {
                 if let ShardSlot::Leased { holders } = slot {
                     for holder in holders {
@@ -1599,12 +1791,12 @@ impl JobRegistry {
         for (&id, job) in &self.jobs {
             let job_node = format!("job:{}", id.raw());
             snapshot.nodes.push(
-                GraphNode::new(&job_node, "job", &job.name)
+                GraphNode::new(&job_node, "job", &job.head.name)
                     .attr("state", JobState::Running.to_string())
                     .attr("shards_done", job.shards_done.to_string())
-                    .attr("shards", job.shard_count.to_string()),
+                    .attr("shards", job.head.shard_count.to_string()),
             );
-            let tenant_node = format!("tenant:{}", job.tenant);
+            let tenant_node = format!("tenant:{}", job.head.tenant);
             snapshot.edges.push(GraphEdge::new(&job_node, &tenant_node));
             if durable {
                 snapshot.edges.push(GraphEdge::new(&job_node, "store:wal"));
@@ -1617,7 +1809,7 @@ impl JobRegistry {
                 };
                 let shard_node = format!("shard:{}/{shard}", id.raw());
                 snapshot.nodes.push(
-                    GraphNode::new(&shard_node, "shard", format!("{}[{shard}]", job.name))
+                    GraphNode::new(&shard_node, "shard", format!("{}[{shard}]", job.head.name))
                         .attr("state", state),
                 );
                 snapshot.edges.push(GraphEdge::new(&job_node, &shard_node));
@@ -1684,9 +1876,10 @@ impl JobRegistry {
     /// registry, **before** [`set_sink`](Self::set_sink) (replay must not
     /// re-append its own records).
     ///
-    /// The snapshot's jobs, then the records, are replayed in log order, and
-    /// a job moves to the finished table the moment the log shows it
-    /// terminal. A submit record for an id the log already named replaces
+    /// The snapshot's jobs, then the records, are replayed in log order, in
+    /// one loop (a snapshot summary replays as its job's submit record) and
+    /// into the same job records submit writes from, and a job moves to the
+    /// finished table the moment the log shows it terminal. A submit record for an id the log already named replaces
     /// that job: the earlier record was a torn submit (written, but its ack
     /// lost), whose id the next submit reused. Eviction past the cap runs
     /// once the log is read, so the restore ends with the same retained set
@@ -1697,8 +1890,9 @@ impl JobRegistry {
     /// weight and `top_k` (in id order, which then stands for the finish
     /// order).
     ///
-    /// Running jobs with a recipe are rebuilt through `rebuild` and their
-    /// non-committed shards requeued (in-flight leases did not survive the
+    /// Running jobs with a recipe are rebuilt through `rebuild` once the
+    /// whole log is read, and admitted as a submit admits a job: their
+    /// non-committed shards are requeued (in-flight leases did not survive the
     /// crash; their staged work restarts from zero — exactly-once holds
     /// because only committed shard reports were logged). Running jobs
     /// without a recipe (in-process submissions) cannot be re-evaluated and
@@ -1718,9 +1912,9 @@ impl JobRegistry {
         rebuild: &RebuildFn<'_>,
     ) -> Result<RestoreStats> {
         let corrupt = |message: String| ExploreError::Store(message);
-        let mut running: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
+        let mut running: BTreeMap<u64, JobRecord> = BTreeMap::new();
         let mut next_job = 0u64;
-
+        let mut summaries: &[JsonValue] = &[];
         if let Some(snapshot) = snapshot {
             next_job = snapshot
                 .get("next_job")
@@ -1733,45 +1927,40 @@ impl JobRegistry {
             )
             .map_err(|e| corrupt(format!("snapshot cache: {e}")))?;
             self.cache.set_limit(self.config.cache_limit);
-            let jobs = snapshot
+            summaries = snapshot
                 .get("jobs")
                 .and_then(JsonValue::as_array)
                 .ok_or_else(|| corrupt("snapshot missing jobs".into()))?;
-            for summary in jobs {
-                let job = RecoveredJob::from_summary(summary).map_err(corrupt)?;
-                if job.state == JobState::Running {
-                    running.insert(job.id, job);
-                } else {
-                    self.hold_finished(job.into_status());
-                }
-            }
         }
 
-        for record in records {
-            let kind = record
-                .get("t")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| corrupt("record missing t".into()))?;
+        // A snapshot summary replays as its job's submit record.
+        let summaries = summaries.iter().map(|summary| (Some("submit"), summary));
+        let logged = records
+            .iter()
+            .map(|record| (record.get("t").and_then(JsonValue::as_str), record));
+        for (kind, record) in summaries.chain(logged) {
+            let kind = kind.ok_or_else(|| corrupt("record missing t".into()))?;
             let job_id = record
                 .get("job")
                 .and_then(JsonValue::as_u64)
                 .ok_or_else(|| corrupt(format!("{kind} record missing job")))?;
+            let id = JobId(job_id);
             // Shard and cancel records name a job the log submitted earlier;
             // one that already finished (a repeated record) changes nothing.
             let finished_before = job_id < next_job && !running.contains_key(&job_id);
             match kind {
                 "submit" => {
-                    let job = RecoveredJob::from_summary(record).map_err(corrupt)?;
+                    let job = JobRecord::from_json(record).map_err(corrupt)?;
                     next_job = next_job.max(job_id + 1);
                     // A torn submit left its id to the next submit.
                     running.remove(&job_id);
-                    if self.finished.remove(&JobId(job_id)).is_some() {
-                        self.finish_order.retain(|&held| held != JobId(job_id));
+                    if self.finished.remove(&id).is_some() {
+                        self.finish_order.retain(|&held| held != id);
                     }
                     if job.state == JobState::Running {
                         running.insert(job_id, job);
                     } else {
-                        self.hold_finished(job.into_status());
+                        self.hold_finished(job.into_status(id));
                     }
                 }
                 "shard" | "cancel" if finished_before => {}
@@ -1790,16 +1979,14 @@ impl JobRegistry {
                     )
                     .map_err(|e| corrupt(format!("shard record report: {e}")))?;
                     if job.done.insert(shard) {
-                        job.committed.merge(&report, job.top_k);
+                        job.committed.merge(&report, job.head.top_k);
                         job.shards_done += 1;
                     }
-                    if job.shards_done == job.shard_count {
+                    if job.shards_done == job.head.shard_count {
                         let mut job = running.remove(&job_id).expect("found above");
                         job.state = JobState::Completed;
-                        if let Some(digest) = job.digest.filter(|_| job.use_cache) {
-                            self.cache.insert(digest, &job.committed.to_json());
-                        }
-                        self.hold_finished(job.into_status());
+                        self.cache_result(&job.head, &job.committed);
+                        self.hold_finished(job.into_status(id));
                     }
                 }
                 "cancel" => {
@@ -1807,7 +1994,7 @@ impl JobRegistry {
                         corrupt(format!("cancel record for unknown job {job_id}"))
                     })?;
                     job.state = JobState::Cancelled;
-                    self.hold_finished(job.into_status());
+                    self.hold_finished(job.into_status(id));
                 }
                 other => return Err(corrupt(format!("unknown record type `{other}`"))),
             }
@@ -1817,6 +2004,7 @@ impl JobRegistry {
         for (raw, mut job) in running {
             let id = JobId(raw);
             let rebuilt = job
+                .head
                 .recipe
                 .as_ref()
                 .map(rebuild)
@@ -1825,56 +2013,17 @@ impl JobRegistry {
                 .flatten()
                 .and_then(|(system, evaluator)| {
                     let flattener = Flattener::new(&system).ok()?;
-                    (flattener.space().count() == job.combinations)
+                    (flattener.space().count() == job.head.combinations)
                         .then_some((Arc::new(flattener), evaluator))
                 });
             let Some((flattener, evaluator)) = rebuilt else {
                 stats.unrecoverable += 1;
                 job.state = JobState::Cancelled;
-                self.hold_finished(job.into_status());
+                self.hold_finished(job.into_status(id));
                 continue;
             };
             stats.resumed += 1;
-            let pending = (0..job.shard_count).filter(|shard| !job.done.contains(shard));
-            stats.requeued_shards += pending.clone().count();
-            self.events
-                .enqueue(&mut self.scheduler, id, &job.tenant, job.weight, pending);
-            let incumbent = job.committed.best().map_or(u64::MAX, |best| best.cost);
-            let shards = (0..job.shard_count)
-                .map(|shard| {
-                    if job.done.contains(&shard) {
-                        ShardSlot::Done
-                    } else {
-                        ShardSlot::Pending
-                    }
-                })
-                .collect();
-            let evaluator = bind(&flattener, evaluator);
-            self.jobs.insert(
-                id,
-                Job {
-                    name: job.name,
-                    tenant: job.tenant.into(),
-                    weight: job.weight,
-                    use_cache: job.use_cache,
-                    shard_count: job.shard_count,
-                    top_k: job.top_k,
-                    combinations: job.combinations,
-                    flattener,
-                    evaluator,
-                    incumbent: Arc::new(AtomicU64::new(incumbent)),
-                    cancelled: Arc::new(AtomicBool::new(false)),
-                    shards,
-                    shards_done: job.shards_done,
-                    staged: HashMap::new(),
-                    committed: job.committed,
-                    digest: job.digest,
-                    recipe: job.recipe,
-                    hedges_issued: job.hedges_issued,
-                    hedge_wins: job.hedge_wins,
-                    latencies: LatencyTracker::new(),
-                },
-            );
+            stats.requeued_shards += self.admit(id, job, flattener, evaluator);
         }
         // Eviction waits for the whole log: a later submit record may
         // replace a finished job, and the live registry never held that one.
@@ -1902,185 +2051,6 @@ fn cache_digest(
         ("space", space_json.clone()),
         ("evaluator", spec),
     ])))
-}
-
-/// The write-ahead record of a submission: the job's head, plus its result
-/// when it finished at birth (`finished`).
-fn submit_record(
-    id: JobId,
-    spec: &JobSpec,
-    shard_count: usize,
-    combinations: usize,
-    digest: Option<Digest>,
-    recipe: Option<&JsonValue>,
-    finished: Option<&JobStatus>,
-) -> JsonValue {
-    let state = finished.map_or(JobState::Running, |done| done.state);
-    let mut members = vec![
-        ("t".to_string(), JsonValue::string("submit")),
-        ("job".to_string(), id.raw().to_json()),
-        ("name".to_string(), spec.name.to_json()),
-        ("tenant".to_string(), spec.tenant.to_json()),
-        (
-            "weight".to_string(),
-            JsonValue::Int(i128::from(spec.weight)),
-        ),
-        ("use_cache".to_string(), JsonValue::Bool(spec.use_cache)),
-        ("shards".to_string(), shard_count.to_json()),
-        ("top_k".to_string(), spec.top_k.to_json()),
-        ("combinations".to_string(), combinations.to_json()),
-        ("digest".to_string(), digest_json_or_null(digest)),
-        (
-            "recipe".to_string(),
-            recipe.cloned().unwrap_or(JsonValue::Null),
-        ),
-        (
-            "cache_hit".to_string(),
-            JsonValue::Bool(finished.is_some_and(|done| done.cache_hit)),
-        ),
-        ("state".to_string(), JsonValue::string(state.as_wire())),
-    ];
-    if let Some(done) = finished {
-        members.push(("committed".to_string(), done.report.to_json()));
-    }
-    JsonValue::Object(members)
-}
-
-/// Intermediate per-job state while replaying snapshot + records.
-struct RecoveredJob {
-    id: u64,
-    name: String,
-    tenant: String,
-    weight: u32,
-    use_cache: bool,
-    shard_count: usize,
-    /// Committed shards: the summary's count, or the size of `done`.
-    shards_done: usize,
-    top_k: usize,
-    combinations: usize,
-    digest: Option<Digest>,
-    recipe: Option<JsonValue>,
-    cache_hit: bool,
-    state: JobState,
-    done: BTreeSet<usize>,
-    committed: ShardReport,
-    hedges_issued: u64,
-    hedge_wins: u64,
-}
-
-impl RecoveredJob {
-    /// Parses a snapshot job summary (running or finished, in either
-    /// snapshot format) or a submit record. A running job must carry its
-    /// `weight` and `top_k`; a finished one needs neither.
-    fn from_summary(value: &JsonValue) -> std::result::Result<RecoveredJob, String> {
-        let field_u64 = |name: &str| {
-            value
-                .get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("job summary missing {name}"))
-        };
-        // Checked narrowing: a WAL written on a 64-bit host must not be
-        // silently truncated when restored on a platform with a smaller
-        // `usize` — `as` would wrap the count and corrupt the census.
-        let field_usize = |name: &str| {
-            let raw = field_u64(name)?;
-            usize::try_from(raw)
-                .map_err(|_| format!("job summary field {name} ({raw}) overflows usize"))
-        };
-        let field_str = |name: &str| {
-            value
-                .get(name)
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("job summary missing {name}"))
-        };
-        let state = JobState::from_wire(field_str("state")?)
-            .ok_or_else(|| "job summary has unknown state".to_string())?;
-        let running = state == JobState::Running;
-        let digest = match value.get("digest") {
-            None | Some(JsonValue::Null) => None,
-            Some(other) => Some(Digest::from_json(other).map_err(|e| format!("job digest: {e}"))?),
-        };
-        let recipe = match value.get("recipe") {
-            None | Some(JsonValue::Null) => None,
-            Some(other) => Some(other.clone()),
-        };
-        let done: BTreeSet<usize> = match value.get("done") {
-            None => BTreeSet::new(),
-            Some(list) => Vec::<usize>::from_json(list)
-                .map_err(|e| format!("job done list: {e}"))?
-                .into_iter()
-                .collect(),
-        };
-        let shards_done = match value.get("shards_done") {
-            Some(_) => field_usize("shards_done")?,
-            None => done.len(),
-        };
-        let committed = match value.get("committed") {
-            None => ShardReport::default(),
-            Some(report) => {
-                ShardReport::from_json(report).map_err(|e| format!("job committed: {e}"))?
-            }
-        };
-        Ok(RecoveredJob {
-            id: field_u64("job")?,
-            name: field_str("name")?.to_string(),
-            tenant: field_str("tenant")?.to_string(),
-            weight: if running {
-                u32::try_from(field_u64("weight")?).unwrap_or(1).max(1)
-            } else {
-                1
-            },
-            use_cache: value
-                .get("use_cache")
-                .and_then(JsonValue::as_bool)
-                .unwrap_or(true),
-            shard_count: field_usize("shards")?,
-            shards_done,
-            top_k: if running {
-                field_usize("top_k")?.max(1)
-            } else {
-                1
-            },
-            combinations: field_usize("combinations")?,
-            digest,
-            recipe,
-            cache_hit: value
-                .get("cache_hit")
-                .and_then(JsonValue::as_bool)
-                .unwrap_or(false),
-            state,
-            done,
-            committed,
-            hedges_issued: value
-                .get("hedges_issued")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
-            hedge_wins: value
-                .get("hedge_wins")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
-        })
-    }
-
-    /// The final status of a job the log shows terminal in `state`.
-    /// Latency quantiles are not durable: they restart empty.
-    fn into_status(self) -> JobStatus {
-        JobStatus {
-            job: JobId(self.id),
-            name: self.name,
-            tenant: self.tenant,
-            state: self.state,
-            combinations: self.combinations,
-            shard_count: self.shard_count,
-            shards_done: self.shards_done,
-            cache_hit: self.cache_hit,
-            hedges_issued: self.hedges_issued,
-            hedge_wins: self.hedge_wins,
-            shards_in_flight: 0,
-            latency: LatencyQuantiles::default(),
-            report: self.committed,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -3823,14 +3793,288 @@ mod tests {
         ]);
         #[cfg(target_pointer_width = "64")]
         {
-            let job = RecoveredJob::from_summary(&summary).unwrap();
-            assert_eq!(job.shard_count, 1usize << 40);
-            assert_eq!(job.combinations, 1usize << 40);
+            let job = JobRecord::from_json(&summary).unwrap();
+            assert_eq!(job.head.shard_count, 1usize << 40);
+            assert_eq!(job.head.combinations, 1usize << 40);
         }
         #[cfg(target_pointer_width = "32")]
         {
-            let err = RecoveredJob::from_summary(&summary).unwrap_err();
+            let err = JobRecord::from_json(&summary).unwrap_err();
             assert!(err.contains("overflows"), "got: {err}");
+        }
+    }
+
+    // --- store lines: pinned bytes and restore equivalence ------------------------------
+
+    /// Runs the pinned schedule of [`PINNED_LOG`] on a registry logging into
+    /// a WAL in `dir`: a cacheable job and its cache hit, a cacheable job on
+    /// a second tenant with one of two shards committed, an empty space and
+    /// a cancelled `no_cache` job. Every report carries `eval_ns` 0.
+    fn run_pinned_schedule(dir: &std::path::Path) -> JobRegistry {
+        let (wal, recovered) = spi_store::Wal::open(dir).unwrap();
+        assert!(recovered.is_empty());
+        let mut registry = JobRegistry::with_config(RegistryConfig::default());
+        registry.set_sink(Box::new(crate::durability::WalSink(wal)));
+        submit_job(&mut registry, 2, true);
+        drain_all(&mut registry);
+        submit_job(&mut registry, 2, true);
+        registry
+            .submit_with_recipe(
+                &scaling_system(4, 2).unwrap(),
+                JobSpec {
+                    name: "partial \"ü\"".into(),
+                    shard_count: 2,
+                    tenant: "team-b".into(),
+                    weight: 3,
+                    top_k: 2,
+                    ..JobSpec::default()
+                },
+                cacheable_evaluator(Arc::new(AtomicU64::new(0))),
+                Some(recipe_for(4)),
+            )
+            .unwrap();
+        let now = Instant::now();
+        let lease = registry.lease(now).unwrap();
+        registry
+            .complete_shard(lease.lease, report_with(lease.shard, 9), now)
+            .unwrap();
+        let empty = VariantSystem::new(spi_model::SpiGraph::new("empty"));
+        let spec = JobSpec {
+            name: "empty".into(),
+            ..JobSpec::default()
+        };
+        registry.submit(&empty, spec, test_evaluator()).unwrap();
+        let cancelled = submit_job(&mut registry, 4, false);
+        registry.cancel(cancelled).unwrap();
+        registry
+    }
+
+    /// The records and the snapshot of a fixed schedule are the bytes the
+    /// store has always written for it, and each restores to the registry
+    /// that wrote it.
+    #[test]
+    fn a_fixed_schedule_writes_the_pinned_store_lines() {
+        let dir = std::env::temp_dir().join(format!("spi-explore-pinned-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut registry = run_pinned_schedule(&dir.join("live"));
+        let log = std::fs::read_to_string(dir.join("live/wal.log")).unwrap();
+        assert_eq!(log.lines().collect::<Vec<_>>(), PINNED_LOG);
+        assert!(log.ends_with('\n'));
+        registry.compact_store().unwrap();
+        let snapshot = std::fs::read_to_string(dir.join("live/snapshot.json")).unwrap();
+        assert_eq!(snapshot, format!("{PINNED_SNAPSHOT}\n"));
+
+        // The pinned log alone, and the pinned snapshot alone, restore to
+        // the registry that wrote them.
+        let stores = [
+            ("log", "wal.log", PINNED_LOG.join("\n") + "\n"),
+            ("snapshot", "snapshot.json", format!("{PINNED_SNAPSHOT}\n")),
+        ];
+        for (store, file, text) in stores {
+            std::fs::create_dir_all(dir.join(store)).unwrap();
+            std::fs::write(dir.join(store).join(file), text).unwrap();
+            let (_, recovered) = spi_store::Wal::open(dir.join(store)).unwrap();
+            assert_eq!(recovered.truncated_bytes, 0, "{store}");
+            let mut restored = JobRegistry::with_config(RegistryConfig::default());
+            let stats = restored
+                .restore(
+                    recovered.snapshot.as_ref(),
+                    &recovered.records,
+                    &rebuild_scaling,
+                )
+                .unwrap();
+            assert_eq!(
+                (stats.jobs, stats.resumed, stats.requeued_shards),
+                (5, 1, 1)
+            );
+            assert_eq!(
+                restored.durable_snapshot().to_line(),
+                registry.durable_snapshot().to_line(),
+                "{store}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The WAL lines of [`a_fixed_schedule_writes_the_pinned_store_lines`].
+    const PINNED_LOG: [&str; 9] = [
+        r#"{"seq":0,"crc":"fd6c82bcc9cfa33c40f5f14e4aa31258","rec":{"t":"submit","job":0,"name":"exploration","tenant":"default","weight":1,"use_cache":true,"shards":2,"top_k":8,"combinations":8,"digest":"e1c02d52be9ab88c86ec2bda9605e690","recipe":{"system":{"scaling":{"interfaces":3,"clusters":2}}},"cache_hit":false,"state":"running"}}"#,
+        r#"{"seq":1,"crc":"357a2106f0697c7b6d5ce06d03296248","rec":{"t":"shard","job":0,"shard":0,"report":{"evaluated":1,"feasible":1,"pruned":0,"errors":0,"eval_ns":0,"top":[{"index":0,"cost":3,"choice":{},"detail":""}]}}}"#,
+        r#"{"seq":2,"crc":"8c88d0f59eb6d6626c52c2e9d36d802b","rec":{"t":"shard","job":0,"shard":1,"report":{"evaluated":1,"feasible":1,"pruned":0,"errors":0,"eval_ns":0,"top":[{"index":1,"cost":4,"choice":{},"detail":""}]}}}"#,
+        r#"{"seq":3,"crc":"85f8f3e3fc094bb022f9d34a28efe108","rec":{"t":"submit","job":1,"name":"exploration","tenant":"default","weight":1,"use_cache":true,"shards":0,"top_k":8,"combinations":8,"digest":"e1c02d52be9ab88c86ec2bda9605e690","recipe":{"system":{"scaling":{"interfaces":3,"clusters":2}}},"cache_hit":true,"state":"completed","committed":{"evaluated":0,"feasible":0,"pruned":0,"errors":0,"eval_ns":0,"top":[{"index":0,"cost":3,"choice":{},"detail":""},{"index":1,"cost":4,"choice":{},"detail":""}]}}}"#,
+        r#"{"seq":4,"crc":"528b92b93f9959e6952dce9f272724e1","rec":{"t":"submit","job":2,"name":"partial \"ü\"","tenant":"team-b","weight":3,"use_cache":true,"shards":2,"top_k":2,"combinations":16,"digest":"7b017e454cfc911423868a7f5db9c516","recipe":{"system":{"scaling":{"interfaces":4,"clusters":2}}},"cache_hit":false,"state":"running"}}"#,
+        r#"{"seq":5,"crc":"8813593ee23b74b9699564f9963bfe98","rec":{"t":"shard","job":2,"shard":0,"report":{"evaluated":1,"feasible":1,"pruned":0,"errors":0,"eval_ns":0,"top":[{"index":0,"cost":9,"choice":{},"detail":""}]}}}"#,
+        r#"{"seq":6,"crc":"402f9ca44010d96325e2aafb8c016395","rec":{"t":"submit","job":3,"name":"empty","tenant":"default","weight":1,"use_cache":true,"shards":1,"top_k":8,"combinations":0,"digest":null,"recipe":null,"cache_hit":false,"state":"completed","committed":{"evaluated":0,"feasible":0,"pruned":0,"errors":0,"eval_ns":0,"top":[]}}}"#,
+        r#"{"seq":7,"crc":"e5ac56c4479183d0a9bc7da7c3b4a165","rec":{"t":"submit","job":4,"name":"exploration","tenant":"default","weight":1,"use_cache":false,"shards":4,"top_k":8,"combinations":8,"digest":null,"recipe":{"system":{"scaling":{"interfaces":3,"clusters":2}}},"cache_hit":false,"state":"running"}}"#,
+        r#"{"seq":8,"crc":"e8849293ee0c7f7f61ee22e4717a7738","rec":{"t":"cancel","job":4}}"#,
+    ];
+
+    /// The snapshot line it compacts to, one job a piece.
+    const PINNED_SNAPSHOT: &str = concat!(
+        r#"{"seq":8,"crc":"786a969d36e1360072ece865031824fd","state":{"next_job":5,"cache":{"e1c02d52be9ab88c86ec2bda9605e690":{"evaluated":2,"feasible":2,"pruned":0,"errors":0,"eval_ns":0,"top":[{"index":0,"cost":3,"choice":{},"detail":""},{"index":1,"cost":4,"choice":{},"detail":""}]}}"#,
+        r#","jobs":[{"job":2,"name":"partial \"ü\"","tenant":"team-b","weight":3,"use_cache":true,"shards":2,"top_k":2,"combinations":16,"digest":"7b017e454cfc911423868a7f5db9c516","recipe":{"system":{"scaling":{"interfaces":4,"clusters":2}}},"cache_hit":false,"state":"running","done":[0],"committed":{"evaluated":1,"feasible":1,"pruned":0,"errors":0,"eval_ns":0,"top":[{"index":0,"cost":9,"choice":{},"detail":""}]},"hedges_issued":0,"hedge_wins":0}"#,
+        r#",{"job":0,"name":"exploration","tenant":"default","shards":2,"shards_done":2,"combinations":8,"cache_hit":false,"state":"completed","committed":{"evaluated":2,"feasible":2,"pruned":0,"errors":0,"eval_ns":0,"top":[{"index":0,"cost":3,"choice":{},"detail":""},{"index":1,"cost":4,"choice":{},"detail":""}]},"hedges_issued":0,"hedge_wins":0}"#,
+        r#",{"job":1,"name":"exploration","tenant":"default","shards":0,"shards_done":0,"combinations":8,"cache_hit":true,"state":"completed","committed":{"evaluated":0,"feasible":0,"pruned":0,"errors":0,"eval_ns":0,"top":[{"index":0,"cost":3,"choice":{},"detail":""},{"index":1,"cost":4,"choice":{},"detail":""}]},"hedges_issued":0,"hedge_wins":0}"#,
+        r#",{"job":3,"name":"empty","tenant":"default","shards":1,"shards_done":0,"combinations":0,"cache_hit":false,"state":"completed","committed":{"evaluated":0,"feasible":0,"pruned":0,"errors":0,"eval_ns":0,"top":[]},"hedges_issued":0,"hedge_wins":0}"#,
+        r#",{"job":4,"name":"exploration","tenant":"default","shards":4,"shards_done":0,"combinations":8,"cache_hit":false,"state":"cancelled","committed":{"evaluated":0,"feasible":0,"pruned":0,"errors":0,"eval_ns":0,"top":[]},"hedges_issued":0,"hedge_wins":0}]}}"#,
+    );
+
+    /// A running job's hedge counters live in its snapshot summary (no
+    /// record carries them): a restore from the snapshot admits the job
+    /// with them.
+    #[test]
+    fn a_running_jobs_hedge_counters_survive_a_snapshot_restore() {
+        let mut registry = JobRegistry::with_config(RegistryConfig {
+            lease_timeout: Duration::from_secs(1000),
+            hedge: HedgeConfig {
+                enabled: true,
+                quantile_pct: 50,
+                multiplier_pct: 200,
+                min_samples: 1,
+                max_hedges: 1,
+            },
+            ..RegistryConfig::default()
+        });
+        let id = submit_job(&mut registry, 3, true);
+        let t0 = Instant::now();
+        let leases: Vec<Lease> = (0..3).map(|_| registry.lease(t0).unwrap()).collect();
+        let t1 = t0 + Duration::from_secs(1);
+        registry
+            .complete_shard(leases[0].lease, report_with(leases[0].shard, 5), t1)
+            .unwrap();
+        // p50 of {1s} = 1s, threshold 2s: at t0+3s a straggler gets a hedge,
+        // and the hedge wins its shard.
+        let t3 = t0 + Duration::from_secs(3);
+        let hedge = registry.lease(t3).unwrap();
+        assert!(hedge.hedged);
+        registry
+            .complete_shard(hedge.lease, report_with(hedge.shard, 4), t3)
+            .unwrap();
+        let live = registry.poll(id).unwrap();
+        assert_eq!(
+            (
+                live.state,
+                live.shards_done,
+                live.hedges_issued,
+                live.hedge_wins
+            ),
+            (JobState::Running, 2, 1, 1)
+        );
+
+        let mut restored = JobRegistry::with_config(RegistryConfig::default());
+        let snapshot = registry.durable_snapshot();
+        let stats = restored
+            .restore(Some(&snapshot), &[], &rebuild_scaling)
+            .unwrap();
+        assert_eq!((stats.resumed, stats.requeued_shards), (1, 1));
+        let back = restored.poll(id).unwrap();
+        assert_eq!(
+            (
+                back.state,
+                back.shards_done,
+                back.hedges_issued,
+                back.hedge_wins
+            ),
+            (JobState::Running, 2, 1, 1)
+        );
+    }
+
+    /// What `poll` answers for every id below `next` (latency aside: it is
+    /// not durable).
+    fn answers_without_latency(
+        registry: &JobRegistry,
+        next: u64,
+    ) -> Vec<std::result::Result<JobStatus, String>> {
+        (0..next)
+            .map(|raw| {
+                registry
+                    .poll(JobId::from_raw(raw))
+                    .map(|status| JobStatus {
+                        latency: LatencyQuantiles::default(),
+                        ..status
+                    })
+                    .map_err(|error| error.to_string())
+            })
+            .collect()
+    }
+
+    /// Seeded schedules — submits with cache hits, empty spaces and
+    /// `no_cache`, commits, cancels and compactions at random points, with
+    /// hedging off and no torn append — restore to the registry that wrote
+    /// them: the same snapshot line, job ids, `poll` answers and next id.
+    #[test]
+    fn a_restore_equals_the_live_registry_on_seeded_schedules() {
+        let empty = VariantSystem::new(spi_model::SpiGraph::new("empty"));
+        for seed in 0..64 {
+            let mut cases = spi_testutil::Lcg::new(seed);
+            let store = Arc::new(Mutex::new(MemoryStore::default()));
+            let mut registry = JobRegistry::with_config(RegistryConfig {
+                hedge: HedgeConfig::disabled(),
+                ..RegistryConfig::default()
+            });
+            registry.set_sink(Box::new(MemorySink::new(Arc::clone(&store))));
+            let now = Instant::now();
+            let mut submitted = 0u64;
+            for _ in 0..cases.range(4, 48) {
+                match cases.below(12) {
+                    0..=3 => {
+                        let interfaces = cases.range(2, 3) as usize;
+                        let spec = JobSpec {
+                            name: format!("job-{submitted}"),
+                            shard_count: cases.range(1, 4) as usize,
+                            top_k: cases.range(1, 3) as usize,
+                            tenant: ["a", "b"][cases.below(2) as usize].to_string(),
+                            weight: cases.range(1, 3) as u32,
+                            use_cache: !cases.chance(1, 3),
+                        };
+                        let evaluator = cacheable_evaluator(Arc::new(AtomicU64::new(0)));
+                        let recipe = Some(recipe_for(interfaces));
+                        let system = scaling_system(interfaces, 2).unwrap();
+                        registry
+                            .submit_with_recipe(&system, spec, evaluator, recipe)
+                            .unwrap();
+                        submitted += 1;
+                    }
+                    4 => {
+                        registry
+                            .submit(&empty, JobSpec::default(), test_evaluator())
+                            .unwrap();
+                        submitted += 1;
+                    }
+                    5..=9 => {
+                        if let Some(lease) = registry.lease(now) {
+                            let report = report_with(lease.shard, cases.below(20));
+                            registry.complete_shard(lease.lease, report, now).unwrap();
+                        }
+                    }
+                    10 if submitted > 0 => {
+                        let id = JobId::from_raw(cases.below(submitted));
+                        registry.cancel(id).unwrap();
+                    }
+                    _ => registry.compact_store().unwrap(),
+                }
+            }
+            let (snapshot, records) = {
+                let store = store.lock().unwrap();
+                (store.snapshot.clone(), store.records.clone())
+            };
+            let mut restored = JobRegistry::with_config(RegistryConfig::default());
+            restored
+                .restore(snapshot.as_ref(), &records, &rebuild_scaling)
+                .unwrap();
+            assert_eq!(
+                restored.durable_snapshot().to_line(),
+                registry.durable_snapshot().to_line(),
+                "seed {seed}"
+            );
+            assert_eq!(restored.job_ids(), registry.job_ids(), "seed {seed}");
+            assert_eq!(
+                answers_without_latency(&restored, submitted + 1),
+                answers_without_latency(&registry, submitted + 1),
+                "seed {seed}"
+            );
+            let next = submit_job(&mut registry, 1, false);
+            assert_eq!(submit_job(&mut restored, 1, false), next, "seed {seed}");
         }
     }
 }

@@ -346,10 +346,13 @@ impl ExplorationService {
 
     /// Visits every running and retained job's status in submission order,
     /// under one registry lock and without cloning it (see
-    /// [`JobRegistry::for_each_status`]); `visit` must not call back into
-    /// the service. The `jobs` op lists the jobs this way.
-    pub(crate) fn for_each_job(&self, visit: impl FnMut(&JobStatus)) {
-        self.registry().for_each_status(visit);
+    /// [`JobRegistry::for_each_status`]), and answers the result cache's
+    /// `(entries, hits, misses)` read under the same lock; `visit` must not
+    /// call back into the service. The `jobs` op lists the jobs this way.
+    pub(crate) fn for_each_job(&self, visit: impl FnMut(&JobStatus)) -> (usize, u64, u64) {
+        let registry = self.registry();
+        registry.for_each_status(visit);
+        registry.cache_stats()
     }
 
     /// `(entries, hits, misses)` of the content-addressed result cache.

@@ -34,8 +34,9 @@
 //! Perfetto), `health` runs a stall-watchdog sweep, and `watch` upgrades the
 //! session to a **stream** — multiple response lines (`frame`: `trace` /
 //! `metrics` / `spans` / `lagged` / `end`) until the service goes idle; see
-//! [`serve`]. `trace`, `spans` and `watch` are written by [`serve`] as they
-//! are read, never held as one tree, so [`handle_request`] refuses them.
+//! [`serve`]. `jobs`, `trace`, `spans` and `watch` are written by [`serve`]
+//! as they are read, never held as one tree, so [`handle_request`] refuses
+//! them.
 //! Malformed
 //! requests answer `{"ok":false,"error":...}` and the stream continues; only
 //! `shutdown` (or EOF) ends [`serve`] — [`run_session`] then quiesces the
@@ -357,41 +358,6 @@ fn dispatch(service: &ExplorationService, request: &JsonValue) -> Result<JsonVal
                 ),
             ]))
         }
-        "jobs" => {
-            // One pass under one registry lock, over lent statuses: the
-            // listing reads no report beyond its `evaluated` count.
-            let mut rollups: BTreeMap<String, Rollup> = BTreeMap::new();
-            let mut listing = Vec::new();
-            service.for_each_job(|status| {
-                rollups
-                    .entry(status.tenant.clone())
-                    .or_default()
-                    .add(status);
-                listing.push(job_row(status));
-            });
-            Ok(JsonValue::object([
-                ("ok", JsonValue::Bool(true)),
-                ("op", JsonValue::string("jobs")),
-                ("cache", {
-                    let (entries, hits, misses) = service.cache_stats();
-                    JsonValue::object([
-                        ("entries", entries.to_json()),
-                        ("hits", hits.to_json()),
-                        ("misses", misses.to_json()),
-                    ])
-                }),
-                (
-                    "tenants",
-                    JsonValue::Array(
-                        rollups
-                            .iter()
-                            .map(|(tenant, rollup)| rollup.to_json(tenant))
-                            .collect(),
-                    ),
-                ),
-                ("jobs", JsonValue::Array(listing)),
-            ]))
-        }
         "graph" => {
             let snapshot = service.waitgraph();
             Ok(JsonValue::object([
@@ -424,7 +390,7 @@ fn dispatch(service: &ExplorationService, request: &JsonValue) -> Result<JsonVal
             ("ok", JsonValue::Bool(true)),
             ("op", JsonValue::string("shutdown")),
         ])),
-        "trace" | "spans" | "watch" => Err(ExploreError::Protocol(format!(
+        "jobs" | "trace" | "spans" | "watch" => Err(ExploreError::Protocol(format!(
             "`{op}` is a streaming op; drive it through `serve` (it writes the \
              answer as it reads it)"
         ))),
@@ -712,6 +678,44 @@ fn write_trace<W: Write>(
     out.flush()
 }
 
+/// Answers the `jobs` op straight onto `output`. Under one registry lock,
+/// each running and retained job's row is rendered to its line and its
+/// tenant's rollup summed; the answer is written once the lock is released,
+/// so the listing never exists as one [`JsonValue`] tree. The line is the
+/// one the tree `{"ok":true,"op":"jobs","cache":{...},"tenants":[...],
+/// "jobs":[...]}` would render.
+fn write_jobs<W: Write>(service: &ExplorationService, output: &mut W) -> std::io::Result<()> {
+    let mut rollups: BTreeMap<String, Rollup> = BTreeMap::new();
+    let mut rows = String::new();
+    let (entries, hits, misses) = service.for_each_job(|status| {
+        rollups
+            .entry(status.tenant.clone())
+            .or_default()
+            .add(status);
+        if !rows.is_empty() {
+            rows.push(',');
+        }
+        rows.push_str(&job_row(status).to_line());
+    });
+    let cache = JsonValue::object([
+        ("entries", entries.to_json()),
+        ("hits", hits.to_json()),
+        ("misses", misses.to_json()),
+    ]);
+    let tenants: Vec<String> = rollups
+        .iter()
+        .map(|(tenant, rollup)| rollup.to_json(tenant).to_line())
+        .collect();
+    let mut out = std::io::BufWriter::with_capacity(1 << 16, output);
+    writeln!(
+        out,
+        "{{\"ok\":true,\"op\":\"jobs\",\"cache\":{},\"tenants\":[{}],\"jobs\":[{rows}]}}",
+        cache.to_line(),
+        tenants.join(","),
+    )?;
+    out.flush()
+}
+
 /// Answers the `spans` op straight onto `output`. The Chrome trace of full
 /// span rings runs to tens of megabytes, so it is written event by event
 /// rather than built as a [`JsonValue`] tree and serialized.
@@ -745,6 +749,10 @@ pub fn serve<R: BufRead, W: Write>(
             Ok(request) => match request.get("op").and_then(JsonValue::as_str) {
                 Some("watch") => {
                     run_watch(service, &request, output)?;
+                    continue;
+                }
+                Some("jobs") => {
+                    write_jobs(service, output)?;
                     continue;
                 }
                 Some("trace") => {
@@ -1131,6 +1139,108 @@ mod tests {
         }
         let refused = handle_request(&service, &JsonValue::parse("{\"op\":\"trace\"}").unwrap());
         assert_eq!(refused.get("ok").unwrap().as_bool(), Some(false));
+    }
+
+    /// `serve` writes the `jobs` answer row by row; the line is the one the
+    /// `JsonValue` tree of the same listing renders, byte for byte — over a
+    /// running job held mid-shard, retained jobs and a cache hit, on two
+    /// tenants with escaped and non-ASCII names. `handle_request` refuses
+    /// the op.
+    #[test]
+    fn streamed_jobs_line_matches_the_tree_rendering() {
+        use crate::evaluator::{Evaluation, FnEvaluator};
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let service = ExplorationService::start(ServiceConfig::with_workers(1));
+        run_lines(
+            &service,
+            concat!(
+                "{\"op\":\"submit\",\"name\":\"first\",\"system\":{\"scenario\":\"figure2\"}}\n",
+                "{\"op\":\"wait\",\"job\":0}\n",
+                "{\"op\":\"submit\",\"name\":\"hit\",\"system\":{\"scenario\":\"figure2\"}}\n",
+                "{\"op\":\"submit\",\"name\":\"n\\u00e9 \\\"b\\\"\",\"tenant\":\"équipe \\\"b\\\"\\n\",\
+                 \"system\":{\"scaling\":{\"interfaces\":3,\"clusters\":2}},\"shards\":4}\n",
+                "{\"op\":\"wait\",\"job\":2}\n",
+            ),
+        );
+        // A running job whose one leased shard waits for `release`.
+        let release = Arc::new(AtomicBool::new(false));
+        let held = Arc::clone(&release);
+        let evaluator = Arc::new(FnEvaluator::new(move |_index, _choice, _graph| {
+            while !held.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Ok(Evaluation {
+                cost: 1,
+                feasible: true,
+                detail: String::new(),
+            })
+        }));
+        let spec = JobSpec {
+            name: "held".to_string(),
+            shard_count: 4,
+            ..JobSpec::default()
+        };
+        let system = spi_workloads::scaling_system(3, 2).unwrap();
+        let running = service.submit(&system, spec, evaluator).unwrap();
+        while service.poll(running).unwrap().shards_in_flight == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let mut streamed = Vec::new();
+        serve(&service, "{\"op\":\"jobs\"}\n".as_bytes(), &mut streamed).unwrap();
+        let statuses = service.jobs();
+        let states: Vec<(String, bool)> = statuses
+            .iter()
+            .map(|status| (status.state.to_string(), status.cache_hit))
+            .collect();
+        let completed = ("completed".to_string(), false);
+        let expected = [
+            completed.clone(),
+            ("completed".to_string(), true),
+            completed,
+            ("running".to_string(), false),
+        ];
+        assert_eq!(states, expected);
+        let mut rollups: BTreeMap<String, Rollup> = BTreeMap::new();
+        for status in &statuses {
+            rollups
+                .entry(status.tenant.clone())
+                .or_default()
+                .add(status);
+        }
+        assert_eq!(rollups.len(), 2);
+        let (entries, hits, misses) = service.cache_stats();
+        let tree = JsonValue::object([
+            ("ok", JsonValue::Bool(true)),
+            ("op", JsonValue::string("jobs")),
+            (
+                "cache",
+                JsonValue::object([
+                    ("entries", entries.to_json()),
+                    ("hits", hits.to_json()),
+                    ("misses", misses.to_json()),
+                ]),
+            ),
+            (
+                "tenants",
+                JsonValue::Array(
+                    rollups
+                        .iter()
+                        .map(|(tenant, rollup)| rollup.to_json(tenant))
+                        .collect(),
+                ),
+            ),
+            (
+                "jobs",
+                JsonValue::Array(statuses.iter().map(job_row).collect()),
+            ),
+        ]);
+        assert_eq!(String::from_utf8(streamed).unwrap(), tree.to_line() + "\n");
+        let refused = handle_request(&service, &JsonValue::parse("{\"op\":\"jobs\"}").unwrap());
+        assert_eq!(refused.get("ok").unwrap().as_bool(), Some(false));
+        release.store(true, Ordering::Relaxed);
+        service.cancel(running).unwrap();
     }
 
     /// The `jobs` listing carries per-tenant rollups whose shard totals agree

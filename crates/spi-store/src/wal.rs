@@ -6,11 +6,16 @@
 //!
 //! * `wal.log` — one record per line: `{"seq":N,"crc":"<hex>","rec":{...}}`.
 //!   `rec` is an opaque [`JsonValue`] supplied by the caller (the registry
-//!   serializes its own transition records); `crc` is the FNV-1a-128 digest
-//!   of `rec`'s canonical line, so a flipped bit anywhere in the payload —
-//!   or a torn final line from a crash mid-append — fails verification.
+//!   serializes its own transition records), written as its canonical line;
+//!   `crc` is the FNV-1a-128 digest of `rec`'s bytes as written, so a
+//!   flipped bit anywhere in the payload — or a torn final line from a
+//!   crash mid-append — fails verification.
 //! * `snapshot.json` — one line `{"seq":N,"crc":"<hex>","state":{...}}`:
 //!   a caller-supplied compaction of every record up to and including `seq`.
+//!
+//! Lines are checked as text: a payload whose bytes differ from the ones
+//! written fails, even if it parses to the same value, as does any frame
+//! but the one written; only then is the payload parsed, once.
 //!
 //! # Recovery
 //!
@@ -75,34 +80,36 @@ pub struct Wal {
     _lock: File,
 }
 
-fn checksum_line(value: &JsonValue) -> String {
-    digest_bytes(value.to_line().as_bytes()).to_string()
+/// Frames `payload` as the line `{"seq":N,"crc":"<hex>","<key>":<payload>}`:
+/// the payload is serialized once, and the checksum is taken over that text.
+fn frame(seq: u64, key: &str, payload: &JsonValue) -> String {
+    let payload = payload.to_line();
+    let crc = digest_bytes(payload.as_bytes());
+    format!("{{\"seq\":{seq},\"crc\":\"{crc}\",\"{key}\":{payload}}}")
 }
 
-fn frame(seq: u64, key: &str, payload: &JsonValue) -> JsonValue {
-    JsonValue::object([
-        ("seq", JsonValue::Int(i128::from(seq))),
-        ("crc", JsonValue::string(checksum_line(payload))),
-        (key, payload.clone()),
-    ])
-}
-
-/// Parses one framed line; `Ok` carries `(seq, payload)`.
+/// Parses one framed line; `Ok` carries `(seq, payload)`. The checksum is
+/// checked over the payload's bytes as written, before they are parsed
+/// once: a payload whose bytes changed fails even if it means the same.
 fn unframe(line: &str, key: &str) -> std::result::Result<(u64, JsonValue), String> {
-    let value = JsonValue::parse(line).map_err(|e| e.to_string())?;
-    let seq = value
-        .get("seq")
-        .and_then(JsonValue::as_u64)
-        .ok_or("missing seq")?;
-    let crc = value
-        .get("crc")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing crc")?;
-    let payload = value.get(key).ok_or("missing payload")?;
-    if checksum_line(payload) != crc {
+    let rest = line.strip_prefix("{\"seq\":").ok_or("missing seq")?;
+    let (seq_text, rest) = rest.split_once(",\"crc\":\"").ok_or("missing crc")?;
+    let seq = seq_text.parse::<u64>().ok();
+    let seq = seq
+        .filter(|seq| seq.to_string() == seq_text)
+        .ok_or("malformed seq")?;
+    let (crc, rest) = rest.split_once('"').ok_or("missing crc")?;
+    let payload = rest
+        .strip_prefix(",\"")
+        .and_then(|rest| rest.strip_prefix(key))
+        .and_then(|rest| rest.strip_prefix("\":"))
+        .and_then(|rest| rest.strip_suffix('}'))
+        .ok_or("missing payload")?;
+    if digest_bytes(payload.as_bytes()).to_string() != crc {
         return Err(format!("checksum mismatch at seq {seq}"));
     }
-    Ok((seq, payload.clone()))
+    let payload = JsonValue::parse(payload).map_err(|e| e.to_string())?;
+    Ok((seq, payload))
 }
 
 impl Wal {
@@ -228,7 +235,7 @@ impl Wal {
     /// I/O errors; on error the record must be considered not written.
     pub fn append(&mut self, record: &JsonValue) -> Result<u64> {
         let seq = self.next_seq;
-        let line = frame(seq, "rec", record).to_line();
+        let line = frame(seq, "rec", record);
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
         self.writer.flush()?;
@@ -264,7 +271,7 @@ impl Wal {
         let reclaimed = self.log_bytes;
         self.sync()?;
         let seq = self.next_seq.saturating_sub(1);
-        let line = frame(seq, "state", state).to_line();
+        let line = frame(seq, "state", state);
         let tmp_path = self.snapshot_path.with_extension("tmp");
         {
             let mut tmp = File::create(&tmp_path)?;
@@ -444,6 +451,90 @@ mod tests {
         assert_eq!(recovered.records, vec![record(2)]);
         let on_disk = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
         assert_eq!(wal.log_bytes(), on_disk, "reopen resumes the byte count");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Payloads with escapes, non-ASCII text and nested objects: the framed
+    /// line is the one the `{seq, crc, key}` tree renders, and it reads
+    /// back as what was framed.
+    #[test]
+    fn a_framed_line_is_the_tree_rendering_and_reads_back() {
+        let payloads = [
+            record(-3),
+            JsonValue::object([
+                ("name", JsonValue::string("équipe \"a\"\n\t\\ ✓")),
+                (
+                    "nested",
+                    JsonValue::object([
+                        ("list", JsonValue::Array(vec![JsonValue::Null, record(1)])),
+                        ("ratio", JsonValue::Float(0.25)),
+                        (
+                            "empty",
+                            JsonValue::object(Vec::<(String, JsonValue)>::new()),
+                        ),
+                    ]),
+                ),
+            ]),
+            JsonValue::Array(Vec::new()),
+        ];
+        for (seq, payload) in payloads.iter().enumerate() {
+            for key in ["rec", "state"] {
+                let seq = seq as u64 * 1000;
+                let line = frame(seq, key, payload);
+                let crc = digest_bytes(payload.to_line().as_bytes()).to_string();
+                let tree = JsonValue::object([
+                    ("seq", JsonValue::Int(i128::from(seq))),
+                    ("crc", JsonValue::string(crc)),
+                    (key, payload.clone()),
+                ]);
+                assert_eq!(line, tree.to_line());
+                assert_eq!(unframe(&line, key), Ok((seq, payload.clone())));
+            }
+        }
+    }
+
+    /// The checksum certifies the payload's bytes as written: one extra
+    /// space leaves the value the same but fails the line, in the log and
+    /// in the snapshot; so does a frame that is not the one written.
+    #[test]
+    fn a_payload_whose_bytes_changed_fails_even_with_the_same_value() {
+        let line = frame(4, "rec", &record(1));
+        let spaced = line.replacen("\"n\":1", "\"n\": 1", 1);
+        assert_ne!(line, spaced);
+        let payload = spaced.split_once(",\"rec\":").unwrap().1;
+        let payload = payload.strip_suffix('}').unwrap();
+        assert_eq!(JsonValue::parse(payload), Ok(record(1)));
+        assert!(unframe(&spaced, "rec").unwrap_err().contains("checksum"));
+        for reframed in [
+            line.replacen("{\"seq\":4", "{\"seq\":04", 1),
+            line.replacen("{\"seq\":4", "{ \"seq\":4", 1),
+            line.replacen("\"rec\":", "\"state\":", 1),
+            format!("{line} "),
+        ] {
+            assert!(unframe(&reframed, "rec").is_err(), "{reframed}");
+        }
+
+        let dir = temp_dir("spaced");
+        {
+            let (mut wal, _) = Wal::open(&dir).unwrap();
+            for n in 0..3 {
+                wal.append(&record(n)).unwrap();
+            }
+        }
+        let path = dir.join(WAL_FILE);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replacen("\"n\":1", "\"n\": 1", 1)).unwrap();
+        let (_, recovered) = Wal::open(&dir).unwrap();
+        assert_eq!(recovered.records, vec![record(0)]);
+        assert!(recovered.truncated_bytes > 0);
+
+        let (mut wal, _) = Wal::open(&dir).unwrap();
+        wal.compact(&record(5)).unwrap();
+        drop(wal);
+        let path = dir.join(SNAPSHOT_FILE);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replacen("\"n\":5", "\"n\": 5", 1)).unwrap();
+        assert!(matches!(Wal::open(&dir), Err(StoreError::Corrupt(_))));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

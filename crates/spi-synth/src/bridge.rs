@@ -55,49 +55,6 @@ pub fn from_variant_system(
     Ok(problem)
 }
 
-/// Derives a [`SynthesisProblem`] for one strided shard of the variant space:
-/// combination `index` is included iff `index % shard_count == shard`.
-///
-/// Sharding rides on the `O(axes)` `nth` of the lazy space iterator, so a shard of a
-/// `2^20`-combination space only ever decodes its own combinations. Application names
-/// keep their global combination index (`application{index+1}`), so results from
-/// different shards can be correlated.
-///
-/// # Errors
-///
-/// Returns [`SynthError::Validation`] for `shard >= shard_count` or `shard_count == 0`,
-/// otherwise as [`from_variant_system`].
-pub fn from_variant_system_shard(
-    system: &VariantSystem,
-    processor_cost: u64,
-    params: impl FnMut(&str) -> Option<TaskParams>,
-    shard: usize,
-    shard_count: usize,
-) -> Result<SynthesisProblem> {
-    if shard_count == 0 || shard >= shard_count {
-        return Err(SynthError::Validation(format!(
-            "invalid shard {shard}/{shard_count}"
-        )));
-    }
-    let (mut problem, common_tasks) = derive_tasks(system, processor_cost, params)?;
-    for (offset, choice) in system
-        .variant_space()
-        .choices_iter()
-        .skip(shard)
-        .step_by(shard_count)
-        .enumerate()
-    {
-        add_application(
-            &mut problem,
-            &common_tasks,
-            shard + offset * shard_count,
-            &choice,
-        )?;
-    }
-    problem.validate()?;
-    Ok(problem)
-}
-
 /// Derives a single-application [`SynthesisProblem`] from one **flattened**
 /// (single-variant) SPI graph: every non-virtual process becomes a task, and one
 /// application spans them all.
@@ -324,52 +281,6 @@ impl TaskTable {
         }
         Some(lower_flattened(processor_cost, &tasks, order))
     }
-}
-
-/// Sweeps one strided shard of a flattener's variant space through the compiled
-/// per-variant path, **incrementally**: the shard's combinations are visited in
-/// Gray-code order through a [`spi_variants::DeltaFlattener`], so each flat graph is
-/// a patch of the previous one instead of a from-scratch rebuild, and each is lowered
-/// with [`compiled_from_flat_graph`] and handed to `visit` together with its
-/// **canonical** combination index (the same index [`from_variant_system`] numbers
-/// applications by, so results correlate across paths and shards).
-///
-/// Visit order differs from [`from_variant_system_shard`] — Gray order is a
-/// permutation of the space — but the set of indices visited by shard `s` is exactly
-/// the image of the Gray ranks `r ≡ s (mod shard_count)`, so the union over all
-/// shards still covers every combination exactly once. Returns the number of
-/// combinations visited.
-///
-/// # Errors
-///
-/// Returns [`SynthError::Validation`] for `shard >= shard_count` or
-/// `shard_count == 0`, propagates flatten errors as [`SynthError::Variants`], and
-/// short-circuits on the first error from `visit`.
-pub fn compiled_shard_sweep(
-    flattener: &spi_variants::Flattener,
-    processor_cost: u64,
-    mut params: impl FnMut(&str) -> Option<TaskParams>,
-    shard: usize,
-    shard_count: usize,
-    mut visit: impl FnMut(usize, &CompiledProblem) -> Result<()>,
-) -> Result<usize> {
-    if shard_count == 0 || shard >= shard_count {
-        return Err(SynthError::Validation(format!(
-            "invalid shard {shard}/{shard_count}"
-        )));
-    }
-    let combinations = flattener.space().count();
-    let mut delta = spi_variants::DeltaFlattener::new(flattener);
-    let mut visited = 0usize;
-    let mut rank = shard;
-    while rank < combinations {
-        let (index, graph) = delta.flatten_gray_rank(rank)?;
-        let compiled = compiled_from_flat_graph(graph, processor_cost, &mut params)?;
-        visit(index, &compiled)?;
-        visited += 1;
-        rank += shard_count;
-    }
-    Ok(visited)
 }
 
 /// Shared task-derivation step: every non-virtual common process and every cluster
@@ -640,90 +551,6 @@ mod tests {
         let empty = spi_model::SpiGraph::new("empty");
         assert!(matches!(
             from_flat_graph(&empty, 15, default_params),
-            Err(SynthError::Validation(_))
-        ));
-    }
-
-    #[test]
-    fn shards_partition_the_applications() {
-        let system = small_system();
-        let full = from_variant_system(&system, 15, default_params).unwrap();
-        let shard_count = 2;
-        let mut shard_applications: Vec<String> = Vec::new();
-        for shard in 0..shard_count {
-            let partial =
-                from_variant_system_shard(&system, 15, default_params, shard, shard_count).unwrap();
-            assert_eq!(partial.task_count(), full.task_count());
-            shard_applications.extend(partial.applications().iter().map(|a| a.name.clone()));
-        }
-        let mut full_applications: Vec<String> =
-            full.applications().iter().map(|a| a.name.clone()).collect();
-        shard_applications.sort();
-        full_applications.sort();
-        assert_eq!(shard_applications, full_applications);
-    }
-
-    #[test]
-    fn compiled_shard_sweep_matches_the_per_index_path() {
-        let system = small_system();
-        let flattener = spi_variants::Flattener::new(&system).unwrap();
-        let count = flattener.space().count();
-        for shard_count in [1usize, 2] {
-            let mut seen = Vec::new();
-            for shard in 0..shard_count {
-                let visited = compiled_shard_sweep(
-                    &flattener,
-                    15,
-                    default_params,
-                    shard,
-                    shard_count,
-                    |index, compiled| {
-                        // Each swept problem must be bit-identical to flattening
-                        // this index from scratch and lowering it directly.
-                        let (_, graph) = flattener.flatten_at(index).unwrap();
-                        let expected =
-                            compiled_from_flat_graph(&graph, 15, default_params).unwrap();
-                        assert_eq!(compiled, &expected, "index {index}");
-                        seen.push(index);
-                        Ok(())
-                    },
-                )
-                .unwrap();
-                assert!(visited > 0);
-            }
-            seen.sort_unstable();
-            assert_eq!(seen, (0..count).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn compiled_shard_sweep_rejects_bad_shards_and_propagates_visit_errors() {
-        let system = small_system();
-        let flattener = spi_variants::Flattener::new(&system).unwrap();
-        assert!(matches!(
-            compiled_shard_sweep(&flattener, 15, default_params, 2, 2, |_, _| Ok(())),
-            Err(SynthError::Validation(_))
-        ));
-        assert!(matches!(
-            compiled_shard_sweep(&flattener, 15, default_params, 0, 0, |_, _| Ok(())),
-            Err(SynthError::Validation(_))
-        ));
-        let err = compiled_shard_sweep(&flattener, 15, default_params, 0, 1, |_, _| {
-            Err(SynthError::Validation("stop".into()))
-        })
-        .unwrap_err();
-        assert!(matches!(err, SynthError::Validation(m) if m == "stop"));
-    }
-
-    #[test]
-    fn invalid_shard_bounds_are_rejected() {
-        let system = small_system();
-        assert!(matches!(
-            from_variant_system_shard(&system, 15, default_params, 2, 2),
-            Err(SynthError::Validation(_))
-        ));
-        assert!(matches!(
-            from_variant_system_shard(&system, 15, default_params, 0, 0),
             Err(SynthError::Validation(_))
         ));
     }

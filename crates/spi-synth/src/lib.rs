@@ -41,8 +41,7 @@ pub mod schedule;
 pub mod strategy;
 
 pub use bridge::{
-    compiled_from_flat_graph, compiled_shard_sweep, from_flat_graph, from_variant_system,
-    from_variant_system_shard, TaskParams, TaskTable,
+    compiled_from_flat_graph, from_flat_graph, from_variant_system, TaskParams, TaskTable,
 };
 pub use compiled::{CompiledProblem, HardwareSet, IncrementalEvaluator, TaskId};
 pub use cost::CostBreakdown;

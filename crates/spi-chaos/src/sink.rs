@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use spi_explore::{DurabilitySink, MemorySink, MemoryStore};
-use spi_model::json::JsonValue;
+use spi_store::SnapshotText;
 
 /// What happens to the next sink append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +56,7 @@ impl FaultSink {
 }
 
 impl DurabilitySink for FaultSink {
-    fn append(&mut self, record: &JsonValue) -> Result<(), String> {
+    fn append(&mut self, record: &str) -> Result<(), String> {
         let fault = self
             .script
             .lock()
@@ -75,7 +75,7 @@ impl DurabilitySink for FaultSink {
         }
     }
 
-    fn compact(&mut self, snapshot: &JsonValue) -> Result<u64, String> {
+    fn compact(&mut self, snapshot: &SnapshotText) -> Result<u64, String> {
         {
             let mut script = self.script.lock().expect("fault script lock");
             if script.compacts > 0 {
@@ -100,20 +100,20 @@ mod tests {
         let store = Arc::new(Mutex::new(MemoryStore::default()));
         let script = Arc::new(Mutex::new(FaultScript::default()));
         let mut sink = FaultSink::new(Arc::clone(&store), Arc::clone(&script));
-        let record = JsonValue::Str("r".to_string());
+        let record = "\"r\"";
 
         script.lock().unwrap().appends.push_back(AppendFault::Fail);
         script.lock().unwrap().appends.push_back(AppendFault::Torn);
 
-        assert!(sink.append(&record).is_err());
+        assert!(sink.append(record).is_err());
         assert_eq!(
             store.lock().unwrap().records.len(),
             0,
             "failed append is lost"
         );
-        assert!(sink.append(&record).is_err());
+        assert!(sink.append(record).is_err());
         assert_eq!(store.lock().unwrap().records.len(), 1, "torn append lands");
-        assert!(sink.append(&record).is_ok());
+        assert!(sink.append(record).is_ok());
         assert_eq!(store.lock().unwrap().records.len(), 2, "script exhausted");
     }
 
@@ -123,7 +123,7 @@ mod tests {
         let script = Arc::new(Mutex::new(FaultScript::default()));
         let mut sink = FaultSink::new(Arc::clone(&store), Arc::clone(&script));
         script.lock().unwrap().compacts = 1;
-        let snapshot = JsonValue::Str("s".to_string());
+        let snapshot = SnapshotText::new("\"s\"".to_string());
         assert!(sink.compact(&snapshot).is_err());
         assert!(sink.compact(&snapshot).is_ok());
         assert!(store.lock().unwrap().snapshot.is_some());

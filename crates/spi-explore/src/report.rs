@@ -8,7 +8,7 @@
 //! — so the final aggregate is independent of worker count, scheduling and
 //! completion order.
 
-use spi_model::json::{FromJson, JsonError, JsonResult, JsonValue, ToJson};
+use spi_model::json::{self, FromJson, JsonError, JsonResult, JsonValue, ToJson};
 use spi_variants::VariantChoice;
 
 /// One ranked variant: the unit of the top-K result set.
@@ -153,6 +153,71 @@ impl ShardReport {
     }
 }
 
+/// A report's canonical line (`to_json().to_line()`) is how a finished job
+/// and the result cache hold a result. `top` is the last member it renders,
+/// and the only one that needs a tree to read.
+impl ShardReport {
+    /// This report's counters, with an empty `top`.
+    pub(crate) fn counts(&self) -> ShardReport {
+        ShardReport {
+            evaluated: self.evaluated,
+            feasible: self.feasible,
+            pruned: self.pruned,
+            errors: self.errors,
+            eval_ns: self.eval_ns,
+            top: Vec::new(),
+        }
+    }
+
+    /// The counters of the report `line`, its `top` checked as JSON but not
+    /// read (left empty).
+    ///
+    /// # Errors
+    ///
+    /// As [`FromJson::from_json`] for a line that is no report.
+    pub(crate) fn counts_of(line: &str) -> JsonResult<ShardReport> {
+        let mut members = Vec::new();
+        let mut top = None;
+        for member in json::members(line) {
+            let (key, value) = member?;
+            if key == "top" {
+                top = Some(JsonValue::Array(Vec::new()));
+            } else {
+                members.push((key.into_owned(), JsonValue::parse(value)?));
+            }
+        }
+        members.push(("top".to_string(), top.unwrap_or(JsonValue::Null)));
+        ShardReport::from_json(&JsonValue::Object(members))
+    }
+
+    /// The text of the `top` member of the report `line`.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] when `line` is not an object with a `top` member.
+    pub(crate) fn top_of(line: &str) -> JsonResult<&str> {
+        let mut top = None;
+        for member in json::members(line) {
+            let (key, value) = member?;
+            if key == "top" {
+                top = Some(value);
+            }
+        }
+        top.ok_or_else(|| JsonError::new("missing key `top`"))
+    }
+
+    /// The line of this report's counters with `top`, a `top` member's
+    /// text, as its `top`: the line `to_json` renders when its `top` is the
+    /// one `top` holds.
+    pub(crate) fn line_with_top(&self, top: &str) -> String {
+        let counts = self.counts().to_json().to_line();
+        let head = counts
+            .strip_suffix("[]}")
+            .expect("`top` is the last member a report renders");
+        format!("{head}{top}}}")
+    }
+}
+
 impl ToJson for ShardReport {
     fn to_json(&self) -> JsonValue {
         JsonValue::object([
@@ -255,5 +320,35 @@ mod tests {
         let back = ShardReport::from_json(&JsonValue::parse(&line).unwrap()).unwrap();
         assert_eq!(back, report);
         assert!(ShardReport::from_json(&JsonValue::Int(1)).is_err());
+    }
+
+    /// A report line's counters and `top` read apart reassemble the line,
+    /// and a line that is no report is refused, never read as one.
+    #[test]
+    fn report_lines_read_apart_and_reassemble() {
+        let mut report = ShardReport {
+            evaluated: 7,
+            feasible: 3,
+            pruned: 2,
+            errors: 1,
+            eval_ns: u128::from(u64::MAX) + 5,
+            top: Vec::new(),
+        };
+        report.record(variant(4, 9), 3);
+        report.record(variant(1, 12), 3);
+        let line = report.to_json().to_line();
+        assert_eq!(ShardReport::counts_of(&line), Ok(report.counts()));
+        let top = ShardReport::top_of(&line).unwrap();
+        assert_eq!(top, report.top.to_json().to_line());
+        assert_eq!(report.counts().line_with_top(top), line);
+        let zeroed = ShardReport::default().line_with_top(top);
+        let back = ShardReport::from_json(&JsonValue::parse(&zeroed).unwrap()).unwrap();
+        assert_eq!(back.top, report.top);
+        assert_eq!((back.evaluated, back.eval_ns), (0, 0));
+        for bad in ["42", "{}", r#"{"top":[]}"#, r#"{"evaluated":1,"top":[]"#] {
+            assert!(ShardReport::counts_of(bad).is_err(), "{bad}");
+        }
+        assert!(ShardReport::top_of("[1]").is_err());
+        assert!(ShardReport::top_of(r#"{"evaluated":0}"#).is_err());
     }
 }

@@ -295,12 +295,14 @@ impl ExplorationService {
     /// [`submit_with_recipe`](Self::submit_with_recipe), answering the new
     /// job's status read under the same registry lock: a job finished at
     /// submit (a cache hit, an empty space) could otherwise be retired by
-    /// other jobs finishing before a separate [`poll`](Self::poll).
+    /// other jobs finishing before a separate [`poll`](Self::poll). The
+    /// status is the one the `jobs` listing shows ([`JobRegistry::listed`]):
+    /// a hit's `top` is left empty, so its cached line is not parsed.
     ///
     /// # Errors
     ///
     /// As [`JobRegistry::submit_with_recipe`].
-    pub fn submit_status(
+    pub(crate) fn submit_status(
         &self,
         system: &VariantSystem,
         spec: JobSpec,
@@ -310,7 +312,7 @@ impl ExplorationService {
         let status = {
             let mut registry = self.registry();
             let id = registry.submit_with_recipe(system, spec, evaluator, recipe)?;
-            registry.poll(id)?
+            registry.listed(id)?
         };
         self.inner.work_available.notify_all();
         self.inner.progress.notify_all();
@@ -337,15 +339,18 @@ impl ExplorationService {
         Ok(status)
     }
 
-    /// Snapshots of every running and retained job, in submission order.
+    /// Snapshots of every running and retained job, in submission order, as
+    /// [`poll`](Self::poll) answers them under one registry lock; a job
+    /// whose result line is corrupt (which `poll` answers with
+    /// [`ExploreError::Store`]) is left out.
     pub fn jobs(&self) -> Vec<JobStatus> {
-        let mut statuses = Vec::new();
-        self.for_each_job(|status| statuses.push(status.clone()));
-        statuses
+        let registry = self.registry();
+        let ids = registry.job_ids().into_iter();
+        ids.filter_map(|id| registry.poll(id).ok()).collect()
     }
 
-    /// Visits every running and retained job's status in submission order,
-    /// under one registry lock and without cloning it (see
+    /// Visits every running and retained job's listed status in submission
+    /// order, under one registry lock (see
     /// [`JobRegistry::for_each_status`]), and answers the result cache's
     /// `(entries, hits, misses)` read under the same lock; `visit` must not
     /// call back into the service. The `jobs` op lists the jobs this way.

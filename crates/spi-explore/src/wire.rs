@@ -101,6 +101,19 @@ pub fn status_to_json(op: &str, status: &JobStatus) -> JsonValue {
     ])
 }
 
+/// Renders the `top` answer: the `k` cheapest variants of the status (all
+/// of its `top` without a `k`).
+pub(crate) fn top_to_json(status: &JobStatus, k: Option<usize>) -> JsonValue {
+    let top = &status.report.top;
+    let k = k.unwrap_or(top.len()).min(top.len());
+    JsonValue::object([
+        ("ok", JsonValue::Bool(true)),
+        ("op", JsonValue::string("top")),
+        ("job", status.job.raw().to_json()),
+        ("top", top[..k].to_vec().to_json()),
+    ])
+}
+
 fn error_response(error: &ExploreError) -> JsonValue {
     let mut members = vec![
         ("ok", JsonValue::Bool(false)),
@@ -342,21 +355,8 @@ fn dispatch(service: &ExplorationService, request: &JsonValue) -> Result<JsonVal
         "cancel" => Ok(status_to_json("cancel", &service.cancel(job_of(request)?)?)),
         "top" => {
             let status = service.poll(job_of(request)?)?;
-            let k = request
-                .get("k")
-                .and_then(JsonValue::as_usize)
-                .unwrap_or(status.report.top.len());
-            Ok(JsonValue::object([
-                ("ok", JsonValue::Bool(true)),
-                ("op", JsonValue::string("top")),
-                ("job", status.job.raw().to_json()),
-                (
-                    "top",
-                    status.report.top[..k.min(status.report.top.len())]
-                        .to_vec()
-                        .to_json(),
-                ),
-            ]))
+            let k = request.get("k").and_then(JsonValue::as_usize);
+            Ok(top_to_json(&status, k))
         }
         "graph" => {
             let snapshot = service.waitgraph();
@@ -399,7 +399,7 @@ fn dispatch(service: &ExplorationService, request: &JsonValue) -> Result<JsonVal
 }
 
 /// One job's row of the `jobs` op.
-fn job_row(status: &JobStatus) -> JsonValue {
+pub(crate) fn job_row(status: &JobStatus) -> JsonValue {
     JsonValue::object([
         ("job", status.job.raw().to_json()),
         ("name", status.name.to_json()),

@@ -24,8 +24,14 @@
 //!   precision above 2^53.
 //! * **ndjson-friendly** — [`JsonValue::to_line`] never emits a newline, so a
 //!   value is always exactly one line of a newline-delimited JSON stream.
+//! * **Text without trees** — [`members`] and [`elements`] walk a large
+//!   object or array (a store snapshot) one entry at a time, each entry the
+//!   checked slice of the text that holds it, and [`push_member`] splices a
+//!   value held as its line into another line: an owner that keeps values
+//!   as lines reads and writes them without building a tree.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 use crate::ids::Sym;
@@ -228,17 +234,10 @@ impl JsonValue {
     ///
     /// Returns [`JsonError`] with a byte offset for malformed input.
     pub fn parse(input: &str) -> JsonResult<JsonValue> {
-        let mut parser = Parser {
-            text: input,
-            bytes: input.as_bytes(),
-            position: 0,
-        };
+        let mut parser = Parser::new(input);
         parser.skip_whitespace();
         let value = parser.value()?;
-        parser.skip_whitespace();
-        if parser.position != parser.bytes.len() {
-            return Err(parser.error("trailing characters after JSON value"));
-        }
+        parser.end()?;
         Ok(value)
     }
 }
@@ -271,13 +270,172 @@ pub fn write_string(value: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Appends the member `"key":value` to `object`, the canonical line of a
+/// JSON object, where `value` is a value's canonical line: `object` becomes
+/// the line [`JsonValue::to_line`] renders for the object with that member
+/// last. Lets an owner splice a value it holds as text into a line without
+/// parsing it.
+///
+/// # Panics
+///
+/// When `object` is not an object's line (it does not end with `}`).
+pub fn push_member(object: &mut String, key: &str, value: &str) {
+    assert_eq!(object.pop(), Some('}'), "`object` must be an object's line");
+    if !object.ends_with('{') {
+        object.push(',');
+    }
+    write_string(key, object);
+    object.push(':');
+    object.push_str(value);
+    object.push('}');
+}
+
+/// Walks the members of the JSON object `text` one at a time, without
+/// building its tree: each member is its key and the slice of `text` that
+/// holds its value. The text is checked as [`JsonValue::parse`] checks it:
+/// each value before it is yielded (so the slice parses to the value
+/// `parse` would build), and the object's end, with nothing but whitespace
+/// after it, once the last member is read. A text `parse` rejects yields an
+/// error at the first fault, then ends; a text that is no object errs at
+/// once. A slice of a text that [`JsonValue::to_line`] rendered is the
+/// value's canonical line.
+pub fn members(text: &str) -> Members<'_> {
+    Members {
+        walk: Walk::new(text, b'{', b'}'),
+        keys: KeySet::default(),
+    }
+}
+
+/// Walks the elements of the JSON array `text` one at a time, as
+/// [`members`] walks an object's: each element is the slice of `text` that
+/// holds it, checked before it is yielded.
+pub fn elements(text: &str) -> Elements<'_> {
+    Elements {
+        walk: Walk::new(text, b'[', b']'),
+    }
+}
+
+/// The iterator of [`members`].
+pub struct Members<'a> {
+    walk: Walk<'a>,
+    keys: KeySet<'a>,
+}
+
+/// The iterator of [`elements`].
+pub struct Elements<'a> {
+    walk: Walk<'a>,
+}
+
+impl<'a> Iterator for Members<'a> {
+    type Item = JsonResult<(Cow<'a, str>, &'a str)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let keys = &mut self.keys;
+        self.walk.step(|parser| {
+            let key = parser.key(keys)?;
+            Ok((key, parser.slice()?))
+        })
+    }
+}
+
+impl<'a> Iterator for Elements<'a> {
+    type Item = JsonResult<&'a str>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.walk.step(Parser::slice)
+    }
+}
+
+/// The cursor of [`members`] and [`elements`] over one container.
+struct Walk<'a> {
+    parser: Parser<'a>,
+    close: u8,
+    /// The opening bracket, until it is read.
+    open: Option<u8>,
+    first: bool,
+    done: bool,
+}
+
+impl<'a> Walk<'a> {
+    fn new(text: &'a str, open: u8, close: u8) -> Self {
+        Walk {
+            parser: Parser::new(text),
+            close,
+            open: Some(open),
+            first: true,
+            done: false,
+        }
+    }
+
+    /// Reads the next item with `item`, or checks the end of the text; the
+    /// walk ends after its last item or its first error.
+    fn step<T>(
+        &mut self,
+        item: impl FnOnce(&mut Parser<'a>) -> JsonResult<T>,
+    ) -> Option<JsonResult<T>> {
+        if self.done {
+            return None;
+        }
+        let parser = &mut self.parser;
+        let next = (|| {
+            if let Some(open) = self.open.take() {
+                parser.skip_whitespace();
+                parser.expect(open)?;
+            }
+            if parser.more(&mut self.first, self.close)? {
+                return item(parser).map(Some);
+            }
+            parser.end().map(|()| None)
+        })();
+        self.done = !matches!(next, Ok(Some(_)));
+        next.transpose()
+    }
+}
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     position: usize,
 }
 
-impl Parser<'_> {
+/// The keys of one object read so far, to reject a duplicate. A linear scan
+/// is fastest for the small objects that dominate the wire; past
+/// [`KeySet::LINEAR_SCAN_LIMIT`] keys a hash set keeps a large object (a
+/// snapshot's cache section, a member per cached result) linear.
+#[derive(Default)]
+struct KeySet<'a> {
+    list: Vec<Cow<'a, str>>,
+    set: HashSet<Cow<'a, str>>,
+}
+
+impl<'a> KeySet<'a> {
+    const LINEAR_SCAN_LIMIT: usize = 16;
+
+    /// Adds `key`; false when it was already there.
+    fn insert(&mut self, key: Cow<'a, str>) -> bool {
+        if self.set.is_empty() {
+            if self.list.contains(&key) {
+                return false;
+            }
+            if self.list.len() < Self::LINEAR_SCAN_LIMIT {
+                self.list.push(key);
+                return true;
+            }
+            self.set.extend(self.list.drain(..));
+        }
+        self.set.insert(key)
+    }
+}
+
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            position: 0,
+        }
+    }
+
     fn error(&self, message: &str) -> JsonError {
         JsonError::new(format!("{message} at byte {}", self.position))
     }
@@ -301,6 +459,15 @@ impl Parser<'_> {
         }
     }
 
+    /// Checks that nothing but whitespace follows the value just read.
+    fn end(&mut self) -> JsonResult<()> {
+        self.skip_whitespace();
+        if self.position != self.bytes.len() {
+            return Err(self.error("trailing characters after JSON value"));
+        }
+        Ok(())
+    }
+
     fn literal(&mut self, text: &str, value: JsonValue) -> JsonResult<JsonValue> {
         if self.bytes[self.position..].starts_with(text.as_bytes()) {
             self.position += text.len();
@@ -315,7 +482,7 @@ impl Parser<'_> {
             Some(b'n') => self.literal("null", JsonValue::Null),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => self.string().map(JsonValue::Str),
+            Some(b'"') => self.string().map(|text| JsonValue::Str(text.into_owned())),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(b'-' | b'0'..=b'9') => self.number(),
@@ -324,93 +491,129 @@ impl Parser<'_> {
         }
     }
 
+    /// Checks the value at the cursor exactly as [`value`](Self::value)
+    /// reads it, building nothing: a string is only copied when it has an
+    /// escape, and no container is built.
+    fn skip(&mut self) -> JsonResult<()> {
+        match self.peek() {
+            Some(b'"') => self.string().map(drop),
+            Some(b'[') => {
+                self.position += 1;
+                let mut first = true;
+                while self.more(&mut first, b']')? {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Some(b'{') => {
+                self.position += 1;
+                let (mut keys, mut first) = (KeySet::default(), true);
+                while self.more(&mut first, b'}')? {
+                    self.key(&mut keys)?;
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            // Literals and numbers hold nothing on the heap.
+            _ => self.value().map(drop),
+        }
+    }
+
+    /// Checks the value at the cursor (see [`skip`](Self::skip)) and
+    /// returns the slice of the input that holds it.
+    fn slice(&mut self) -> JsonResult<&'a str> {
+        let start = self.position;
+        self.skip()?;
+        Ok(&self.text[start..self.position])
+    }
+
+    /// Inside a container whose opening bracket was read: whether another
+    /// item follows (the cursor then on it, past the `,` before it), or the
+    /// container ends (its `close` consumed). `first` is true before the
+    /// first item, where the container may be empty.
+    fn more(&mut self, first: &mut bool, close: u8) -> JsonResult<bool> {
+        self.skip_whitespace();
+        if std::mem::take(first) {
+            let empty = self.peek() == Some(close);
+            self.position += usize::from(empty);
+            return Ok(!empty);
+        }
+        match self.peek() {
+            Some(b',') => {
+                self.position += 1;
+                self.skip_whitespace();
+                Ok(true)
+            }
+            Some(byte) if byte == close => {
+                self.position += 1;
+                Ok(false)
+            }
+            _ => Err(self.error(&format!("expected `,` or `{}`", close as char))),
+        }
+    }
+
+    /// Reads an object member's key and the `:` after it, rejecting a key
+    /// already in `keys`. Duplicate keys are ambiguous (which member wins?)
+    /// and a classic smuggling vector across parsers that disagree on the
+    /// answer; the writer never produces them, so the parser rejects them
+    /// outright.
+    fn key(&mut self, keys: &mut KeySet<'a>) -> JsonResult<Cow<'a, str>> {
+        let key = self.string()?;
+        if !keys.insert(key.clone()) {
+            return Err(self.error(&format!("duplicate object key `{key}`")));
+        }
+        self.skip_whitespace();
+        self.expect(b':')?;
+        self.skip_whitespace();
+        Ok(key)
+    }
+
     fn array(&mut self) -> JsonResult<JsonValue> {
         self.expect(b'[')?;
         let mut elements = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.position += 1;
-            return Ok(JsonValue::Array(elements));
-        }
-        loop {
-            self.skip_whitespace();
+        let mut first = true;
+        while self.more(&mut first, b']')? {
             elements.push(self.value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.position += 1,
-                Some(b']') => {
-                    self.position += 1;
-                    return Ok(JsonValue::Array(elements));
-                }
-                _ => return Err(self.error("expected `,` or `]`")),
-            }
         }
+        Ok(JsonValue::Array(elements))
     }
 
     fn object(&mut self) -> JsonResult<JsonValue> {
         self.expect(b'{')?;
         let mut members: Vec<(String, JsonValue)> = Vec::new();
-        // Duplicate detection: a linear scan is fastest for the small objects
-        // that dominate the wire, but the snapshot path parses one object
-        // with a member per cached result — past a threshold, switch to a
-        // hash set so recovery stays O(n).
-        const LINEAR_SCAN_LIMIT: usize = 16;
-        let mut seen: Option<std::collections::HashSet<String>> = None;
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.position += 1;
-            return Ok(JsonValue::Object(members));
+        let (mut keys, mut first) = (KeySet::default(), true);
+        while self.more(&mut first, b'}')? {
+            let key = self.key(&mut keys)?.into_owned();
+            members.push((key, self.value()?));
         }
-        loop {
-            self.skip_whitespace();
-            let key = self.string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            self.skip_whitespace();
-            let value = self.value()?;
-            // Duplicate keys are ambiguous (which member wins?) and a classic
-            // smuggling vector across parsers that disagree on the answer; the
-            // writer never produces them, so the parser rejects them outright.
-            let duplicate = match &mut seen {
-                Some(seen) => !seen.insert(key.clone()),
-                None => {
-                    if members.len() == LINEAR_SCAN_LIMIT {
-                        let set: std::collections::HashSet<String> =
-                            members.iter().map(|(name, _)| name.clone()).collect();
-                        let duplicate = set.contains(&key);
-                        let seen = seen.insert(set);
-                        seen.insert(key.clone());
-                        duplicate
-                    } else {
-                        members.iter().any(|(existing, _)| *existing == key)
-                    }
-                }
-            };
-            if duplicate {
-                return Err(self.error(&format!("duplicate object key `{key}`")));
-            }
-            members.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.position += 1,
-                Some(b'}') => {
-                    self.position += 1;
-                    return Ok(JsonValue::Object(members));
-                }
-                _ => return Err(self.error("expected `,` or `}`")),
-            }
-        }
+        Ok(JsonValue::Object(members))
     }
 
-    fn string(&mut self) -> JsonResult<String> {
+    /// Reads a string, borrowing it from the input when it has no escape.
+    fn string(&mut self) -> JsonResult<Cow<'a, str>> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Take the whole run of plain characters up to the next quote or
+        // escape straight from the input `&str`: both delimiters are ASCII,
+        // so the run ends on a char boundary, and each byte is looked at
+        // once.
+        let text = self.text;
+        let run = |position: usize| -> Option<&'a str> {
+            let rest = text.get(position..)?;
+            Some(&rest[..rest.find(['"', '\\']).unwrap_or(rest.len())])
+        };
+        let plain = run(self.position).ok_or_else(|| self.error("invalid utf8"))?;
+        self.position += plain.len();
+        if self.peek() == Some(b'"') {
+            self.position += 1;
+            return Ok(Cow::Borrowed(plain));
+        }
+        let mut out = String::from(plain);
         loop {
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.position += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.position += 1;
@@ -433,17 +636,9 @@ impl Parser<'_> {
                     self.position += 1;
                 }
                 Some(_) => {
-                    // Copy the whole run of plain characters up to the next quote
-                    // or escape straight from the input `&str`: both delimiters
-                    // are ASCII, so the run ends on a char boundary, and each
-                    // byte is looked at once.
-                    let rest = self
-                        .text
-                        .get(self.position..)
-                        .ok_or_else(|| self.error("invalid utf8"))?;
-                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
-                    out.push_str(&rest[..run]);
-                    self.position += run;
+                    let plain = run(self.position).ok_or_else(|| self.error("invalid utf8"))?;
+                    out.push_str(plain);
+                    self.position += plain.len();
                 }
             }
         }

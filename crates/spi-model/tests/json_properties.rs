@@ -8,7 +8,7 @@
 //! usual seeded-LCG generator: a few hundred pseudo-random trees per
 //! property, reproducible by seed.
 
-use spi_model::json::JsonValue;
+use spi_model::json::{self, JsonValue};
 
 /// Deterministic pseudo-random case generator (64-bit LCG, same constants as
 //  the other in-tree property harnesses).
@@ -207,4 +207,139 @@ fn long_multibyte_strings_parse_in_linear_time() {
         elapsed < std::time::Duration::from_millis(250),
         "parsing a 64 KiB string took {elapsed:?}"
     );
+}
+
+/// `tree` itself when it is an object, else an object holding it (and a
+/// second random tree), so every case has members to walk.
+fn as_object(tree: JsonValue, cases: &mut Cases) -> JsonValue {
+    match tree {
+        JsonValue::Object(_) => tree,
+        other => JsonValue::object([("v", other), ("w", random_tree(cases, 2))]),
+    }
+}
+
+/// Whether the scanner accepts `text` as an object, reading every member.
+fn scans(text: &str) -> bool {
+    json::members(text).all(|member| member.is_ok())
+}
+
+#[test]
+fn scanned_members_and_elements_equal_the_parsed_ones() {
+    for seed in 0..300u64 {
+        let mut cases = Cases::new(seed);
+        let tree = as_object(random_tree(&mut cases, 4), &mut cases);
+        let line = tree.to_line();
+        let scanned: Vec<(String, JsonValue)> = json::members(&line)
+            .map(|member| {
+                let (key, slice) = member.unwrap_or_else(|error| panic!("seed {seed}: {error}"));
+                let value = JsonValue::parse(slice)
+                    .unwrap_or_else(|error| panic!("seed {seed}: slice `{slice}`: {error}"));
+                // A slice of a rendered line is its value's canonical line.
+                assert_eq!(slice, value.to_line(), "seed {seed}");
+                (key.into_owned(), value)
+            })
+            .collect();
+        assert_eq!(Some(scanned.as_slice()), tree.as_object(), "seed {seed}");
+
+        let array = JsonValue::Array(vec![tree.clone(), random_tree(&mut cases, 3), tree]);
+        let line = array.to_line();
+        let scanned: Vec<JsonValue> = json::elements(&line)
+            .map(|element| JsonValue::parse(element.unwrap()).unwrap())
+            .collect();
+        assert_eq!(Some(scanned.as_slice()), array.as_array(), "seed {seed}");
+    }
+    // Whitespace around and between members, as `parse` tolerates it.
+    let spaced = " {\n\t\"a\" : [ 1 , 2 ] ,\"b\":{ } }\r\n";
+    let members: Vec<(String, &str)> = json::members(spaced)
+        .map(|member| member.map(|(key, slice)| (key.into_owned(), slice)))
+        .collect::<Result<_, _>>()
+        .unwrap();
+    assert_eq!(
+        members,
+        [("a".to_string(), "[ 1 , 2 ]"), ("b".to_string(), "{ }")]
+    );
+    assert_eq!(json::elements(" [ ] ").count(), 0);
+    assert_eq!(json::members("{}").count(), 0);
+}
+
+#[test]
+fn the_scanner_rejects_what_parse_rejects() {
+    for seed in 0..120u64 {
+        let mut cases = Cases::new(seed);
+        let tree = as_object(random_tree(&mut cases, 3), &mut cases);
+        let line = tree.to_line();
+        // Truncated: every strict prefix.
+        for cut in (1..line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+            let prefix = &line[..cut];
+            assert!(JsonValue::parse(prefix).is_err(), "seed {seed}: `{prefix}`");
+            assert!(!scans(prefix), "seed {seed}: prefix `{prefix}` scanned");
+        }
+        // Trailing garbage, and the whitespace both accept.
+        for suffix in ["x", ",", "}", " {}", "1", "]"] {
+            let text = format!("{line}{suffix}");
+            assert!(JsonValue::parse(&text).is_err(), "seed {seed}: `{text}`");
+            assert!(!scans(&text), "seed {seed}: `{text}` scanned");
+        }
+        assert!(scans(&format!("{line} \n")));
+        // A duplicate of the first key, at the top and nested in a member
+        // or an element.
+        let Some((first, _)) = tree.as_object().and_then(<[_]>::first) else {
+            continue;
+        };
+        let mut key = String::new();
+        json::write_string(first, &mut key);
+        let duplicate = format!("{},{key}:null}}", &line[..line.len() - 1]);
+        for text in [
+            duplicate.clone(),
+            format!("{{\"outer\":{duplicate}}}"),
+            format!("{{\"outer\":[0,{duplicate}]}}"),
+        ] {
+            assert!(JsonValue::parse(&text).is_err(), "seed {seed}: `{text}`");
+            assert!(!scans(&text), "seed {seed}: `{text}` scanned");
+        }
+        let list = format!("[{duplicate}]");
+        assert!(json::elements(&list).any(|element| element.is_err()));
+    }
+    // Duplicates around the switch to hash-set detection, and what is no
+    // object at all.
+    for size in [15usize, 16, 17, 64] {
+        let unique: String = (0..size).map(|i| format!("\"k{i}\":{i},")).collect();
+        assert!(scans(&format!("{{{unique}\"last\":0}}")), "size {size}");
+        assert!(!scans(&format!("{{{unique}\"k0\":9}}")), "size {size}");
+        assert!(
+            !scans(&format!("{{{unique}\"k{}\":9}}", size - 1)),
+            "size {size}"
+        );
+    }
+    for text in [
+        "",
+        "[]",
+        "1",
+        "\"s\"",
+        "{\"a\"}",
+        "{\"a\":}",
+        "{,}",
+        "{\"a\":1,}",
+    ] {
+        assert!(!scans(text), "`{text}` scanned");
+    }
+    assert!(json::elements("{}").any(|element| element.is_err()));
+    assert!(json::elements("[1,]").any(|element| element.is_err()));
+}
+
+#[test]
+fn pushed_members_render_as_the_tree_would() {
+    for seed in 0..100u64 {
+        let mut cases = Cases::new(seed);
+        let tree = as_object(random_tree(&mut cases, 3), &mut cases);
+        let value = random_tree(&mut cases, 3);
+        let mut line = tree.to_line();
+        json::push_member(&mut line, "pushed\n\"key\"", &value.to_line());
+        let mut members = tree.as_object().unwrap().to_vec();
+        members.push(("pushed\n\"key\"".to_string(), value));
+        assert_eq!(line, JsonValue::Object(members).to_line(), "seed {seed}");
+    }
+    let mut empty = "{}".to_string();
+    json::push_member(&mut empty, "a", "1");
+    assert_eq!(empty, r#"{"a":1}"#);
 }

@@ -8,22 +8,28 @@
 //! re-optimized many times under changing constraints, so repeat jobs are
 //! the common case, not the exception.
 //!
-//! Each result is held as its canonical JSON line ([`JsonValue::to_line`]),
+//! Each result is held as its canonical JSON line
+//! ([`JsonValue::to_line`](spi_model::json::JsonValue::to_line)),
 //! not as a parsed tree: a tree costs several times its text, and a cached
-//! result is read far less often than it is kept. A hit parses the line.
+//! result is read far less often than it is kept. The line is shared
+//! (`Arc<str>`): a hit hands out the line itself, so whoever keeps the
+//! answer keeps no copy of it, and the bytes the cache counts are the
+//! lines it holds.
 //!
 //! The cache is bounded by an optional [`CacheLimit`] (entry count and/or
 //! total line bytes); past the limit the least-recently-used entry is
 //! evicted, deterministically (ties broken by digest order). Durability
 //! comes from the owning registry, which rebuilds it during WAL replay
 //! (every completed job with a digest reinserts its committed result) and
-//! carries it inside snapshots via [`ResultCache::to_snapshot`] /
-//! [`ResultCache::from_snapshot`].
+//! carries it inside snapshots as text, written with
+//! [`ResultCache::write_snapshot`] and read back entry by entry with
+//! [`ResultCache::from_snapshot`]: no tree of the cache is built either way.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use spi_model::digest::Digest;
-use spi_model::json::{JsonError, JsonResult, JsonValue};
+use spi_model::json::{self, JsonResult};
 
 /// An optional bound on a [`ResultCache`]. `None` fields are unbounded, and so
 /// is `CacheLimit::default()`; the exploration service bounds its cache by
@@ -73,7 +79,7 @@ impl CacheLimit {
 /// needs.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    line: Box<str>,
+    line: Arc<str>,
     last_used: u64,
 }
 
@@ -132,14 +138,15 @@ impl ResultCache {
         self.evict_to_limit();
     }
 
-    /// Stores `result` under `digest` as its canonical line, replacing any
-    /// previous entry (the digest is a content address, so a replacement is
-    /// byte-identical anyway unless the evaluator is nondeterministic), then
-    /// evicts least-recently-used entries until the cache is within its
-    /// limit. Returns how many entries this insert evicted, so callers can
-    /// trace cache pressure without re-deriving it from the lifetime counter.
-    pub fn insert(&mut self, digest: Digest, result: &JsonValue) -> u64 {
-        let line = result.to_line().into_boxed_str();
+    /// Stores `line`, a result's canonical line
+    /// ([`JsonValue::to_line`](spi_model::json::JsonValue::to_line)),
+    /// under `digest`, replacing any previous entry (the digest is a
+    /// content address, so a replacement is byte-identical anyway unless the
+    /// evaluator is nondeterministic), then evicts least-recently-used
+    /// entries until the cache is within its limit. Returns how many entries
+    /// this insert evicted, so callers can trace cache pressure without
+    /// re-deriving it from the lifetime counter.
+    pub fn insert(&mut self, digest: Digest, line: Arc<str>) -> u64 {
         self.clock += 1;
         self.total_bytes += line.len();
         let entry = CacheEntry {
@@ -155,14 +162,14 @@ impl ResultCache {
     }
 
     /// Looks up `digest`, counting the hit/miss and refreshing the entry's
-    /// recency on a hit; a hit is the cached line, parsed.
-    pub fn lookup(&mut self, digest: Digest) -> Option<JsonValue> {
+    /// recency on a hit; a hit is the cached line itself, shared.
+    pub fn lookup(&mut self, digest: Digest) -> Option<Arc<str>> {
         match self.entries.get_mut(&digest) {
             Some(entry) => {
                 self.hits += 1;
                 self.clock += 1;
                 entry.last_used = self.clock;
-                Some(parse_rendered(&entry.line))
+                Some(Arc::clone(&entry.line))
             }
             None => {
                 self.misses += 1;
@@ -239,55 +246,67 @@ impl ResultCache {
         }
     }
 
-    /// The snapshot form: an object of `digest-hex → result` members in
-    /// digest order. Recency and counters are not persisted.
-    pub fn to_snapshot(&self) -> JsonValue {
-        JsonValue::Object(
-            self.entries
-                .iter()
-                .map(|(digest, entry)| (digest.to_string(), parse_rendered(&entry.line)))
-                .collect(),
-        )
+    /// Appends the snapshot form to `out`: the object of `digest-hex → line`
+    /// members in digest order, each line written as it is. Recency and
+    /// counters are not persisted.
+    pub fn write_snapshot(&self, out: &mut String) {
+        out.push('{');
+        for (at, (digest, entry)) in self.entries.iter().enumerate() {
+            if at > 0 {
+                out.push(',');
+            }
+            json::write_string(&digest.to_string(), out);
+            out.push(':');
+            out.push_str(&entry.line);
+        }
+        out.push('}');
     }
 
-    /// Rebuilds an unbounded cache from its snapshot form (apply a bound
-    /// afterwards with [`ResultCache::set_limit`]), rendering each member
-    /// straight to its line. Restored entries start with recency in digest
-    /// order.
+    /// Rebuilds an unbounded cache from the text of its snapshot form (apply
+    /// a bound afterwards with [`ResultCache::set_limit`]), entry by entry:
+    /// each member is checked as JSON and kept as the slice it is, which in
+    /// a snapshot this cache wrote is the line it held. Restored entries
+    /// start with recency in digest order.
     ///
     /// # Errors
     ///
-    /// [`JsonError`] when the value is not an object of digest-keyed members.
-    pub fn from_snapshot(value: &JsonValue) -> JsonResult<ResultCache> {
-        let members = value
-            .as_object()
-            .ok_or_else(|| JsonError::new("expected an object for ResultCache"))?;
+    /// [`spi_model::json::JsonError`] when the text is not an object of
+    /// digest-keyed members.
+    pub fn from_snapshot(text: &str) -> JsonResult<ResultCache> {
         let mut cache = ResultCache::new();
-        for (key, result) in members {
-            cache.insert(Digest::parse(key)?, result);
+        for member in json::members(text) {
+            let (key, line) = member?;
+            cache.insert(Digest::parse(&key)?, Arc::from(line));
         }
         Ok(cache)
     }
-}
-
-/// Parses a line this cache rendered with [`JsonValue::to_line`], which
-/// always parses back to the value it was rendered from.
-fn parse_rendered(line: &str) -> JsonValue {
-    JsonValue::parse(line).expect("a line rendered by `to_line` parses")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spi_model::digest::digest_bytes;
+    use spi_model::json::JsonValue;
+
+    /// `value`'s canonical line, as the cache takes it.
+    fn line(value: &JsonValue) -> Arc<str> {
+        value.to_line().into()
+    }
+
+    /// The snapshot text of `cache`.
+    fn snapshot(cache: &ResultCache) -> String {
+        let mut text = String::new();
+        cache.write_snapshot(&mut text);
+        text
+    }
 
     #[test]
     fn insert_lookup_and_counters() {
         let mut cache = ResultCache::new();
         let key = digest_bytes(b"job-a");
         assert!(cache.lookup(key).is_none());
-        cache.insert(key, &JsonValue::Int(42));
-        assert_eq!(cache.lookup(key), Some(JsonValue::Int(42)));
+        cache.insert(key, line(&JsonValue::Int(42)));
+        assert_eq!(cache.lookup(key).as_deref(), Some("42"));
         assert_eq!(cache.peek(key), Some("42"));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.len(), 1);
@@ -298,21 +317,36 @@ mod tests {
     #[test]
     fn snapshot_round_trips() {
         let mut cache = ResultCache::new();
-        cache.insert(digest_bytes(b"x"), &JsonValue::string("rx"));
-        cache.insert(digest_bytes(b"y"), &JsonValue::Int(7));
-        let snapshot = cache.to_snapshot();
-        let back = ResultCache::from_snapshot(&snapshot).unwrap();
+        cache.insert(digest_bytes(b"x"), line(&JsonValue::string("rx")));
+        cache.insert(digest_bytes(b"y"), line(&JsonValue::Int(7)));
+        let text = snapshot(&cache);
+        let tree = JsonValue::object([
+            (digest_bytes(b"x").to_string(), JsonValue::string("rx")),
+            (digest_bytes(b"y").to_string(), JsonValue::Int(7)),
+        ]);
+        let mut members = tree.as_object().unwrap().to_vec();
+        members.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(text, JsonValue::Object(members).to_line(), "digest order");
+        let back = ResultCache::from_snapshot(&text).unwrap();
         assert_eq!(back.peek(digest_bytes(b"x")), Some("\"rx\""));
         assert_eq!(back.peek(digest_bytes(b"y")), Some("7"));
-        assert_eq!(back.to_snapshot().to_line(), snapshot.to_line());
+        assert_eq!(snapshot(&back), text);
         assert_eq!(back, cache, "restored cache must equal the original");
-        assert!(ResultCache::from_snapshot(&JsonValue::Int(1)).is_err());
-        assert!(ResultCache::from_snapshot(&JsonValue::object([("zz", JsonValue::Null)])).is_err());
+        assert_eq!(snapshot(&ResultCache::new()), "{}");
+        for bad in [
+            "1",
+            "{\"zz\":null}",
+            "{",
+            &text[..text.len() - 1],
+            &format!("{text}x"),
+        ] {
+            assert!(ResultCache::from_snapshot(bad).is_err(), "{bad}");
+        }
     }
 
     /// The cache holds each result as its canonical line: `total_bytes` is
-    /// the summed line lengths, a hit parses back to the inserted value, and
-    /// a snapshot round trip keeps every line byte for byte.
+    /// the summed line lengths, a hit is the inserted line itself, and a
+    /// snapshot round trip keeps every line byte for byte.
     #[test]
     fn entries_are_held_as_their_canonical_lines() {
         let nested = JsonValue::object([
@@ -325,17 +359,20 @@ mod tests {
         ]);
         let values = [nested, JsonValue::Bool(true), JsonValue::string("")];
         let mut cache = ResultCache::new();
-        for (at, value) in values.iter().enumerate() {
-            cache.insert(digest_bytes(&[at as u8]), value);
+        let lines: Vec<Arc<str>> = values.iter().map(line).collect();
+        for (at, line) in lines.iter().enumerate() {
+            cache.insert(digest_bytes(&[at as u8]), Arc::clone(line));
         }
         let summed: usize = values.iter().map(|value| value.to_line().len()).sum();
         assert_eq!(cache.total_bytes(), summed);
-        let back = ResultCache::from_snapshot(&cache.to_snapshot()).unwrap();
+        let back = ResultCache::from_snapshot(&snapshot(&cache)).unwrap();
         assert_eq!(back.total_bytes(), summed);
         for (at, value) in values.iter().enumerate() {
             let key = digest_bytes(&[at as u8]);
             assert_eq!(back.peek(key), Some(value.to_line().as_str()));
-            assert_eq!(cache.lookup(key).as_ref(), Some(value));
+            let hit = cache.lookup(key).unwrap();
+            assert!(Arc::ptr_eq(&hit, &lines[at]), "a hit shares the line");
+            assert_eq!(JsonValue::parse(&hit).as_ref(), Ok(value));
         }
     }
 
@@ -343,11 +380,11 @@ mod tests {
     fn entry_limit_evicts_least_recently_used() {
         let (a, b, c) = (digest_bytes(b"a"), digest_bytes(b"b"), digest_bytes(b"c"));
         let mut cache = ResultCache::with_limit(CacheLimit::entries(2));
-        cache.insert(a, &JsonValue::Int(1));
-        cache.insert(b, &JsonValue::Int(2));
+        cache.insert(a, line(&JsonValue::Int(1)));
+        cache.insert(b, line(&JsonValue::Int(2)));
         // Touch `a` so `b` is the LRU entry when `c` arrives.
         assert!(cache.lookup(a).is_some());
-        cache.insert(c, &JsonValue::Int(3));
+        cache.insert(c, line(&JsonValue::Int(3)));
         assert_eq!(cache.len(), 2);
         assert!(cache.peek(a).is_some());
         assert!(cache.peek(b).is_none(), "LRU entry must be evicted");
@@ -360,15 +397,18 @@ mod tests {
         let payload = JsonValue::string("0123456789");
         let one = payload.to_line().len();
         let mut cache = ResultCache::with_limit(CacheLimit::bytes(2 * one));
-        cache.insert(digest_bytes(b"a"), &payload);
-        cache.insert(digest_bytes(b"b"), &payload);
+        cache.insert(digest_bytes(b"a"), line(&payload));
+        cache.insert(digest_bytes(b"b"), line(&payload));
         assert_eq!(cache.len(), 2);
-        cache.insert(digest_bytes(b"c"), &payload);
+        cache.insert(digest_bytes(b"c"), line(&payload));
         assert_eq!(cache.len(), 2, "third insert must evict one entry");
         assert!(cache.total_bytes() <= 2 * one);
         // A payload bigger than the whole budget empties the cache but still
         // terminates deterministically.
-        cache.insert(digest_bytes(b"big"), &JsonValue::string("x".repeat(64)));
+        cache.insert(
+            digest_bytes(b"big"),
+            line(&JsonValue::string("x".repeat(64))),
+        );
         assert!(cache.is_empty());
     }
 
@@ -376,17 +416,20 @@ mod tests {
     /// a result read since is kept over an older one that was not.
     #[test]
     fn default_byte_bound_evicts_least_recently_used_lines() {
-        let line = JsonValue::string("r".repeat(1 << 16));
-        let per_entry = line.to_line().len();
+        let result = line(&JsonValue::string("r".repeat(1 << 16)));
+        let per_entry = result.len();
         let fits = DEFAULT_CACHE_BYTES / per_entry;
         let mut cache = ResultCache::with_limit(CacheLimit::bytes(DEFAULT_CACHE_BYTES));
         for at in 0..fits as u64 {
-            assert_eq!(cache.insert(digest_bytes(&at.to_le_bytes()), &line), 0);
+            assert_eq!(
+                cache.insert(digest_bytes(&at.to_le_bytes()), Arc::clone(&result)),
+                0
+            );
         }
         assert_eq!(cache.len(), fits);
         // Reading the oldest entry makes the second-oldest the LRU one.
         assert!(cache.lookup(digest_bytes(&0u64.to_le_bytes())).is_some());
-        let evicted = cache.insert(digest_bytes(b"one more"), &line);
+        let evicted = cache.insert(digest_bytes(b"one more"), result);
         assert_eq!(evicted, 1);
         assert!(cache.total_bytes() <= DEFAULT_CACHE_BYTES);
         assert!(cache.peek(digest_bytes(&0u64.to_le_bytes())).is_some());
@@ -398,7 +441,7 @@ mod tests {
     fn tightening_the_limit_evicts_immediately_and_reinsert_updates_bytes() {
         let mut cache = ResultCache::new();
         for i in 0..5u8 {
-            cache.insert(digest_bytes(&[i]), &JsonValue::Int(i as i128));
+            cache.insert(digest_bytes(&[i]), line(&JsonValue::Int(i as i128)));
         }
         cache.set_limit(CacheLimit::entries(2));
         assert_eq!(cache.len(), 2);
@@ -406,8 +449,8 @@ mod tests {
         // Replacing an entry accounts bytes for the new payload only.
         let key = digest_bytes(b"replace");
         let mut solo = ResultCache::new();
-        solo.insert(key, &JsonValue::string("a".repeat(100)));
-        solo.insert(key, &JsonValue::Int(1));
+        solo.insert(key, line(&JsonValue::string("a".repeat(100))));
+        solo.insert(key, line(&JsonValue::Int(1)));
         assert_eq!(solo.total_bytes(), JsonValue::Int(1).to_line().len());
     }
 }

@@ -6,8 +6,9 @@
 //!
 //! * [`wal`] — an append-only, checksummed write-ahead log with
 //!   snapshot+replay recovery (`wal.log` + `snapshot.json` in a store
-//!   directory). Records are opaque [`JsonValue`](spi_model::json::JsonValue)s; the registry in
-//!   `spi-explore` defines the actual transition records and replays them.
+//!   directory). Records and snapshots are opaque JSON lines; the registry
+//!   in `spi-explore` defines the actual transition records and replays
+//!   them, and reads a snapshot's text ([`SnapshotText`]) entry by entry.
 //! * [`cache`] — a content-addressed result cache keyed by the
 //!   [`Digest`](spi_model::digest::Digest) of the canonical JSON identifying
 //!   a computation; repeat submissions become O(1) lookups instead of
@@ -48,7 +49,7 @@
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! let (mut wal, recovered) = Wal::open(&dir)?;
 //! assert!(recovered.is_empty());
-//! wal.append(&JsonValue::object([("t", JsonValue::string("submit"))]))?;
+//! wal.append(&JsonValue::object([("t", JsonValue::string("submit"))]).to_line())?;
 //!
 //! // ... crash, restart:
 //! drop(wal);
@@ -80,4 +81,4 @@ pub use span::{
     DEFAULT_SPAN_CAPACITY,
 };
 pub use trace::{ReplayReport, TraceCapture, TraceDrain, TraceEvent, TraceReplay, TracedEvent};
-pub use wal::{Recovered, Wal};
+pub use wal::{Recovered, SnapshotText, Wal};

@@ -5,17 +5,21 @@
 //! A store directory holds two files:
 //!
 //! * `wal.log` — one record per line: `{"seq":N,"crc":"<hex>","rec":{...}}`.
-//!   `rec` is an opaque [`JsonValue`] supplied by the caller (the registry
-//!   serializes its own transition records), written as its canonical line;
-//!   `crc` is the FNV-1a-128 digest of `rec`'s bytes as written, so a
-//!   flipped bit anywhere in the payload — or a torn final line from a
-//!   crash mid-append — fails verification.
+//!   `rec` is an opaque JSON line supplied by the caller (the registry
+//!   renders its own transition records), written as it is; `crc` is the
+//!   FNV-1a-128 digest of `rec`'s bytes as written, so a flipped bit
+//!   anywhere in the payload — or a torn final line from a crash
+//!   mid-append — fails verification.
 //! * `snapshot.json` — one line `{"seq":N,"crc":"<hex>","state":{...}}`:
-//!   a caller-supplied compaction of every record up to and including `seq`.
+//!   a caller-supplied compaction of every record up to and including `seq`,
+//!   handed over and recovered as its text ([`SnapshotText`]).
 //!
 //! Lines are checked as text: a payload whose bytes differ from the ones
 //! written fails, even if it parses to the same value, as does any frame
-//! but the one written; only then is the payload parsed, once.
+//! but the one written. Only then is a record parsed, once; the snapshot is
+//! not parsed here at all: its owner reads the verified text entry by entry
+//! (see [`spi_model::json::members`]), so no tree of the whole state is
+//! ever built.
 //!
 //! # Recovery
 //!
@@ -47,11 +51,30 @@ const WAL_FILE: &str = "wal.log";
 const SNAPSHOT_FILE: &str = "snapshot.json";
 const LOCK_FILE: &str = "lock";
 
+/// A snapshot's state as its text: one JSON value on one line, which
+/// [`Wal::compact`] writes as it is and [`Wal::open`] hands back once its
+/// checksum holds. Its reader checks it as JSON while reading it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotText(String);
+
+impl SnapshotText {
+    /// Wraps `text`, which must be one JSON value without a newline (the
+    /// line [`JsonValue::to_line`] renders is one).
+    pub fn new(text: String) -> SnapshotText {
+        SnapshotText(text)
+    }
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
 /// Everything [`Wal::open`] recovered from disk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recovered {
     /// The latest snapshot state, if a snapshot was ever written.
-    pub snapshot: Option<JsonValue>,
+    pub snapshot: Option<SnapshotText>,
     /// Replayable records appended after the snapshot, in append order.
     pub records: Vec<JsonValue>,
     /// How many trailing bytes were discarded as a torn tail (0 on a clean
@@ -80,18 +103,28 @@ pub struct Wal {
     _lock: File,
 }
 
-/// Frames `payload` as the line `{"seq":N,"crc":"<hex>","<key>":<payload>}`:
-/// the payload is serialized once, and the checksum is taken over that text.
-fn frame(seq: u64, key: &str, payload: &JsonValue) -> String {
-    let payload = payload.to_line();
+/// Writes `payload` framed as the line `{"seq":N,"crc":"<hex>","<key>":
+/// <payload>}` and its newline, the checksum taken over the payload's text,
+/// and returns the bytes written. The payload is written as it is, never
+/// copied into the line.
+fn write_frame(out: &mut impl Write, seq: u64, key: &str, payload: &str) -> Result<u64> {
+    if payload.contains('\n') {
+        return Err(StoreError::Corrupt(format!(
+            "a {key} payload must be one line"
+        )));
+    }
     let crc = digest_bytes(payload.as_bytes());
-    format!("{{\"seq\":{seq},\"crc\":\"{crc}\",\"{key}\":{payload}}}")
+    let head = format!("{{\"seq\":{seq},\"crc\":\"{crc}\",\"{key}\":");
+    out.write_all(head.as_bytes())?;
+    out.write_all(payload.as_bytes())?;
+    out.write_all(b"}\n")?;
+    Ok((head.len() + payload.len() + 2) as u64)
 }
 
-/// Parses one framed line; `Ok` carries `(seq, payload)`. The checksum is
-/// checked over the payload's bytes as written, before they are parsed
-/// once: a payload whose bytes changed fails even if it means the same.
-fn unframe(line: &str, key: &str) -> std::result::Result<(u64, JsonValue), String> {
+/// Reads one framed line; `Ok` carries `(seq, payload)`, the payload's text
+/// checked against the checksum: a payload whose bytes changed fails even
+/// if it means the same.
+fn unframe<'a>(line: &'a str, key: &str) -> std::result::Result<(u64, &'a str), String> {
     let rest = line.strip_prefix("{\"seq\":").ok_or("missing seq")?;
     let (seq_text, rest) = rest.split_once(",\"crc\":\"").ok_or("missing crc")?;
     let seq = seq_text.parse::<u64>().ok();
@@ -108,7 +141,6 @@ fn unframe(line: &str, key: &str) -> std::result::Result<(u64, JsonValue), Strin
     if digest_bytes(payload.as_bytes()).to_string() != crc {
         return Err(format!("checksum mismatch at seq {seq}"));
     }
-    let payload = JsonValue::parse(payload).map_err(|e| e.to_string())?;
     Ok((seq, payload))
 }
 
@@ -147,14 +179,20 @@ impl Wal {
         let (snapshot, snapshot_seq) = match std::fs::read_to_string(&snapshot_path) {
             Err(error) if error.kind() == std::io::ErrorKind::NotFound => (None, 0),
             Err(error) => return Err(error.into()),
-            Ok(text) => {
+            Ok(mut text) => {
                 let line = text.trim();
                 if line.is_empty() {
                     (None, 0)
                 } else {
                     let (seq, state) = unframe(line, "state")
                         .map_err(|why| StoreError::Corrupt(format!("snapshot: {why}")))?;
-                    (Some(state), seq)
+                    // Keep the state's text in the buffer it was read into:
+                    // `state` is a slice of `text`, at this offset.
+                    let start = state.as_ptr() as usize - text.as_ptr() as usize;
+                    let end = start + state.len();
+                    text.truncate(end);
+                    text.drain(..start);
+                    (Some(SnapshotText(text)), seq)
                 }
             }
         };
@@ -181,7 +219,10 @@ impl Wal {
                     if !line.ends_with('\n') {
                         break;
                     }
-                    let Ok((seq, payload)) = unframe(line.trim_end(), "rec") else {
+                    let Some((seq, payload)) = unframe(line.trim_end(), "rec")
+                        .ok()
+                        .and_then(|(seq, payload)| Some((seq, JsonValue::parse(payload).ok()?)))
+                    else {
                         break;
                     };
                     if seq < next_seq && snapshot.is_some() {
@@ -227,20 +268,19 @@ impl Wal {
         ))
     }
 
-    /// Appends one record, flushing it to the operating system, and returns
-    /// its sequence number.
+    /// Appends one record, given as its JSON line, flushing it to the
+    /// operating system, and returns its sequence number.
     ///
     /// # Errors
     ///
-    /// I/O errors; on error the record must be considered not written.
-    pub fn append(&mut self, record: &JsonValue) -> Result<u64> {
+    /// I/O errors, and [`StoreError::Corrupt`] for a record with a newline;
+    /// on error the record must be considered not written.
+    pub fn append(&mut self, record: &str) -> Result<u64> {
         let seq = self.next_seq;
-        let line = frame(seq, "rec", record);
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        let written = write_frame(&mut self.writer, seq, "rec", record)?;
         self.writer.flush()?;
         self.next_seq = seq + 1;
-        self.log_bytes += line.len() as u64 + 1;
+        self.log_bytes += written;
         Ok(seq)
     }
 
@@ -255,29 +295,28 @@ impl Wal {
         Ok(())
     }
 
-    /// Replaces the snapshot with `state` (covering every record appended so
-    /// far) and truncates the log — the compaction step. Crash-ordering: the
-    /// snapshot is written to a temporary file, synced, atomically renamed
-    /// into place, and only then is the log truncated, so every instant in
-    /// between recovers to the same state.
+    /// Replaces the snapshot with `state`, written as its text (covering
+    /// every record appended so far), and truncates the log — the
+    /// compaction step. Crash-ordering: the snapshot is written to a
+    /// temporary file, synced, atomically renamed into place, and only then
+    /// is the log truncated, so every instant in between recovers to the
+    /// same state.
     ///
     /// Returns the log size in bytes that the compaction reclaimed, which is
     /// what trace capture records for a `wal_compact` decision.
     ///
     /// # Errors
     ///
-    /// I/O errors.
-    pub fn compact(&mut self, state: &JsonValue) -> Result<u64> {
+    /// I/O errors, and [`StoreError::Corrupt`] for a state with a newline.
+    pub fn compact(&mut self, state: &SnapshotText) -> Result<u64> {
         let reclaimed = self.log_bytes;
         self.sync()?;
         let seq = self.next_seq.saturating_sub(1);
-        let line = frame(seq, "state", state);
         let tmp_path = self.snapshot_path.with_extension("tmp");
         {
-            let mut tmp = File::create(&tmp_path)?;
-            tmp.write_all(line.as_bytes())?;
-            tmp.write_all(b"\n")?;
-            tmp.sync_all()?;
+            let mut tmp = BufWriter::new(File::create(&tmp_path)?);
+            write_frame(&mut tmp, seq, "state", state.as_str())?;
+            tmp.into_inner().map_err(|e| e.into_error())?.sync_all()?;
         }
         std::fs::rename(&tmp_path, &self.snapshot_path)?;
         // Reopen truncating: the old appender's cursor would leave a hole.
@@ -318,6 +357,19 @@ mod tests {
         JsonValue::object([("t", JsonValue::string("test")), ("n", JsonValue::Int(n))])
     }
 
+    fn record_line(n: i128) -> String {
+        record(n).to_line()
+    }
+
+    /// The framed line `append` writes for `payload`, without its newline.
+    fn frame(seq: u64, key: &str, payload: &str) -> String {
+        let mut out = Vec::new();
+        let written = write_frame(&mut out, seq, key, payload).unwrap();
+        assert_eq!(written, out.len() as u64);
+        let line = String::from_utf8(out).unwrap();
+        line.strip_suffix('\n').unwrap().to_string()
+    }
+
     #[test]
     fn append_and_reopen_replays_in_order() {
         let dir = temp_dir("replay");
@@ -325,13 +377,13 @@ mod tests {
             let (mut wal, recovered) = Wal::open(&dir).unwrap();
             assert!(recovered.is_empty());
             for n in 0..5 {
-                assert_eq!(wal.append(&record(n)).unwrap(), n as u64);
+                assert_eq!(wal.append(&record_line(n)).unwrap(), n as u64);
             }
         }
         let (mut wal, recovered) = Wal::open(&dir).unwrap();
         assert_eq!(recovered.truncated_bytes, 0);
         assert_eq!(recovered.records, (0..5).map(record).collect::<Vec<_>>());
-        assert_eq!(wal.append(&record(5)).unwrap(), 5);
+        assert_eq!(wal.append(&record_line(5)).unwrap(), 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -340,8 +392,8 @@ mod tests {
         let dir = temp_dir("torn");
         {
             let (mut wal, _) = Wal::open(&dir).unwrap();
-            wal.append(&record(0)).unwrap();
-            wal.append(&record(1)).unwrap();
+            wal.append(&record_line(0)).unwrap();
+            wal.append(&record_line(1)).unwrap();
         }
         // Simulate a crash mid-append: chop bytes off the final line.
         let path = dir.join(WAL_FILE);
@@ -356,7 +408,7 @@ mod tests {
         assert_eq!(recovered.records, vec![record(0)]);
         assert!(recovered.truncated_bytes > 0);
         // The sequence continues from the surviving prefix.
-        assert_eq!(wal.append(&record(9)).unwrap(), 1);
+        assert_eq!(wal.append(&record_line(9)).unwrap(), 1);
         drop(wal);
         let (_, recovered) = Wal::open(&dir).unwrap();
         assert_eq!(recovered.records, vec![record(0), record(9)]);
@@ -369,7 +421,7 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&dir).unwrap();
             for n in 0..3 {
-                wal.append(&record(n)).unwrap();
+                wal.append(&record_line(n)).unwrap();
             }
         }
         // Flip a payload byte in the middle record: its crc must fail and
@@ -390,19 +442,46 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&dir).unwrap();
             for n in 0..4 {
-                wal.append(&record(n)).unwrap();
+                wal.append(&record_line(n)).unwrap();
             }
-            wal.compact(&JsonValue::object([("upto", JsonValue::Int(3))]))
+            wal.compact(&SnapshotText::new(r#"{"upto":3}"#.to_string()))
                 .unwrap();
-            wal.append(&record(4)).unwrap();
+            wal.append(&record_line(4)).unwrap();
         }
         let (_, recovered) = Wal::open(&dir).unwrap();
         assert_eq!(
             recovered.snapshot,
-            Some(JsonValue::object([("upto", JsonValue::Int(3))]))
+            Some(SnapshotText::new(r#"{"upto":3}"#.to_string()))
         );
         assert_eq!(recovered.records, vec![record(4)]);
         assert_eq!(recovered.truncated_bytes, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The snapshot comes back as the text it was written as, byte for
+    /// byte, and a payload that is not one line is refused unwritten.
+    #[test]
+    fn a_snapshot_reads_back_as_its_text_and_payloads_are_one_line() {
+        let dir = temp_dir("text");
+        let state = r#"{"a":[1, 2],"s":"é \"q\""}"#;
+        {
+            let (mut wal, _) = Wal::open(&dir).unwrap();
+            wal.append(&record_line(0)).unwrap();
+            wal.compact(&SnapshotText::new(state.to_string())).unwrap();
+            assert!(matches!(
+                wal.append("{\"t\":\n1}"),
+                Err(StoreError::Corrupt(_))
+            ));
+            let torn = SnapshotText::new("{\n}".to_string());
+            assert!(matches!(wal.compact(&torn), Err(StoreError::Corrupt(_))));
+            assert_eq!(wal.next_seq(), 1);
+        }
+        let (_, recovered) = Wal::open(&dir).unwrap();
+        assert_eq!(
+            recovered.snapshot.as_ref().map(SnapshotText::as_str),
+            Some(state)
+        );
+        assert!(recovered.records.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -411,8 +490,8 @@ mod tests {
         let dir = temp_dir("badsnap");
         {
             let (mut wal, _) = Wal::open(&dir).unwrap();
-            wal.append(&record(0)).unwrap();
-            wal.compact(&record(0)).unwrap();
+            wal.append(&record_line(0)).unwrap();
+            wal.compact(&SnapshotText::new(record_line(0))).unwrap();
         }
         let path = dir.join(SNAPSHOT_FILE);
         let text = std::fs::read_to_string(&path).unwrap();
@@ -438,13 +517,13 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&dir).unwrap();
             assert_eq!(wal.log_bytes(), 0);
-            wal.append(&record(0)).unwrap();
-            wal.append(&record(1)).unwrap();
+            wal.append(&record_line(0)).unwrap();
+            wal.append(&record_line(1)).unwrap();
             let on_disk = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
             assert_eq!(wal.log_bytes(), on_disk);
-            wal.compact(&record(0)).unwrap();
+            wal.compact(&SnapshotText::new(record_line(0))).unwrap();
             assert_eq!(wal.log_bytes(), 0);
-            wal.append(&record(2)).unwrap();
+            wal.append(&record_line(2)).unwrap();
             assert!(wal.log_bytes() > 0);
         }
         let (wal, recovered) = Wal::open(&dir).unwrap();
@@ -480,7 +559,7 @@ mod tests {
         for (seq, payload) in payloads.iter().enumerate() {
             for key in ["rec", "state"] {
                 let seq = seq as u64 * 1000;
-                let line = frame(seq, key, payload);
+                let line = frame(seq, key, &payload.to_line());
                 let crc = digest_bytes(payload.to_line().as_bytes()).to_string();
                 let tree = JsonValue::object([
                     ("seq", JsonValue::Int(i128::from(seq))),
@@ -488,7 +567,11 @@ mod tests {
                     (key, payload.clone()),
                 ]);
                 assert_eq!(line, tree.to_line());
-                assert_eq!(unframe(&line, key), Ok((seq, payload.clone())));
+                let (back_seq, back) = unframe(&line, key).unwrap();
+                assert_eq!(
+                    (back_seq, JsonValue::parse(back)),
+                    (seq, Ok(payload.clone()))
+                );
             }
         }
     }
@@ -498,7 +581,7 @@ mod tests {
     /// in the snapshot; so does a frame that is not the one written.
     #[test]
     fn a_payload_whose_bytes_changed_fails_even_with_the_same_value() {
-        let line = frame(4, "rec", &record(1));
+        let line = frame(4, "rec", &record_line(1));
         let spaced = line.replacen("\"n\":1", "\"n\": 1", 1);
         assert_ne!(line, spaced);
         let payload = spaced.split_once(",\"rec\":").unwrap().1;
@@ -518,7 +601,7 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&dir).unwrap();
             for n in 0..3 {
-                wal.append(&record(n)).unwrap();
+                wal.append(&record_line(n)).unwrap();
             }
         }
         let path = dir.join(WAL_FILE);
@@ -529,7 +612,7 @@ mod tests {
         assert!(recovered.truncated_bytes > 0);
 
         let (mut wal, _) = Wal::open(&dir).unwrap();
-        wal.compact(&record(5)).unwrap();
+        wal.compact(&SnapshotText::new(record_line(5))).unwrap();
         drop(wal);
         let path = dir.join(SNAPSHOT_FILE);
         let text = std::fs::read_to_string(&path).unwrap();
@@ -542,7 +625,7 @@ mod tests {
     fn sync_is_callable_and_preserves_records() {
         let dir = temp_dir("sync");
         let (mut wal, _) = Wal::open(&dir).unwrap();
-        wal.append(&record(1)).unwrap();
+        wal.append(&record_line(1)).unwrap();
         wal.sync().unwrap();
         assert_eq!(wal.next_seq(), 1);
         drop(wal);
